@@ -1,11 +1,11 @@
 """Two-sample U-statistic processes for long-range dependent time series."""
 
-from .errors import (NonEmbeddableError, NormalizationError, ParameterError,
-                     RankNotFoundError, RegimeError)
+from .errors import (NonEmbeddableError, ParameterError, RankNotFoundError,
+                     RegimeError)
 from .hermite import (ClassCoeffs, HermiteCoeffTable, ScalingConstants,
                       class_coeffs, coeffs_2d, coeffs_2d_montecarlo,
-                      hermite_eval, rank_2d, scaling, summability_diagnostic,
-                      wilcoxon_coeff_closed_form)
+                      hermite_eval, kernel_table, rank_2d, scaling,
+                      summability_diagnostic, wilcoxon_coeff_closed_form)
 from .limit_law import (CriticalValueTable, LimitEnsemble, critical_values,
                         default_grid, limit_thm1, limit_thm2, simulate_fbm,
                         simulate_hermite)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -49,26 +50,14 @@ def _load_data(path: str) -> np.ndarray:
     return lrd_sim.read_path_csv(path)
 
 
-def _resolve_kernel(name: str) -> ustat.Kernel:
-    return ustat.builtin_kernel(name)
-
-
-def _kernel_diagonal(kernel: ustat.Kernel, m: int = 1) -> tuple:
-    if kernel.coeff_provider is not None:
-        table = hermite.closed_form_table(kernel.coeff_provider, max(m, 2))
-    else:
-        table = hermite.coeffs_2d(kernel, max(m, 2))
-    if table.rank is None:
-        raise ParameterError(f"cannot detect rank of kernel {kernel.name!r}")
-    return table.diagonal(table.rank), table.rank, table.a00
-
-
-def limit_table(kernel: ustat.Kernel, family: str, d_exp: float,
-                reps: int, grid_size: int, seed: int, levels,
-                use_cache: bool = True):
-    """Critical-value table for the kernel's rank-diagonal limit functional,
-    cached on disk keyed by (kernel, family, D, m, reps, grid)."""
-    entries, m, _ = _kernel_diagonal(kernel)
+def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
+                family: str, d_exp: float, reps: int, grid_size: int,
+                seed: int, levels, use_cache: bool = True):
+    """Critical-value table for the limit functional of the kernel's
+    coefficient ``table`` (from :func:`hermite.kernel_table`), cached on disk
+    keyed by (kernel, family, D, m, reps, grid).  A cache file that does not
+    parse is recomputed and overwritten."""
+    m = table.rank
     key_src = json.dumps({
         "kernel": kernel.name, "family": family, "D": d_exp, "m": m,
         "reps": reps, "grid_size": grid_size, "seed": seed,
@@ -77,16 +66,23 @@ def limit_table(kernel: ustat.Kernel, family: str, d_exp: float,
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     cache_file = _cache_dir() / f"cv_{key}.json"
     if use_cache and cache_file.exists():
-        with open(cache_file) as fh:
-            return limit_law.CriticalValueTable.from_json_dict(json.load(fh))
+        try:
+            with open(cache_file) as fh:
+                return limit_law.CriticalValueTable.from_json_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError):
+            pass  # corrupt cache file: recompute below
     ensemble = limit_law.limit_thm1(
-        entries, d_exp, grid=limit_law.default_grid(grid_size),
+        table.diagonal(m), d_exp, grid=limit_law.default_grid(grid_size),
         reps=reps, seed=seed)
-    table = limit_law.critical_values(ensemble, sorted(levels))
+    cv_table = limit_law.critical_values(ensemble, sorted(levels))
     if use_cache:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        table.dump(cache_file)
-    return table
+        # write a temp file, then rename: readers never see a partial table
+        fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
+        os.close(fd)
+        cv_table.dump(tmp)
+        os.replace(tmp, cache_file)
+    return cv_table
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +109,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    kernel = _resolve_kernel(args.kernel)
+    kernel = ustat.builtin_kernel(args.kernel)
     if kernel.coeff_provider is not None and args.source == "auto":
         table = hermite.closed_form_table(kernel.coeff_provider, args.Q)
     elif args.source == "montecarlo":
@@ -138,10 +134,10 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    kernel = _resolve_kernel(args.kernel)
+    kernel = ustat.builtin_kernel(args.kernel)
     levels = _parse_levels(args.levels)
-    table = limit_table(kernel, args.family, args.D, args.reps,
-                        args.grid_size, args.seed, levels,
+    table = limit_table(kernel, hermite.kernel_table(kernel), args.family,
+                        args.D, args.reps, args.grid_size, args.seed, levels,
                         use_cache=not args.no_cache)
     text = json.dumps(table.to_json_dict(), indent=2)
     if args.out:
@@ -165,18 +161,17 @@ def cmd_detect(args) -> int:
     data = _load_data(args.input)
     if data.size < 2:
         raise ParameterError("need at least 2 observations (no admissible split)")
-    kernel = _resolve_kernel(args.kernel)
+    kernel = ustat.builtin_kernel(args.kernel)
     levels = _parse_levels(args.levels)
-    entries, m, a00 = _kernel_diagonal(kernel)
+    coeffs = hermite.kernel_table(kernel)
     n = data.size
-    sc = hermite.scaling(args.D, m, n,
+    sc = hermite.scaling(args.D, coeffs.rank, n,
                          lrd_sim.asymptotic_L(
                              lrd_sim.LrdParams(D=args.D, family=args.family), n))
-    path = ustat.ustat_fast(data, kernel)
-    norm_path = ustat.normalize(path, sc, ustat.NORM_THM2, center=a00) \
-        if args.thm2 else _thm1_centered(path, sc, a00)
-    stat, k_star = ustat.changepoint_statistic(norm_path)
-    table = limit_table(kernel, args.family, args.D, args.reps,
+    raw = ustat.ustat_fast(data, kernel).raw
+    stat, k_star = ustat.changepoint_statistic(
+        ustat.normalize(raw, sc, coeffs.a00))
+    table = limit_table(kernel, coeffs, args.family, args.D, args.reps,
                         args.grid_size, args.seed, levels,
                         use_cache=not args.no_cache)
     decisions = {repr(lv): {"critical_value": table.value_at(lv),
@@ -194,36 +189,25 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _thm1_centered(path: ustat.UStatPath, sc, a00: float) -> ustat.UStatPath:
-    """Rank-diagonal normalization of a centered kernel: subtract the
-    per-pair mean a00 and divide by d'_n n."""
-    from dataclasses import replace
-
-    k = np.arange(1, path.n, dtype=float)
-    values = (path.raw - k * (path.n - k) * a00) / (sc.d_n_prime * path.n)
-    return replace(path, normalization=ustat.NORM_THM1, centering=a00,
-                   normalized=values)
-
-
 def cmd_verify(args) -> int:
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
     if args.experiment == "variance":
         report = verify.check_variance(args.k, params, args.n_list,
                                        reps=args.reps, seed=args.seed)
     elif args.experiment == "reduction":
-        kernel = _resolve_kernel(args.kernel)
+        kernel = ustat.builtin_kernel(args.kernel)
         report = verify.check_reduction(kernel, params, args.n_list,
                                         reps=args.reps, seed=args.seed)
     else:  # weak
-        kernel = _resolve_kernel(args.kernel)
-        entries, m, a00 = _kernel_diagonal(kernel)
+        kernel = ustat.builtin_kernel(args.kernel)
+        table = hermite.kernel_table(kernel)
         ensemble = limit_law.limit_thm1(
-            entries, args.D, grid=limit_law.default_grid(args.grid_size),
+            table.diagonal(table.rank), args.D,
+            grid=limit_law.default_grid(args.grid_size),
             reps=args.limit_reps, seed=args.seed + 1)
         report = verify.check_weak_convergence(kernel, params,
                                                args.n_list[0], args.reps,
-                                               ensemble, seed=args.seed,
-                                               m=m, center=a00)
+                                               ensemble, seed=args.seed)
     print(report.summary_text())
     if args.out:
         report.dump(args.out)
@@ -245,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--reps", type=int, default=limit_law.DEFAULT_REPS)
-        p.add_argument("--threads", type=int, default=0,
-                       help="cap worker parallelism (0 = library default)")
         p.add_argument("--levels", default="0.9,0.95,0.99")
 
     p = sub.add_parser("simulate", help="simulate an LRD Gaussian path")
@@ -289,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=float, default=None)
     p.add_argument("--family", default=lrd_sim.FGN)
     p.add_argument("--grid-size", type=int, default=limit_law.DEFAULT_GRID_SIZE)
-    p.add_argument("--thm2", action="store_true",
-                   help="normalize by n d_n instead of n d'_n")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_detect)
@@ -315,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -22,10 +22,5 @@ class RankNotFoundError(RuntimeError):
         )
 
 
-class NormalizationError(RuntimeError):
-    """A U-statistic path was normalized twice, or used in a state the
-    operation does not accept."""
-
-
 class RegimeError(ParameterError):
     """The long-range reduction regime m*D < 1 is violated."""

@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import ParameterError, RankNotFoundError, RegimeError
-from .lrd_sim import Subordinator, replication_rng
+from .lrd_sim import Subordinator, gauss_hermite_prob, replication_rng
 
 QUADRATURE = "quadrature"
 CLOSED_FORM = "closed_form"
@@ -55,12 +54,6 @@ def hermite_design(max_degree: int, x: np.ndarray) -> np.ndarray:
     for j in range(1, max_degree):
         out[j + 1] = x * out[j] - j * out[j - 1]
     return out
-
-
-def gauss_hermite_prob(order: int):
-    """Nodes and weights so that E[f(xi)] ~ sum w_i f(x_i), xi ~ N(0,1)."""
-    x, w = hermgauss(order)
-    return x * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
 def _log_factorial(k) -> np.ndarray:
@@ -236,6 +229,19 @@ def closed_form_table(provider, Q: int, tol: float = 1e-12,
     if a00 is not None:
         entries[0, 0] = a00
     return _finish_table(entries, Q, CLOSED_FORM, tol)
+
+
+def kernel_table(kernel) -> HermiteCoeffTable:
+    """The kernel's coefficient table to total degree 8: closed form when the
+    kernel has a ``coeff_provider``, tensor quadrature otherwise.  The
+    detector reads its rank m, diagonal and mean a00 here."""
+    if kernel.coeff_provider is not None:
+        table = closed_form_table(kernel.coeff_provider, 8)
+    else:
+        table = coeffs_2d(kernel, 8)
+    if table.rank is None:
+        raise ParameterError(f"cannot detect rank of kernel {kernel.name!r}")
+    return table
 
 
 def rank_2d(table: HermiteCoeffTable, tol: float | None = None) -> int:

@@ -196,11 +196,6 @@ def probe_tv(kernel: Kernel, grid: np.ndarray, n_sections: int = 9):
     return max(tv_rows, tv_cols)
 
 
-def stieltjes_weights(values: np.ndarray):
-    """Midpoint weights for sum f(mid) * delta(values) on a grid."""
-    return np.diff(values)
-
-
 def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
                z_ensemble: LimitEnsemble, quad_order: int = 200) -> LimitEnsemble:
     """Empirical-process limit functional
@@ -324,10 +319,3 @@ def critical_values(ensemble: LimitEnsemble, levels) -> CriticalValueTable:
     return CriticalValueTable(descriptor=ensemble.descriptor, levels=levels,
                               values=values, reps=ensemble.reps,
                               grid_size=ensemble.grid.size)
-
-
-def ensemble_to_json_dict(ensemble: LimitEnsemble) -> dict:
-    return {"descriptor": ensemble.descriptor,
-            "grid": ensemble.grid.tolist(),
-            "reps": ensemble.reps, "seed": ensemble.seed,
-            "warnings": ensemble.warnings}

@@ -191,8 +191,8 @@ def simulate_gaussian(params: LrdParams, n: int, seed: int,
 _GH_NODES = 200
 
 
-def _gauss_hermite_prob(order: int = _GH_NODES):
-    """Nodes/weights for E[f(xi)], xi ~ N(0,1) (probabilists' weight)."""
+def gauss_hermite_prob(order: int):
+    """Nodes and weights so that E[f(xi)] ~ sum w_i f(x_i), xi ~ N(0,1)."""
     x, w = hermgauss(order)
     return x * np.sqrt(2.0), w / np.sqrt(np.pi)
 
@@ -211,7 +211,7 @@ class Subordinator:
         self._fn = fn
         self._inverse = inverse
         if center and kind != "identity":
-            x, w = _gauss_hermite_prob()
+            x, w = gauss_hermite_prob(_GH_NODES)
             self.offset = float(np.dot(w, np.asarray(fn(x), dtype=float)))
         else:
             self.offset = 0.0
@@ -252,9 +252,9 @@ class Subordinator:
             raise ParameterError("tabulated x-grid must be strictly increasing")
         monotone = bool(np.all(np.diff(ys) >= 0))
 
-        def fn(x, _check=True):
+        def fn(x):
             x = np.asarray(x, dtype=float)
-            if _check and x.size and (x.min() < xs[0] or x.max() > xs[-1]):
+            if x.size and (x.min() < xs[0] or x.max() > xs[-1]):
                 raise ParameterError(
                     "tabulated subordinator evaluated outside its table range"
                 )
@@ -263,16 +263,12 @@ class Subordinator:
         def inv(y):
             return np.interp(y, ys, xs)
 
-        sub = cls.__new__(cls)
-        sub.kind = "tabulated"
-        sub.monotone = monotone
-        sub._fn = fn
-        sub._inverse = inv if monotone else None
+        sub = cls(fn, inv if monotone else None, kind="tabulated",
+                  center=False, monotone=monotone)
         if center:
-            x, w = _gauss_hermite_prob()
-            sub.offset = float(np.dot(w, fn(np.clip(x, xs[0], xs[-1]))))
-        else:
-            sub.offset = 0.0
+            # np.interp clamps to the end values, unlike the checked fn
+            x, w = gauss_hermite_prob(_GH_NODES)
+            sub.offset = float(np.dot(w, np.interp(x, xs, ys)))
         return sub
 
     def __call__(self, x) -> np.ndarray:
@@ -308,10 +304,15 @@ def write_path_csv(values: np.ndarray, path) -> None:
 def read_path_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["value"]:
             raise ParameterError(f"unexpected CSV header {header!r}")
-        return np.array([float(row[0]) for row in reader], dtype=float)
+        try:
+            return np.array([float(row[0]) for row in reader], dtype=float)
+        except (IndexError, ValueError) as exc:
+            raise ParameterError(
+                f"{path}: line {reader.line_num}: expected one number "
+                f"({exc})") from None
 
 
 def write_path_binary(values: np.ndarray, path) -> None:
@@ -328,7 +329,10 @@ def read_path_binary(path) -> np.ndarray:
         magic = fh.read(16)
         if magic != PATH_MAGIC:
             raise ParameterError("not a lrdustat binary path file")
-        (count,) = struct.unpack("<q", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ParameterError("truncated binary path header")
+        (count,) = struct.unpack("<q", header)
         data = np.frombuffer(fh.read(8 * count), dtype="<f8")
         if data.size != count:
             raise ParameterError("truncated binary path file")

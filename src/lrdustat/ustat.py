@@ -8,23 +8,17 @@ kernels.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError, ParameterError
+from .errors import ParameterError
 from .hermite import ScalingConstants, wilcoxon_coeff_closed_form
-
-NORM_NONE = "none"
-NORM_THM1 = "thm1"
-NORM_THM2 = "thm2"
 
 TAG_DISCONTINUOUS = "discontinuous"
 TAG_FAST_CUSUM = "fast_cusum"
 TAG_FAST_WILCOXON = "fast_wilcoxon"
-TAG_ROBUST_SCORE = "robust_score"
 
 
 @dataclass(frozen=True)
@@ -32,8 +26,7 @@ class Kernel:
     """A two-argument kernel h(x, y) with optional metadata.
 
     ``eval`` must accept numpy arrays.  ``coeff_provider`` (if present) maps
-    (k, l) to the closed-form Hermite coefficient a_{kl}.  ``score`` is the
-    bounded score function Psi for kernels of the form h(x, y) = Psi(x - y).
+    (k, l) to the closed-form Hermite coefficient a_{kl}.
     """
 
     name: str
@@ -41,7 +34,6 @@ class Kernel:
     tags: frozenset = frozenset()
     tv_bound: float | None = None
     coeff_provider: callable | None = None
-    score: callable | None = None
 
 
 def cusum_kernel(sign: int = 1) -> Kernel:
@@ -105,9 +97,7 @@ def huber_kernel(delta: float) -> Kernel:
     return Kernel(
         name=f"huber_{delta:g}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
-        tags=frozenset({TAG_ROBUST_SCORE}),
         tv_bound=2.0 * delta,
-        score=psi,
     )
 
 
@@ -131,9 +121,7 @@ def tukey_kernel(c: float) -> Kernel:
     return Kernel(
         name=f"tukey_{c:g}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
-        tags=frozenset({TAG_ROBUST_SCORE}),
         tv_bound=4.0 * peak,
-        score=psi,
     )
 
 
@@ -147,47 +135,32 @@ BUILTIN_KERNELS = {
 def builtin_kernel(name: str) -> Kernel:
     if name in BUILTIN_KERNELS:
         return BUILTIN_KERNELS[name]()
-    if name.startswith("huber:"):
-        return huber_kernel(float(name.split(":", 1)[1]))
-    if name.startswith("tukey:"):
-        return tukey_kernel(float(name.split(":", 1)[1]))
-    raise ParameterError(f"unknown kernel {name!r}")
+    family, _, text = name.partition(":")
+    make = {"huber": huber_kernel, "tukey": tukey_kernel}.get(family)
+    if make is None:
+        raise ParameterError(f"unknown kernel {name!r}")
+    try:
+        param = float(text)
+    except ValueError:
+        param = math.nan
+    if not math.isfinite(param):
+        raise ParameterError(f"kernel {name!r}: parameter must be a finite number")
+    return make(param)
 
 
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class UStatPath:
-    """The vector U(k), k = 1..n-1, plus the normalization applied.
-
-    ``raw`` always carries the unnormalized double sum; ``normalized`` is
-    filled in by :func:`normalize`.  ``centering`` records the subtracted
-    per-pair mean term (0 if none).
-    """
+    """The unnormalized double sums U(k), k = 1..n-1."""
 
     raw: np.ndarray
     n: int
     kernel_name: str
-    normalization: str = NORM_NONE
-    centering: float = 0.0
-    normalized: np.ndarray | None = None
 
     def __post_init__(self):
         if self.raw.size != self.n - 1:
             raise ParameterError("path length must be n - 1")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.raw if self.normalized is None else self.normalized
-
-    def at_lambda(self, lam: float) -> float:
-        """Value at an arbitrary lambda via k = floor(lambda n); lambda
-        below 1/n maps to an empty first sample (value 0)."""
-        k = int(math.floor(lam * self.n))
-        if k < 1:
-            return 0.0
-        k = min(k, self.n - 1)
-        return float(self.values[k - 1])
 
 
 def _check_data(data) -> np.ndarray:
@@ -318,46 +291,27 @@ def ustat_fast(data, kernel: Kernel) -> UStatPath:
     return ustat_incremental(data, kernel)
 
 
-def normalize(path: UStatPath, sc: ScalingConstants, mode: str,
-              center: float = 0.0) -> UStatPath:
-    """Apply a limit-theorem normalization.
+def normalize(raw: np.ndarray, sc: ScalingConstants, a00: float) -> np.ndarray:
+    """Centred rank-diagonal normalization of a path U(1..n-1):
 
-    ``thm1``: divide by d'_n * n.  ``thm2``: subtract k (n-k) * center
-    (center = the double integral of h under F x F) and divide by n * d_n.
+        (U(k) - k (n-k) a00) / (n d'_n),
+
+    where a00 = E[h(xi, eta)] is the kernel's per-pair mean and d'_n comes
+    from the scaling constants for the kernel's Hermite rank.
     """
-    if path.normalization != NORM_NONE:
-        raise NormalizationError("path is already normalized")
-    if sc.n != path.n:
+    n = raw.size + 1
+    if sc.n != n:
         raise ParameterError("scaling constants computed for a different n")
-    if mode == NORM_THM1:
-        values = path.raw / (sc.d_n_prime * path.n)
-        centering = 0.0
-    elif mode == NORM_THM2:
-        k = np.arange(1, path.n, dtype=float)
-        values = (path.raw - k * (path.n - k) * center) / (path.n * sc.d_n)
-        centering = center
-    else:
-        raise ParameterError(f"unknown normalization mode {mode!r}")
-    return replace(path, normalization=mode, centering=centering,
-                   normalized=values)
+    k = np.arange(1, n, dtype=float)
+    return (raw - k * (n - k) * a00) / (n * sc.d_n_prime)
 
 
-def changepoint_statistic(path: UStatPath):
-    """sup_k |U(k)| with the argmax split (first index on ties).
+def changepoint_statistic(values: np.ndarray):
+    """sup_k |values[k-1]| of a normalized path with the argmax split (first
+    index on ties).
 
     Returns (statistic, k_star) with k_star in 1..n-1.
     """
-    if path.normalization == NORM_NONE:
-        raise NormalizationError("changepoint statistic requires a normalized path")
-    absvals = np.abs(path.values)
+    absvals = np.abs(values)
     k_star = int(np.argmax(absvals)) + 1
     return float(absvals[k_star - 1]), k_star
-
-
-def write_ustat_csv(path: UStatPath, out) -> None:
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "lambda", "raw", "normalized"])
-        for i, raw in enumerate(path.raw, start=1):
-            norm_val = "" if path.normalized is None else repr(float(path.normalized[i - 1]))
-            writer.writerow([i, repr(i / path.n), repr(float(raw)), norm_val])

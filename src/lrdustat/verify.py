@@ -18,13 +18,12 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .errors import ParameterError, RegimeError
-from .hermite import (HermiteCoeffTable, c_constant, closed_form_table,
-                      coeffs_2d, hermite_design, hermite_eval,
-                      hermite_sum_std, scaling)
+from .hermite import (HermiteCoeffTable, c_constant, hermite_design,
+                      hermite_eval, hermite_sum_std, kernel_table, scaling)
 from .limit_law import LimitEnsemble
 from .lrd_sim import CirculantEmbedding, LrdParams, asymptotic_L, \
     build_covariance, replication_rng
-from .ustat import Kernel, ustat_fast
+from .ustat import Kernel, changepoint_statistic, normalize, ustat_fast
 
 
 @dataclass
@@ -121,12 +120,6 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
         wall_clock=time.perf_counter() - start)
 
 
-def _kernel_table(kernel: Kernel, Q: int = 8) -> HermiteCoeffTable:
-    if kernel.coeff_provider is not None:
-        return closed_form_table(kernel.coeff_provider, Q)
-    return coeffs_2d(kernel, Q)
-
-
 def rank_projection_path(data_xi: np.ndarray, table: HermiteCoeffTable) -> np.ndarray:
     """Degree-m projection process at every split, via prefix sums:
 
@@ -149,9 +142,9 @@ def rank_projection_path(data_xi: np.ndarray, table: HermiteCoeffTable) -> np.nd
 
 
 def check_reduction(kernel: Kernel, params: LrdParams, n_list,
-                    reps: int, seed: int = 0,
-                    table: HermiteCoeffTable | None = None) -> ExperimentReport:
-    """E[sup_lambda |U_n - rank-m projection| / (d'_n n)] across n.
+                    reps: int, seed: int = 0) -> ExperimentReport:
+    """E[sup_lambda |U_n - k(n-k) a00 - rank-m projection| / (d'_n n)]
+    across n.
 
     The theory predicts this discrepancy vanishes; the report tracks its
     decay over n_list.
@@ -159,11 +152,8 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     start = time.perf_counter()
-    if table is None:
-        table = _kernel_table(kernel)
+    table = kernel_table(kernel)
     m = table.rank
-    if m is None:
-        raise ParameterError("kernel rank not detectable from its table")
     if m * params.D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * params.D}")
     per_n = {}
@@ -176,7 +166,7 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
             xi = emb.sample(replication_rng(seed, r))
             u = ustat_fast(xi, kernel).raw
             proj = rank_projection_path(xi, table)
-            sups[r] = np.max(np.abs(u - proj)) / (sc.d_n_prime * n)
+            sups[r] = np.max(np.abs(normalize(u - proj, sc, table.a00)))
         per_n[n] = {"mean_sup_discrepancy": float(np.mean(sups)),
                     "stderr": float(np.std(sups, ddof=1) / math.sqrt(reps))}
     return ExperimentReport(
@@ -188,36 +178,29 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
 
 
 def normalized_sup_statistics(kernel: Kernel, params: LrdParams, n: int,
-                              reps: int, seed: int,
-                              m: int = 1, center: float | None = None) -> np.ndarray:
-    """Sup-statistics of the rank-diagonal-normalized U-statistic process
-    for ``reps`` independent simulated datasets."""
-    if center is None:
-        center = (closed_form_table(kernel.coeff_provider, 2).a00
-                  if kernel.coeff_provider is not None else 0.0)
+                              reps: int, seed: int) -> np.ndarray:
+    """Sup-statistics of the centred rank-diagonal-normalized U-statistic
+    process for ``reps`` independent simulated datasets."""
+    table = kernel_table(kernel)
     emb = CirculantEmbedding(params, n)
-    sc = scaling(params.D, m, n, asymptotic_L(params, n))
-    k_idx = np.arange(1, n, dtype=float)
-    offset = k_idx * (n - k_idx) * center
+    sc = scaling(params.D, table.rank, n, asymptotic_L(params, n))
     sups = np.empty(reps)
     for r in range(reps):
         xi = emb.sample(replication_rng(seed, r))
         u = ustat_fast(xi, kernel).raw
-        sups[r] = np.max(np.abs(u - offset)) / (sc.d_n_prime * n)
+        sups[r] = changepoint_statistic(normalize(u, sc, table.a00))[0]
     return sups
 
 
 def check_weak_convergence(kernel: Kernel, params: LrdParams, n: int,
                            reps: int, limit: LimitEnsemble,
-                           seed: int = 0, m: int = 1,
-                           center: float | None = None) -> ExperimentReport:
+                           seed: int = 0) -> ExperimentReport:
     """Two-sample KS distance between simulated normalized sup-statistics
     and the limit ensemble's sup-statistic distribution."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     start = time.perf_counter()
-    sups = normalized_sup_statistics(kernel, params, n, reps, seed,
-                                     m=m, center=center)
+    sups = normalized_sup_statistics(kernel, params, n, reps, seed)
     limit_sups = limit.sup_abs()
     ks = float(ks_2samp(sups, limit_sups).statistic)
     per_n = {n: {"ks_distance": ks,

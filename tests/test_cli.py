@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lrdustat import cli, lrd_sim
+from lrdustat.hermite import scaling
+from lrdustat.ustat import gaussian_bump_kernel, ustat_naive
 
 
 @pytest.fixture(autouse=True)
@@ -107,6 +109,16 @@ class TestLimit:
         second = json.loads(capsys.readouterr().out)
         assert first == second
 
+    def test_corrupt_cache_is_recomputed(self, isolated_cache, capsys):
+        assert cli.main(self.ARGS) == 0
+        first = json.loads(capsys.readouterr().out)
+        (cached,) = isolated_cache.glob("cv_*.json")
+        cached.write_text(cached.read_text()[:40])
+        assert cli.main(self.ARGS) == 0
+        assert json.loads(capsys.readouterr().out) == first
+        assert json.loads(cached.read_text()) == first
+        assert list(isolated_cache.iterdir()) == [cached]
+
     def test_no_cache_flag(self, isolated_cache, capsys):
         assert cli.main(self.ARGS + ["--no-cache"]) == 0
         assert list(isolated_cache.glob("cv_*.json")) == []
@@ -152,6 +164,33 @@ class TestDetect:
         rc = cli.main(["detect", "--input", str(tmp_path / "absent.csv"),
                        "--D", "0.4"])
         assert rc == 2
+
+    @pytest.mark.parametrize("content, extra", [
+        (b"value\n1.0\n\n2.0\n", []),                # blank row
+        (b"value\n1.0\nabc\n2.0\n", []),             # non-numeric row
+        (lrd_sim.PATH_MAGIC + b"\x05\x00", []),        # short binary header
+        (b"value\n1.0\n2.0\n3.0\n", ["--kernel", "huber:abc"]),
+    ], ids=["blank-row", "non-numeric", "short-header", "bad-kernel-param"])
+    def test_malformed_input_is_config_error(self, tmp_path, capsys,
+                                             content, extra):
+        (tmp_path / "data.csv").write_bytes(content)
+        rc, _ = self._run(tmp_path, extra, capsys)
+        assert rc == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_gaussian_bump_statistic_uses_rank_two(self, tmp_path, capsys):
+        # direct formula: max_k |U(k) - k(n-k) a00| / (n d'_n) with the
+        # bump's Hermite rank m = 2 and mean a00 = 0
+        data = lrd_sim.read_path_csv(self._write_data(tmp_path, 1.0))
+        rc, report = self._run(tmp_path, ["--kernel", "gaussian_bump"], capsys)
+        assert rc == 0
+        n = data.size
+        sc = scaling(0.4, 2, n,
+                     lrd_sim.asymptotic_L(lrd_sim.LrdParams(D=0.4), n))
+        u = ustat_naive(data, gaussian_bump_kernel()).raw
+        path = np.abs(u) / (n * sc.d_n_prime)
+        assert report["statistic"] == pytest.approx(np.max(path), rel=1e-12)
+        assert report["k_star"] == int(np.argmax(path)) + 1
 
     def test_binary_input(self, tmp_path, capsys):
         from lrdustat.lrd_sim import LrdParams, simulate_gaussian

@@ -148,7 +148,7 @@ class TestSubordinator:
 
     def test_centering_by_quadrature(self):
         g = Subordinator.from_distribution(expon())
-        x, w = lrd_sim._gauss_hermite_prob()
+        x, w = lrd_sim.gauss_hermite_prob(200)
         assert abs(np.dot(w, g(x))) < 1e-12
 
     def test_empty_path(self):

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -7,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lrdustat.errors import NormalizationError, ParameterError
+from lrdustat.errors import ParameterError
 from lrdustat.hermite import scaling
 from lrdustat.ustat import (builtin_kernel, changepoint_statistic,
                             cusum_kernel, gaussian_bump_kernel, huber_kernel,
                             normalize, tukey_kernel, ustat_cusum, ustat_fast,
                             ustat_incremental, ustat_naive, ustat_wilcoxon,
-                            wilcoxon_kernel, write_ustat_csv)
+                            wilcoxon_kernel)
 
 finite_data = hnp.arrays(
     np.float64,
@@ -149,12 +148,8 @@ class TestChangepoint:
         n = len(data)
         params = LrdParams(D=D)
         sc = scaling(D, 1, n, asymptotic_L(params, n))
-        return normalize(ustat_cusum(np.asarray(data, dtype=float)), sc,
-                         "thm1")
-
-    def test_requires_normalization(self):
-        with pytest.raises(NormalizationError):
-            changepoint_statistic(ustat_cusum([1.0, 2.0, 3.0]))
+        return normalize(ustat_cusum(np.asarray(data, dtype=float)).raw, sc,
+                         0.0)
 
     def test_constant_data_statistic_zero(self):
         stat, _ = changepoint_statistic(self._normalized([2.0] * 10))
@@ -167,79 +162,51 @@ class TestChangepoint:
         assert stat > 0
 
     def test_tie_break_first_index(self):
-        path = self._normalized([0.0, 1.0, 0.0, 1.0, 0.0])
-        absvals = np.abs(path.values)
-        _, k_star = changepoint_statistic(path)
+        values = self._normalized([0.0, 1.0, 0.0, 1.0, 0.0])
+        absvals = np.abs(values)
+        _, k_star = changepoint_statistic(values)
         assert k_star == int(np.argmax(absvals)) + 1
         assert absvals[k_star - 1] == np.max(absvals)
 
 
 class TestNormalize:
-    def test_double_normalization_rejected(self):
-        from lrdustat.lrd_sim import LrdParams, asymptotic_L
-        params = LrdParams(D=0.4)
-        sc = scaling(0.4, 1, 3, asymptotic_L(params, 3))
-        path = normalize(ustat_cusum([1.0, 2.0, 3.0]), sc, "thm1")
-        with pytest.raises(NormalizationError):
-            normalize(path, sc, "thm1")
-
     def test_wrong_n_rejected(self):
         sc = scaling(0.4, 1, 5, 1.0)
         with pytest.raises(ParameterError):
-            normalize(ustat_cusum([1.0, 2.0, 3.0]), sc, "thm1")
+            normalize(ustat_cusum([1.0, 2.0, 3.0]).raw, sc, 0.0)
 
     def test_thm1_scale(self):
         sc = scaling(0.4, 1, 3, 1.0)
-        path = normalize(ustat_cusum([1.0, 2.0, 3.0]), sc, "thm1")
-        assert np.allclose(path.normalized,
-                           np.array([-3.0, -3.0]) / (sc.d_n_prime * 3))
+        path = ustat_cusum([1.0, 2.0, 3.0])
+        values = normalize(path.raw, sc, 0.0)
+        assert np.allclose(values, np.array([-3.0, -3.0]) / (sc.d_n_prime * 3))
         assert np.array_equal(path.raw, [-3.0, -3.0])
 
     def test_thm2_centering(self):
         # sorted Wilcoxon path [3, 4, 3] centered by a00 = 1/2:
         # k(n-k)/2 = [1.5, 2, 1.5]
         sc = scaling(0.4, 1, 4, 1.0)
-        path = normalize(ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]), sc, "thm2",
-                         center=0.5)
+        values = normalize(ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]).raw, sc, 0.5)
         expected = (np.array([3.0, 4.0, 3.0])
-                    - np.array([1.5, 2.0, 1.5])) / (4 * sc.d_n)
-        assert np.allclose(path.normalized, expected)
-        assert path.centering == 0.5
-
-    def test_at_lambda(self):
-        path = ustat_cusum([1.0, 2.0, 3.0, 4.0])
-        assert path.at_lambda(0.0) == 0.0
-        assert path.at_lambda(0.5) == path.raw[1]
-        assert path.at_lambda(1.0) == path.raw[-1]
+                    - np.array([1.5, 2.0, 1.5])) / (4 * sc.d_n_prime)
+        assert np.allclose(values, expected)
 
 
 class TestBuiltinLookup:
     def test_names(self):
         assert builtin_kernel("cusum").name == "cusum"
         assert builtin_kernel("huber:1.5").tv_bound == pytest.approx(3.0)
-        assert builtin_kernel("tukey:4.685").score is not None
         with pytest.raises(ParameterError):
             builtin_kernel("nope")
+        for spec in ("huber:abc", "huber:", "tukey:nan", "huber:inf"):
+            with pytest.raises(ParameterError):
+                builtin_kernel(spec)
 
     def test_tukey_tv_bound(self):
         c = 4.685
         k = tukey_kernel(c)
         t = np.linspace(-c, c, 200001)
-        v = np.asarray(k.score(t))
+        v = np.asarray(k.eval(t, 0.0))
         tv = float(np.sum(np.abs(np.diff(v))))
         assert tv == pytest.approx(k.tv_bound, rel=1e-6)
 
-
-class TestCsv:
-    def test_write(self, tmp_path):
-        sc = scaling(0.4, 1, 3, 1.0)
-        path = normalize(ustat_cusum([1.0, 2.0, 3.0]), sc, "thm1")
-        out = tmp_path / "u.csv"
-        write_ustat_csv(path, out)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["k", "lambda", "raw", "normalized"]
-        assert len(rows) == 3
-        assert float(rows[1][2]) == -3.0
-        assert float(rows[1][1]) == pytest.approx(1.0 / 3.0)
-        assert float(rows[2][3]) == pytest.approx(path.normalized[1])

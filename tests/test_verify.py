@@ -5,13 +5,29 @@ import numpy as np
 import pytest
 
 from lrdustat.errors import ParameterError, RegimeError
+from lrdustat.hermite import scaling
 from lrdustat.limit_law import default_grid, simulate_fbm
-from lrdustat.lrd_sim import TWEAKED_POWER_LAW, LrdParams
+from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
+                              asymptotic_L, replication_rng)
 from lrdustat.verify import (check_reduction, check_variance,
                              check_weak_convergence,
                              exact_hermite_sum_variance,
                              normalized_sup_statistics)
-from lrdustat.ustat import cusum_kernel, gaussian_bump_kernel, wilcoxon_kernel
+from lrdustat.ustat import (cusum_kernel, gaussian_bump_kernel, ustat_naive,
+                            wilcoxon_kernel)
+
+
+def _direct_sups(kernel, params, n, reps, seed, m, a00):
+    """max_k |U(k) - k(n-k) a00| / (n d'_n) from the O(n^3) oracle, on the
+    same replications the verify harness draws."""
+    emb = CirculantEmbedding(params, n)
+    sc = scaling(params.D, m, n, asymptotic_L(params, n))
+    k = np.arange(1, n, dtype=float)
+    return np.array([
+        np.max(np.abs(ustat_naive(emb.sample(replication_rng(seed, r)),
+                                  kernel).raw - k * (n - k) * a00))
+        / (n * sc.d_n_prime)
+        for r in range(reps)])
 
 
 class TestExactVariance:
@@ -91,6 +107,15 @@ class TestCheckReduction:
         d_large = report.per_n[400]["mean_sup_discrepancy"]
         assert d_large < d_small
 
+    def test_wilcoxon_centered_discrepancy_decays(self):
+        # the projection omits the mean term k(n-k) a00, so an uncentred
+        # discrepancy would grow with n
+        report = check_reduction(wilcoxon_kernel(), LrdParams(D=0.4),
+                                 [250, 500, 1000, 2000], reps=20, seed=3)
+        means = [report.per_n[n]["mean_sup_discrepancy"]
+                 for n in (250, 500, 1000, 2000)]
+        assert all(a > b for a, b in zip(means, means[1:])), means
+
     def test_regime_violation(self):
         class SecondOrder:
             pass
@@ -134,9 +159,18 @@ class TestWeakConvergence:
         params = LrdParams(D=0.4)
         a = normalized_sup_statistics(wilcoxon_kernel(), params, 128,
                                       reps=5, seed=7)
-        b = normalized_sup_statistics(wilcoxon_kernel(), params, 128,
-                                      reps=5, seed=7, center=0.5)
-        assert np.array_equal(a, b)
+        b = _direct_sups(wilcoxon_kernel(), params, 128, reps=5, seed=7,
+                         m=1, a00=0.5)
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    def test_normalized_sups_use_kernel_rank(self):
+        # the Gaussian bump has Hermite rank 2 and mean a00 = 0
+        params = LrdParams(D=0.4)
+        a = normalized_sup_statistics(gaussian_bump_kernel(), params, 96,
+                                      reps=4, seed=8)
+        b = _direct_sups(gaussian_bump_kernel(), params, 96, reps=4, seed=8,
+                         m=2, a00=0.0)
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
     def test_reproducible(self):
         params = LrdParams(D=0.4)
