@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .errors import ParameterError, RankNotFoundError, RegimeError
 from .lrd_sim import Subordinator, gauss_hermite_prob, replication_rng
@@ -57,6 +55,8 @@ def hermite_design(max_degree: int, x: np.ndarray) -> np.ndarray:
 
 
 def _log_factorial(k) -> np.ndarray:
+    from scipy.special import gammaln
+
     return gammaln(np.asarray(k, dtype=float) + 1.0)
 
 
@@ -285,6 +285,8 @@ def class_coeffs(g: Subordinator, k_max: int, grid,
     Requires monotone G: the indicator restricts the integral to
     s <= G^{-1}(x), which is evaluated by adaptive quadrature.
     """
+    from scipy.integrate import quad
+
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     grid = np.asarray(grid, dtype=float)

@@ -157,14 +157,14 @@ def limit_thm1(entries: dict, D: float, grid=None, reps: int = DEFAULT_REPS,
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
     orders = sorted({k for (k, l) in entries if k >= 1}
                     | {l for (k, l) in entries if l >= 1})
-    z = _hermite_partial_paths(orders, D, grid, reps, N_aux, seed) if orders else {}
+    # Z_l(1) comes from the same pass: append lambda = 1 if the grid lacks it
+    full_grid = grid if grid[-1] == 1.0 else np.append(grid, 1.0)
+    z = (_hermite_partial_paths(orders, D, full_grid, reps, N_aux, seed)
+         if orders else {})
+    z1 = {k: z[k][:, -1:] for k in z}
+    z = {k: z[k][:, :grid.size] for k in z}
     z[0] = np.broadcast_to(grid, (reps, grid.size))
-    z1 = {k: (1.0 if k == 0 else z[k][:, -1:]) for k in z}
-    # grid may not end at 1: evaluate Z_l(1) from the full partial sum
-    if grid[-1] != 1.0 and orders:
-        full = _hermite_partial_paths(orders, D, np.array([0.0, 1.0]),
-                                      reps, N_aux, seed)
-        z1.update({k: full[k][:, -1:] for k in orders})
+    z1[0] = 1.0
     paths = np.zeros((reps, grid.size))
     for (k, l), a in entries.items():
         weight = (a / (math.factorial(k) * math.factorial(l))

@@ -10,7 +10,8 @@ slowly varying L.  Two concrete families are offered:
 
 A pure power law k^(-D) is deliberately not offered: it would force
 gamma(1) = gamma(0) = 1, which is not a valid nondegenerate covariance.
-Sampling is exact-in-distribution via circulant embedding (Davies-Harte).
+Sampling is exact-in-distribution via circulant embedding (Davies-Harte,
+Wood-Chan): one real inverse FFT of size 2(n-1) per draw.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.stats import norm
 
 from .errors import NonEmbeddableError, ParameterError
 
@@ -114,8 +114,9 @@ def asymptotic_L(params: LrdParams, n: int) -> float:
 class CirculantEmbedding:
     """Precomputed circulant embedding of a stationary covariance sequence.
 
-    Building the embedding costs one FFT; each draw then costs one FFT of
-    size 2(n-1).  Reuse one instance across Monte Carlo replications.
+    Building the embedding costs one FFT; each draw then costs one real
+    inverse FFT of size M = 2(n-1).  Reuse one instance across Monte Carlo
+    replications.
     """
 
     def __init__(self, params: LrdParams, n: int):
@@ -143,21 +144,27 @@ class CirculantEmbedding:
             )
             eig = np.maximum(eig, 0.0)
         self._m = row.size
-        self._sqrt_eig = np.sqrt(eig / self._m)
+        # A draw is fft(sqrt(eig/M) * z) for Hermitian z, which equals
+        # M * irfft of the conjugated half-spectrum.  Rows of _scale hold
+        # (real, imag) factors: sqrt(M * eig), times 1/sqrt(2) at the complex
+        # interior frequencies, with the conjugation as the sign of column 1.
+        scale = np.sqrt(eig[:n] * self._m)
+        scale[1:n - 1] /= np.sqrt(2.0)
+        self._scale = np.stack([scale, -scale], axis=1)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One exact stationary Gaussian draw of length n."""
-        n, m = self.n, self._m
-        z = np.empty(m, dtype=complex)
-        z[0] = rng.standard_normal()
-        z[n - 1] = rng.standard_normal()
-        if n > 2:
-            v = rng.standard_normal((n - 2, 2))
-            half = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
-            z[1:n - 1] = half
-            z[n:] = np.conj(half[::-1])
-        out = np.fft.fft(self._sqrt_eig * z)
-        return np.ascontiguousarray(out.real[:n])
+        """One exact stationary Gaussian draw of length n.
+
+        Normals are drawn in a fixed order: the real frequencies 0 and n-1,
+        then the (real, imag) pairs of frequencies 1..n-2.
+        """
+        n = self.n
+        half = np.empty((n, 2))
+        half[0] = rng.standard_normal(), 0.0
+        half[n - 1] = rng.standard_normal(), 0.0
+        rng.standard_normal(out=half[1:n - 1])
+        half *= self._scale
+        return np.fft.irfft(half.view(complex).ravel(), self._m)[:n]
 
 
 @dataclass(frozen=True)
@@ -226,6 +233,7 @@ class Subordinator:
         """Quantile transform G(x) = F_target^{-1}(Phi(x)) for a frozen
         scipy.stats distribution.  Upper-tail arguments go through the
         survival function to avoid Phi(x) rounding to 1."""
+        from scipy.stats import norm
 
         def fn(x):
             x = np.asarray(x, dtype=float)

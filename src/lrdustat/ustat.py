@@ -219,10 +219,15 @@ def ustat_incremental(data, kernel: Kernel) -> UStatPath:
 
 def ustat_cusum(data, sign: int = 1) -> UStatPath:
     """CUSUM kernel h(x, y) = sign (x - y) in O(n) via prefix sums:
-    U(k) = sign ((n-k) S_k - k (S_n - S_k))."""
+    U(k) = sign ((n-k) S_k - k (S_n - S_k)).
+
+    U(k) is unchanged by a shift of the data, so the prefix sums run over
+    the centred data: uncentred sums of a large common level cancel
+    catastrophically in the difference.
+    """
     data = _check_data(data)
     n = data.size
-    s = np.cumsum(data)
+    s = np.cumsum(data - data.mean())
     k = np.arange(1, n, dtype=float)
     raw = float(sign) * ((n - k) * s[:-1] - k * (s[-1] - s[:-1]))
     name = "cusum" if sign == 1 else "cusum_neg"

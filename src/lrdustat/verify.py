@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .errors import ParameterError, RegimeError
 from .hermite import (HermiteCoeffTable, c_constant, hermite_design,
@@ -197,6 +196,8 @@ def check_weak_convergence(kernel: Kernel, params: LrdParams, n: int,
                            seed: int = 0) -> ExperimentReport:
     """Two-sample KS distance between simulated normalized sup-statistics
     and the limit ensemble's sup-statistic distribution."""
+    from scipy.stats import ks_2samp
+
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     start = time.perf_counter()

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lrdustat
 from lrdustat import cli, lrd_sim
 from lrdustat.hermite import scaling
 from lrdustat.ustat import gaussian_bump_kernel, ustat_naive
@@ -227,3 +233,48 @@ class TestVerify:
                        "--grid-size", "16"])
         assert rc == 0
         assert "ks_distance" in capsys.readouterr().out
+
+
+# Run in a fresh interpreter: the CLI's start-up and detect path must not
+# import scipy (about a second per process); the subcommands that need it
+# import it lazily and must still run.
+IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import lrdustat.cli as cli
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    seen = {"import": scipy_modules()}
+    data, out = sys.argv[1], sys.argv[2]
+    rc = {"simulate": cli.main(["simulate", "--D", "0.4", "--n", "400",
+                                "--seed", "5", "-o", data])}
+    for kernel in ("wilcoxon", "cusum", "gaussian_bump"):
+        rc[kernel] = cli.main(["detect", "--input", data, "--D", "0.4",
+                               "--kernel", kernel, "--reps", "100",
+                               "--grid-size", "32", "--no-cache"])
+        seen[kernel] = scipy_modules()
+    rc["simulate_exp"] = cli.main(["simulate", "--D", "0.4", "--n", "64",
+                                   "--transform", "exp", "-o", out])
+    rc["verify_weak"] = cli.main(["verify", "weak", "--kernel", "cusum",
+                                  "--D", "0.4", "--n", "64", "--reps", "10",
+                                  "--limit-reps", "20", "--grid-size", "8"])
+    print(json.dumps({"rc": rc, "seen": seen}))
+""")
+
+
+def test_cli_and_detect_import_no_scipy(tmp_path):
+    src = str(Path(lrdustat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env[cli.CACHE_ENV] = str(tmp_path / "cache")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT,
+         str(tmp_path / "data.csv"), str(tmp_path / "exp.csv")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(rc == 0 for rc in result["rc"].values()), result["rc"]
+    assert result["seen"] == {stage: [] for stage in
+                              ("import", "wilcoxon", "cusum", "gaussian_bump")}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from lrdustat import limit_law
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import c_constant, class_coeffs
 from lrdustat.limit_law import (CriticalValueTable, critical_values,
@@ -147,6 +148,30 @@ class TestThm1:
         # Z_k(0) = 0 and the second factor vanishes at lam = 1
         assert np.allclose(ens.paths[:, 0], 0.0)
         assert np.allclose(ens.paths[:, -1], 0.0, atol=1e-12)
+
+    def test_grid_without_one_takes_a_single_pass(self, monkeypatch):
+        # Z_l(1) for a grid ending below 1 comes from the same Monte Carlo
+        # pass: the paths equal the matching columns of the run on the grid
+        # extended by lambda = 1, at the same number of Hermite evaluations
+        calls = []
+        real_eval = limit_law.hermite_eval
+
+        def counting_eval(k, x):
+            calls.append(k)
+            return real_eval(k, x)
+
+        monkeypatch.setattr(limit_law, "hermite_eval", counting_eval)
+        entries = {(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}
+        half = np.linspace(0.0, 0.5, 9)
+        reps, n_aux, seed = 6, 2 ** 12, 4
+        short = limit_thm1(entries, 0.3, half, reps=reps, N_aux=n_aux,
+                           seed=seed)
+        short_calls = len(calls)
+        calls.clear()
+        full = limit_thm1(entries, 0.3, np.append(half, 1.0), reps=reps,
+                          N_aux=n_aux, seed=seed)
+        assert np.array_equal(short.paths, full.paths[:, :half.size])
+        assert short_calls == len(calls) == 2 * reps
 
     def test_mixed_diagonals_rejected(self):
         with pytest.raises(ParameterError):

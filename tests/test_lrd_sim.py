@@ -70,6 +70,37 @@ class TestAsymptoticL:
         assert asymptotic_L(params, 10 ** 9) == pytest.approx(1.0, abs=1e-6)
 
 
+def complex_fft_sample(params, n, rng):
+    """Reference draw: the full complex FFT of size M = 2(n-1) applied to
+    the Hermitian-symmetrised normal vector, the form the real-FFT sampler
+    must reproduce for the seeded streams to keep their meaning."""
+    gamma = build_covariance(params, n - 1)
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    m = row.size
+    sqrt_eig = np.sqrt(np.maximum(np.fft.fft(row).real, 0.0) / m)
+    z = np.empty(m, dtype=complex)
+    z[0] = rng.standard_normal()
+    z[n - 1] = rng.standard_normal()
+    if n > 2:
+        v = rng.standard_normal((n - 2, 2))
+        half = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
+        z[1:n - 1] = half
+        z[n:] = np.conj(half[::-1])
+    return np.fft.fft(sqrt_eig * z).real[:n]
+
+
+class TestCirculantStreams:
+    @pytest.mark.parametrize("n", [2, 3, 7, 2000, 2 ** 15])
+    def test_matches_complex_fft_reference(self, n):
+        params = LrdParams(D=0.4)
+        emb = CirculantEmbedding(params, n)
+        for rep in range(5):
+            got = emb.sample(replication_rng(3, rep))
+            want = complex_fft_sample(params, n, replication_rng(3, rep))
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestSimulateGaussian:
     def test_determinism(self):
         params = LrdParams(D=0.4)
