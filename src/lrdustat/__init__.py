@@ -1,5 +1,7 @@
 """Two-sample U-statistic processes for long-range dependent time series."""
 
+__version__ = "0.1.0"  # before the imports: submodules may read it
+
 from .errors import (NonEmbeddableError, ParameterError, RankNotFoundError,
                      RegimeError)
 from .hermite import (ClassCoeffs, HermiteCoeffTable, ScalingConstants,
@@ -14,9 +16,8 @@ from .lrd_sim import (FGN, TWEAKED_POWER_LAW, GaussianPath, LrdParams,
                       replication_rng, simulate_gaussian, subordinate)
 from .ustat import (Kernel, UStatPath, builtin_kernel, changepoint_statistic,
                     cusum_kernel, gaussian_bump_kernel, huber_kernel,
-                    normalize, tukey_kernel, ustat_cusum, ustat_incremental,
-                    ustat_naive, ustat_wilcoxon, wilcoxon_kernel)
+                    normalize, tukey_kernel, ustat_cusum, ustat_factored,
+                    ustat_incremental, ustat_naive, ustat_wilcoxon,
+                    wilcoxon_kernel)
 from .verify import (ExperimentReport, check_reduction, check_variance,
                      check_weak_convergence)
-
-__version__ = "0.1.0"

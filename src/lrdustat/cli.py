@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hermite, limit_law, lrd_sim, ustat, verify
+from . import __version__, hermite, limit_law, lrd_sim, ustat, verify
 from .errors import ParameterError
 
 CACHE_ENV = "LRDUSTAT_CACHE"
@@ -55,13 +55,17 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
                 seed: int, levels, use_cache: bool = True):
     """Critical-value table for the limit functional of the kernel's
     coefficient ``table`` (from :func:`hermite.kernel_table`), cached on disk
-    keyed by (kernel, family, D, m, reps, grid).  A cache file that does not
-    parse is recomputed and overwritten."""
+    keyed by (kernel, family, D, m, reps, grid, seed, levels) and by what
+    produced it: the sampler's stream version, N_aux and the package
+    version.  A cache file that does not parse is recomputed and
+    overwritten."""
     m = table.rank
     key_src = json.dumps({
         "kernel": kernel.name, "family": family, "D": d_exp, "m": m,
         "reps": reps, "grid_size": grid_size, "seed": seed,
         "levels": sorted(levels),
+        "stream_version": lrd_sim.STREAM_VERSION,
+        "n_aux": limit_law.DEFAULT_N_AUX, "package_version": __version__,
     }, sort_keys=True)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     cache_file = _cache_dir() / f"cv_{key}.json"

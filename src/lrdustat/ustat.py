@@ -2,8 +2,9 @@
 
 U(k) = sum_{i <= k} sum_{j > k} h(X_i, X_j) for every split k = 1..n-1,
 with an O(n^3) reference oracle, an O(n^2) incremental path for general
-kernels, and O(n)/O(n log n) special cases for the CUSUM and Wilcoxon
-kernels.
+kernels, an O(R n) prefix-sum path for kernels of finite rank R
+(``Kernel.factors``), and O(n)/O(n log n) special cases for the CUSUM and
+Wilcoxon kernels.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ class Kernel:
     """A two-argument kernel h(x, y) with optional metadata.
 
     ``eval`` must accept numpy arrays.  ``coeff_provider`` (if present) maps
-    (k, l) to the closed-form Hermite coefficient a_{kl}.
+    (k, l) to the closed-form Hermite coefficient a_{kl}.  ``factors`` (if
+    non-empty) is a finite-rank form of the same kernel: (w, f, g) triples
+    with h(x, y) = sum w f(x) g(y), where f and g map arrays to arrays;
+    :func:`ustat_fast` then takes the prefix-sum path :func:`ustat_factored`.
     """
 
     name: str
@@ -34,6 +38,7 @@ class Kernel:
     tags: frozenset = frozenset()
     tv_bound: float | None = None
     coeff_provider: callable | None = None
+    factors: tuple = ()
 
 
 def cusum_kernel(sign: int = 1) -> Kernel:
@@ -72,11 +77,26 @@ def gaussian_bump_kernel() -> Kernel:
     """Centered smooth kernel exp(-x^2 - y^2) - 1/3.
 
     E[exp(-xi^2)] = 1/sqrt(3) under the standard normal, so the product has
-    mean exactly 1/3.
+    mean exactly 1/3.  With c = 1/sqrt(3) and the centred factor
+    b(x) = exp(-x^2) - c the kernel is, exactly,
+
+        h(x, y) = b(x) b(y) + c b(x) + c b(y),
+
+    the rank-3 form in ``factors``; its prefix sums of b cancel less than
+    those of exp(-x^2) exp(-y^2) - 1/3 would.
     """
+    c = 1.0 / math.sqrt(3.0)
+
+    def bump(x):
+        return np.exp(-np.asarray(x, dtype=float) ** 2) - c
+
+    def one(x):
+        return np.ones(np.shape(x))
+
     return Kernel(
         name="gaussian_bump",
         eval=lambda x, y: np.exp(-np.asarray(x, dtype=float) ** 2 - np.asarray(y, dtype=float) ** 2) - 1.0 / 3.0,
+        factors=((1.0, bump, bump), (c, bump, one), (c, one, bump)),
     )
 
 
@@ -234,65 +254,60 @@ def ustat_cusum(data, sign: int = 1) -> UStatPath:
     return UStatPath(raw=raw, n=n, kernel_name=name)
 
 
-class _Fenwick:
-    """Binary indexed tree over 1..size for prefix counts."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, idx: int, delta: int) -> None:
-        while idx <= self.size:
-            self.tree[idx] += delta
-            idx += idx & (-idx)
-
-    def prefix(self, idx: int) -> int:
-        total = 0
-        while idx > 0:
-            total += self.tree[idx]
-            idx -= idx & (-idx)
-        return total
-
-
 def ustat_wilcoxon(data) -> UStatPath:
     """Wilcoxon kernel h(x, y) = 1{x <= y} in O(n log n), exact integers.
 
-    Coordinate-compresses the data and sweeps the split left to right while
-    an order-statistic tree tracks the prefix and suffix multisets.
+    One stable sort gives every split at once:
+
+        U(k) = sum_{i<=k} (n - L_i) - k(k+1)/2 - sum_{j<=k} e_j,
+
+    where n - L_i counts the X_j >= X_i (L_i is the number strictly below
+    X_i), k(k+1)/2 + sum_{j<=k} e_j counts the ordered pairs i, j <= k with
+    X_i <= X_j, and e_j is the number of earlier X_i equal to X_j.  The
+    counts are int64 and become floats only at the end.
     """
     data = _check_data(data)
     n = data.size
-    ranks = np.searchsorted(np.unique(data), data) + 1  # 1-based ranks
-    r_max = int(ranks.max())
-    prefix = _Fenwick(r_max)
-    suffix = _Fenwick(r_max)
-    for r in ranks[1:]:
-        suffix.add(int(r), 1)
-    prefix.add(int(ranks[0]), 1)
-    suffix_count = n - 1
-    # U(1) = #{j > 1 : X_1 <= X_j}
-    u = suffix_count - suffix.prefix(int(ranks[0]) - 1)
-    out = np.empty(n - 1)
-    out[0] = u
-    for k in range(1, n - 1):
-        r = int(ranks[k])
-        suffix.add(r, -1)
-        suffix_count -= 1
-        u -= prefix.prefix(r)                       # drop pairs (i, k+1), i <= k
-        u += suffix_count - suffix.prefix(r - 1)    # add pairs (k+1, j), j > k+1
-        prefix.add(r, 1)
-        out[k] = u
-    return UStatPath(raw=out, n=n, kernel_name="wilcoxon")
+    order = np.argsort(data, kind="stable")
+    ordered = data[order]
+    below = np.searchsorted(ordered, data, side="left")
+    # a stable sort keeps equal values in index order, so an element's offset
+    # inside its run of ties counts the equal elements before it
+    earlier_ties = np.empty(n, dtype=np.int64)
+    earlier_ties[order] = np.arange(n) - below[order]
+    k = np.arange(1, n, dtype=np.int64)
+    u = np.cumsum(n - below - earlier_ties)[:-1] - k * (k + 1) // 2
+    return UStatPath(raw=u.astype(float), n=n, kernel_name="wilcoxon")
+
+
+def ustat_factored(data, kernel: Kernel) -> UStatPath:
+    """Finite-rank kernel h(x, y) = sum_r w_r f_r(x) g_r(y) in O(R n):
+
+        U(k) = sum_r w_r F_r(k) (G_r(n) - G_r(k)),
+
+    with F_r, G_r the prefix sums of f_r and g_r over the data.
+    """
+    if not kernel.factors:
+        raise ParameterError(f"kernel {kernel.name!r} declares no factors")
+    data = _check_data(data)
+    n = data.size
+    raw = np.zeros(n - 1)
+    for w, f, g in kernel.factors:
+        left = np.cumsum(f(data))
+        right = np.cumsum(g(data))
+        raw += w * left[:-1] * (right[-1] - right[:-1])
+    return UStatPath(raw=raw, n=n, kernel_name=kernel.name)
 
 
 def ustat_fast(data, kernel: Kernel) -> UStatPath:
-    """Dispatch to the fastest exact path the kernel's tags allow."""
+    """Dispatch to the fastest exact path the kernel's tags or factors
+    allow."""
     if TAG_FAST_CUSUM in kernel.tags:
         return ustat_cusum(data)
     if TAG_FAST_WILCOXON in kernel.tags:
         return ustat_wilcoxon(data)
+    if kernel.factors:
+        return ustat_factored(data, kernel)
     return ustat_incremental(data, kernel)
 
 

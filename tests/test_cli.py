@@ -125,6 +125,21 @@ class TestLimit:
         assert json.loads(cached.read_text()) == first
         assert list(isolated_cache.iterdir()) == [cached]
 
+    def test_stream_version_is_in_cache_key(self, isolated_cache, capsys,
+                                            monkeypatch):
+        assert cli.main(self.ARGS) == 0
+        (first,) = isolated_cache.glob("cv_*.json")
+        calls = []
+        real = cli.limit_law.limit_thm1
+        monkeypatch.setattr(cli.limit_law, "limit_thm1",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        monkeypatch.setattr(lrd_sim, "STREAM_VERSION",
+                            lrd_sim.STREAM_VERSION + 1)
+        assert cli.main(self.ARGS) == 0
+        assert calls == [1]  # a miss: the limit law was simulated again
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 2
+        assert first.exists()
+
     def test_no_cache_flag(self, isolated_cache, capsys):
         assert cli.main(self.ARGS + ["--no-cache"]) == 0
         assert list(isolated_cache.glob("cv_*.json")) == []
@@ -235,9 +250,9 @@ class TestVerify:
         assert "ks_distance" in capsys.readouterr().out
 
 
-# Run in a fresh interpreter: the CLI's start-up and detect path must not
-# import scipy (about a second per process); the subcommands that need it
-# import it lazily and must still run.
+# Run in a fresh interpreter: the CLI's start-up, detect and verify
+# reduction/weak paths must not import scipy (about a second per process);
+# the subcommands that need it import it lazily and must still run.
 IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     import json, sys
     import lrdustat.cli as cli
@@ -254,11 +269,16 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
                                "--kernel", kernel, "--reps", "100",
                                "--grid-size", "32", "--no-cache"])
         seen[kernel] = scipy_modules()
-    rc["simulate_exp"] = cli.main(["simulate", "--D", "0.4", "--n", "64",
-                                   "--transform", "exp", "-o", out])
-    rc["verify_weak"] = cli.main(["verify", "weak", "--kernel", "cusum",
+    rc["verify_weak"] = cli.main(["verify", "weak", "--kernel", "wilcoxon",
                                   "--D", "0.4", "--n", "64", "--reps", "10",
                                   "--limit-reps", "20", "--grid-size", "8"])
+    seen["verify_weak"] = scipy_modules()
+    rc["verify_reduction"] = cli.main(["verify", "reduction", "--kernel",
+                                       "gaussian_bump", "--D", "0.4",
+                                       "--n", "64", "--reps", "2"])
+    seen["verify_reduction"] = scipy_modules()
+    rc["simulate_exp"] = cli.main(["simulate", "--D", "0.4", "--n", "64",
+                                   "--transform", "exp", "-o", out])
     print(json.dumps({"rc": rc, "seen": seen}))
 """)
 
@@ -277,4 +297,5 @@ def test_cli_and_detect_import_no_scipy(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert all(rc == 0 for rc in result["rc"].values()), result["rc"]
     assert result["seen"] == {stage: [] for stage in
-                              ("import", "wilcoxon", "cusum", "gaussian_bump")}
+                              ("import", "wilcoxon", "cusum", "gaussian_bump",
+                               "verify_weak", "verify_reduction")}

@@ -8,11 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from lrdustat.errors import ParameterError
 from lrdustat.hermite import scaling
-from lrdustat.ustat import (builtin_kernel, changepoint_statistic,
-                            cusum_kernel, gaussian_bump_kernel, huber_kernel,
-                            normalize, tukey_kernel, ustat_cusum, ustat_fast,
-                            ustat_incremental, ustat_naive, ustat_wilcoxon,
-                            wilcoxon_kernel)
+from lrdustat.lrd_sim import replication_rng
+from lrdustat.ustat import (BUILTIN_KERNELS, builtin_kernel,
+                            changepoint_statistic, cusum_kernel,
+                            gaussian_bump_kernel, huber_kernel, normalize,
+                            tukey_kernel, ustat_cusum, ustat_factored,
+                            ustat_fast, ustat_incremental, ustat_naive,
+                            ustat_wilcoxon, wilcoxon_kernel)
 
 finite_data = hnp.arrays(
     np.float64,
@@ -78,13 +80,109 @@ class TestOracleEquivalence:
                               ustat_wilcoxon(data).raw)
         bump = gaussian_bump_kernel()
         assert np.array_equal(ustat_fast(data, bump).raw,
-                              ustat_incremental(data, bump).raw)
+                              ustat_factored(data, bump).raw)
+        huber = builtin_kernel("huber:1.345")
+        assert np.array_equal(ustat_fast(data, huber).raw,
+                              ustat_incremental(data, huber).raw)
+
+    def test_factored_bump_matches_naive(self):
+        # criterion 4's data and bound for the bump's fast path
+        bump = gaussian_bump_kernel()
+        worst = 0.0
+        for n in (50, 200):
+            for rep in range(50):
+                data = replication_rng(1234 + n, rep).standard_normal(n)
+                if rep % 2:
+                    data = np.round(data, 1)
+                ref = ustat_naive(data, bump).raw
+                scale = np.maximum(np.abs(ref), 1.0)
+                worst = max(worst, float(np.max(
+                    np.abs(ustat_factored(data, bump).raw - ref) / scale)))
+        assert worst <= 1e-9
+
+    def test_factors_reproduce_eval(self):
+        kernels = [make() for make in BUILTIN_KERNELS.values()]
+        kernels += [builtin_kernel("huber:1.345"), builtin_kernel("tukey:4.685")]
+        factored = [k for k in kernels if k.factors]
+        assert [k.name for k in factored] == ["gaussian_bump"]
+        x, y = np.meshgrid(np.linspace(-4.0, 4.0, 41),
+                           np.linspace(-4.0, 4.0, 41), indexing="ij")
+        for kernel in factored:
+            expanded = sum(w * f(x) * g(y) for w, f, g in kernel.factors)
+            assert np.max(np.abs(expanded - kernel.eval(x, y))) <= 1e-14
+
+    def test_factored_requires_factors(self):
+        with pytest.raises(ParameterError):
+            ustat_factored([1.0, 2.0], huber_kernel(1.0))
 
     def test_short_data_rejected(self):
         with pytest.raises(ParameterError):
             ustat_cusum([1.0])
         with pytest.raises(ParameterError):
             ustat_naive([np.nan, 1.0], cusum_kernel())
+
+
+class _Fenwick:
+    """Binary indexed tree over 1..size for prefix counts."""
+
+    def __init__(self, size):
+        self.size = size
+        self.tree = [0] * (size + 1)
+
+    def add(self, idx, delta):
+        while idx <= self.size:
+            self.tree[idx] += delta
+            idx += idx & (-idx)
+
+    def prefix(self, idx):
+        total = 0
+        while idx > 0:
+            total += self.tree[idx]
+            idx -= idx & (-idx)
+        return total
+
+
+def fenwick_wilcoxon(data):
+    """The earlier O(n log n) Wilcoxon path, kept as a reference: a
+    left-to-right split sweep with order-statistic trees over the prefix
+    and suffix ranks."""
+    data = np.asarray(data, dtype=float)
+    n = data.size
+    ranks = np.searchsorted(np.unique(data), data) + 1
+    prefix = _Fenwick(int(ranks.max()))
+    suffix = _Fenwick(int(ranks.max()))
+    for r in ranks[1:]:
+        suffix.add(int(r), 1)
+    prefix.add(int(ranks[0]), 1)
+    suffix_count = n - 1
+    u = suffix_count - suffix.prefix(int(ranks[0]) - 1)
+    out = np.empty(n - 1)
+    out[0] = u
+    for k in range(1, n - 1):
+        r = int(ranks[k])
+        suffix.add(r, -1)
+        suffix_count -= 1
+        u -= prefix.prefix(r)
+        u += suffix_count - suffix.prefix(r - 1)
+        prefix.add(r, 1)
+        out[k] = u
+    return out
+
+
+class TestWilcoxonAgainstFenwick:
+    @pytest.mark.parametrize("n", [2, 3, 7, 2000, 10 ** 5])
+    def test_same_integers(self, n):
+        rng = np.random.default_rng(n)
+        continuous = rng.standard_normal(n)
+        cases = {
+            "continuous": continuous,
+            "tied": np.round(continuous, 1),
+            "constant": np.full(n, 0.25),
+            "signed_zeros": rng.choice([-0.0, 0.0, 1.0, -1.0], size=n),
+        }
+        for name, data in cases.items():
+            assert np.array_equal(ustat_wilcoxon(data).raw,
+                                  fenwick_wilcoxon(data)), name
 
 
 class TestProperties:

@@ -11,7 +11,7 @@ from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
                               asymptotic_L, replication_rng)
 from lrdustat.verify import (check_reduction, check_variance,
                              check_weak_convergence,
-                             exact_hermite_sum_variance,
+                             exact_hermite_sum_variance, ks_statistic,
                              normalized_sup_statistics)
 from lrdustat.ustat import (cusum_kernel, gaussian_bump_kernel, ustat_naive,
                             wilcoxon_kernel)
@@ -139,8 +139,22 @@ class TestWeakConvergence:
                              seed=5, resolution=256)
         sups = limit.sup_abs()
         # degenerate check: comparing the ensemble against itself
+        assert ks_statistic(sups, sups) == 0.0
+
+    def test_ks_statistic_matches_scipy(self):
         from scipy.stats import ks_2samp
-        assert ks_2samp(sups, sups).statistic == 0.0
+
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for _ in range(2000):
+            na, nb = rng.integers(1, 301, size=2)
+            a = rng.standard_normal(na)
+            b = rng.standard_normal(nb) + rng.uniform(-1.0, 1.0)
+            if rng.random() < 0.5:  # ties within and across the samples
+                a, b = np.round(a, 1), np.round(b, 1)
+            worst = max(worst, abs(ks_statistic(a, b)
+                                   - ks_2samp(a, b).statistic))
+        assert worst <= 1e-15
 
     def test_wilcoxon_report_fields(self):
         params = LrdParams(D=0.4)
