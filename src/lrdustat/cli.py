@@ -32,13 +32,20 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "lrdustat"
 
 
-def _write_sidecar(out_path: Path, config: dict) -> None:
-    sidecar = out_path.with_suffix(out_path.suffix + ".json")
-    with open(sidecar, "w") as fh:
+def _write_sidecar(args) -> None:
+    """Write the run's parsed arguments, and the package and stream versions
+    that produced its output, to ``<out>.json`` next to ``args.out``."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config["package_version"] = __version__
+    config["stream_version"] = lrd_sim.STREAM_VERSION
+    out = Path(args.out)
+    with open(out.with_suffix(out.suffix + ".json"), "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
 
 
-def _parse_levels(text: str):
+def levels_list(text: str) -> list:
+    """``--levels`` value: comma-separated probabilities.  A ValueError here
+    makes argparse report the bad value and exit with status 2."""
     return [float(x) for x in text.split(",") if x]
 
 
@@ -51,17 +58,18 @@ def _load_data(path: str) -> np.ndarray:
 
 
 def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
-                family: str, d_exp: float, reps: int, grid_size: int,
-                seed: int, levels, use_cache: bool = True):
+                d_exp: float, reps: int, grid_size: int, seed: int, levels,
+                use_cache: bool = True):
     """Critical-value table for the limit functional of the kernel's
     coefficient ``table`` (from :func:`hermite.kernel_table`), cached on disk
-    keyed by (kernel, family, D, m, reps, grid, seed, levels) and by what
-    produced it: the sampler's stream version, N_aux and the package
-    version.  A cache file that does not parse is recomputed and
+    keyed by (kernel, D, m, reps, grid, seed, levels) and by what produced
+    it: the sampler's stream version, N_aux and the package version.  The
+    limit law depends on D and the rank-m diagonal only, not on the
+    covariance family.  A cache file that does not parse is recomputed and
     overwritten."""
     m = table.rank
     key_src = json.dumps({
-        "kernel": kernel.name, "family": family, "D": d_exp, "m": m,
+        "kernel": kernel.name, "D": d_exp, "m": m,
         "reps": reps, "grid_size": grid_size, "seed": seed,
         "levels": sorted(levels),
         "stream_version": lrd_sim.STREAM_VERSION,
@@ -100,15 +108,10 @@ def cmd_simulate(args) -> int:
         from scipy.stats import expon
 
         values = lrd_sim.subordinate(path, lrd_sim.Subordinator.from_distribution(expon()))
-    out = Path(args.out)
     if args.binary:
-        lrd_sim.write_path_binary(values, out)
+        lrd_sim.write_path_binary(values, args.out)
     else:
-        lrd_sim.write_path_csv(values, out)
-    _write_sidecar(out, {"subcommand": "simulate", "family": args.family,
-                         "D": args.D, "n": args.n, "seed": args.seed,
-                         "transform": args.transform, "binary": args.binary,
-                         "out": str(out)})
+        lrd_sim.write_path_csv(values, args.out)
     return 0
 
 
@@ -127,11 +130,6 @@ def cmd_coeffs(args) -> int:
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        _write_sidecar(Path(args.out), {"subcommand": "coeffs",
-                                        "kernel": args.kernel, "Q": args.Q,
-                                        "source": args.source,
-                                        "quad_order": args.quad_order,
-                                        "seed": args.seed})
     else:
         print(text)
     return 0
@@ -139,19 +137,12 @@ def cmd_coeffs(args) -> int:
 
 def cmd_limit(args) -> int:
     kernel = ustat.builtin_kernel(args.kernel)
-    levels = _parse_levels(args.levels)
-    table = limit_table(kernel, hermite.kernel_table(kernel), args.family,
-                        args.D, args.reps, args.grid_size, args.seed, levels,
+    table = limit_table(kernel, hermite.kernel_table(kernel), args.D,
+                        args.reps, args.grid_size, args.seed, args.levels,
                         use_cache=not args.no_cache)
     text = json.dumps(table.to_json_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        _write_sidecar(Path(args.out), {"subcommand": "limit",
-                                        "kernel": args.kernel, "D": args.D,
-                                        "family": args.family,
-                                        "reps": args.reps,
-                                        "grid_size": args.grid_size,
-                                        "levels": levels, "seed": args.seed})
     else:
         print(text)
     return 0
@@ -166,7 +157,6 @@ def cmd_detect(args) -> int:
     if data.size < 2:
         raise ParameterError("need at least 2 observations (no admissible split)")
     kernel = ustat.builtin_kernel(args.kernel)
-    levels = _parse_levels(args.levels)
     coeffs = hermite.kernel_table(kernel)
     n = data.size
     sc = hermite.scaling(args.D, coeffs.rank, n,
@@ -175,12 +165,11 @@ def cmd_detect(args) -> int:
     raw = ustat.ustat_fast(data, kernel).raw
     stat, k_star = ustat.changepoint_statistic(
         ustat.normalize(raw, sc, coeffs.a00))
-    table = limit_table(kernel, coeffs, args.family, args.D, args.reps,
-                        args.grid_size, args.seed, levels,
-                        use_cache=not args.no_cache)
+    table = limit_table(kernel, coeffs, args.D, args.reps, args.grid_size,
+                        args.seed, args.levels, use_cache=not args.no_cache)
     decisions = {repr(lv): {"critical_value": table.value_at(lv),
                             "reject": stat > table.value_at(lv)}
-                 for lv in levels}
+                 for lv in args.levels}
     report = {"subcommand": "detect", "input": args.input,
               "kernel": kernel.name, "D": args.D, "family": args.family,
               "n": int(n), "statistic": stat, "k_star": k_star,
@@ -215,10 +204,6 @@ def cmd_verify(args) -> int:
     print(report.summary_text())
     if args.out:
         report.dump(args.out)
-        _write_sidecar(Path(args.out), {"subcommand": "verify",
-                                        "experiment": args.experiment,
-                                        "D": args.D, "family": args.family,
-                                        "reps": args.reps, "seed": args.seed})
     return 0
 
 
@@ -232,8 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
+
+    def add_reps(p):
         p.add_argument("--reps", type=int, default=limit_law.DEFAULT_REPS)
-        p.add_argument("--levels", default="0.9,0.95,0.99")
+
+    def add_levels(p):
+        p.add_argument("--levels", type=levels_list, default=[0.9, 0.95, 0.99])
 
     p = sub.add_parser("simulate", help="simulate an LRD Gaussian path")
     common(p)
@@ -260,9 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="simulate limit law, tabulate quantiles")
     common(p)
+    add_reps(p)
+    add_levels(p)
     p.add_argument("--kernel", required=True)
     p.add_argument("--D", type=float, required=True)
-    p.add_argument("--family", default=lrd_sim.FGN)
+    # bench/make_reference.py passes --family; the limit law does not
+    # depend on it, so it is only checked and recorded in the sidecar
+    p.add_argument("--family", choices=[lrd_sim.FGN, lrd_sim.TWEAKED_POWER_LAW],
+                   default=lrd_sim.FGN)
     p.add_argument("--grid-size", type=int, default=limit_law.DEFAULT_GRID_SIZE)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("-o", "--out")
@@ -270,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="change-point test on a data file")
     common(p)
+    add_reps(p)
+    add_levels(p)
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", default="wilcoxon")
     p.add_argument("--D", type=float, default=None)
@@ -281,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Monte Carlo checks of the asymptotics")
     common(p)
+    add_reps(p)
     p.add_argument("experiment", choices=["variance", "reduction", "weak"])
     p.add_argument("--k", type=int, default=1,
                    help="Hermite degree for the variance experiment")
@@ -300,7 +297,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if args.out:
+            _write_sidecar(args)
+        return status
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ Probabilists' Hermite polynomials, bivariate Hermite coefficients
 a_{kl} = E[h(xi, eta) H_k(xi) H_l(eta)] and their rank, the class
 coefficients J_k(x) driving the empirical-process limit, summability
 diagnostics for sum |a_{kl}| / sqrt(k! l!), and the scaling constants
-c_m, d_n, d'_n, H, K.
+c_m, d_n, d'_n and H.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class HermiteCoeffTable:
     source: str
     tol: float
     rank: int | None
-    quad_order: int | None = None
     warnings: list = field(default_factory=list)
 
     @property
@@ -120,12 +119,11 @@ class HermiteCoeffTable:
                    tol=float(d["tol"]), rank=d.get("rank"))
 
 
-def _finish_table(entries, Q, source, tol, quad_order=None, warns=None):
+def _finish_table(entries, Q, source, tol, warns=()):
     table = HermiteCoeffTable(Q=Q, entries=entries, source=source, tol=tol,
-                              rank=None, quad_order=quad_order,
-                              warnings=list(warns or []))
+                              rank=None, warnings=list(warns))
     try:
-        table.rank = rank_2d(table, tol)
+        table.rank = rank_2d(table)
     except RankNotFoundError:
         table.rank = None
     return table
@@ -160,13 +158,13 @@ def coeffs_2d(kernel, Q: int, quad_order: int = DEFAULT_QUAD_ORDER,
     warns = []
     if "discontinuous" in {t.lower() for t in getattr(kernel, "tags", ())}:
         warns.append("quadrature-on-discontinuous-kernel")
-    return _finish_table(entries, Q, QUADRATURE, tol, quad_order, warns)
+    return _finish_table(entries, Q, QUADRATURE, tol, warns)
 
 
 def coeffs_2d_montecarlo(kernel, Q: int, pairs: int = 10 ** 7,
-                         seed: int = 0, tol: float | None = None,
-                         batch: int = 10 ** 6):
-    """Monte Carlo coefficients for kernels where quadrature is unreliable.
+                         seed: int = 0):
+    """Monte Carlo coefficients for kernels where quadrature is unreliable,
+    drawn in batches of 10^6 pairs, with rank tolerance 1e-8.
 
     Returns (table, standard_errors) with matching shapes.
     """
@@ -177,7 +175,7 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int = 10 ** 7,
     sq_sums = np.zeros((Q + 1, Q + 1))
     total = 0
     while total < pairs:
-        size = min(batch, pairs - total)
+        size = min(10 ** 6, pairs - total)
         xi = rng.standard_normal(size)
         eta = rng.standard_normal(size)
         hv = np.asarray(kernel.eval(xi, eta), dtype=float)
@@ -196,9 +194,7 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int = 10 ** 7,
     for k in range(Q + 1):
         entries[k, :Q + 1 - k] = mean[k, :Q + 1 - k]
         err[k, :Q + 1 - k] = stderr[k, :Q + 1 - k]
-    if tol is None:
-        tol = 1e-8
-    table = _finish_table(entries, Q, MONTE_CARLO, tol)
+    table = _finish_table(entries, Q, MONTE_CARLO, 1e-8)
     return table, err
 
 
@@ -219,16 +215,14 @@ def wilcoxon_coeff_closed_form(k: int, l: int) -> float:
     return sign * math.gamma(s / 2.0) / (2.0 * math.pi)
 
 
-def closed_form_table(provider, Q: int, tol: float = 1e-12,
-                      a00: float | None = None) -> HermiteCoeffTable:
-    """Build a coefficient table from a closed-form provider (k, l) -> a."""
+def closed_form_table(provider, Q: int) -> HermiteCoeffTable:
+    """Build a coefficient table from a closed-form provider (k, l) -> a,
+    with rank tolerance 1e-12."""
     entries = np.full((Q + 1, Q + 1), np.nan)
     for k in range(Q + 1):
         for l in range(Q + 1 - k):
             entries[k, l] = provider(k, l)
-    if a00 is not None:
-        entries[0, 0] = a00
-    return _finish_table(entries, Q, CLOSED_FORM, tol)
+    return _finish_table(entries, Q, CLOSED_FORM, 1e-12)
 
 
 def kernel_table(kernel) -> HermiteCoeffTable:
@@ -244,15 +238,13 @@ def kernel_table(kernel) -> HermiteCoeffTable:
     return table
 
 
-def rank_2d(table: HermiteCoeffTable, tol: float | None = None) -> int:
-    """Smallest k+l >= 1 with |a_{kl}| > tol; a_{00} is excluded."""
+def rank_2d(table: HermiteCoeffTable) -> int:
+    """Smallest k+l >= 1 with |a_{kl}| > table.tol; a_{00} is excluded."""
     if table.Q < 1:
         raise ParameterError("table must be populated to degree Q >= 1")
-    if tol is None:
-        tol = table.tol
     for q in range(1, table.Q + 1):
         for k in range(q + 1):
-            if abs(table.entries[k, q - k]) > tol:
+            if abs(table.entries[k, q - k]) > table.tol:
                 return q
     raise RankNotFoundError(table.Q)
 
@@ -278,15 +270,16 @@ class ClassCoeffs:
         return self.values[self.rank - 1]
 
 
-def class_coeffs(g: Subordinator, k_max: int, grid,
-                 tol: float = 1e-8) -> ClassCoeffs:
+def class_coeffs(g: Subordinator, k_max: int, grid) -> ClassCoeffs:
     """Hermite coefficients J_k(x) = E[1{G(xi) <= x} H_k(xi)].
 
     Requires monotone G: the indicator restricts the integral to
-    s <= G^{-1}(x), which is evaluated by adaptive quadrature.
+    s <= G^{-1}(x), which is evaluated by adaptive quadrature.  The class
+    rank is the first k with max |J_k| > 1e-8.
     """
     from scipy.integrate import quad
 
+    tol = 1e-8
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     grid = np.asarray(grid, dtype=float)
@@ -390,7 +383,6 @@ class ScalingConstants:
     d_n: float
     d_n_prime: float
     H: float
-    K_const: float
 
 
 def c_constant(D: float, k: int) -> float:
@@ -403,8 +395,8 @@ def c_constant(D: float, k: int) -> float:
 
 
 def scaling(D: float, m: int, n: int, L_at_n: float) -> ScalingConstants:
-    """Scaling constants: c_m, d'_n = (n^(2-mD) L^m)^(1/2), d_n = sqrt(c_m) d'_n,
-    H = 1 - Dm/2 and K = 2 Gamma(D) cos(D pi / 2)."""
+    """Scaling constants: c_m, d'_n = (n^(2-mD) L^m)^(1/2), d_n = sqrt(c_m) d'_n
+    and H = 1 - Dm/2."""
     if not 0.0 < D < 1.0:
         raise ParameterError("D must lie in (0, 1)")
     if m < 1:
@@ -418,10 +410,8 @@ def scaling(D: float, m: int, n: int, L_at_n: float) -> ScalingConstants:
     c_m = c_constant(D, m)
     d_n_prime = math.sqrt(n ** (2.0 - m * D) * L_at_n ** m)
     d_n = math.sqrt(c_m) * d_n_prime
-    h = 1.0 - D * m / 2.0
-    k_const = 2.0 * math.gamma(D) * math.cos(D * math.pi / 2.0)
     return ScalingConstants(D=D, m=m, n=n, c_m=c_m, d_n=d_n,
-                            d_n_prime=d_n_prime, H=h, K_const=k_const)
+                            d_n_prime=d_n_prime, H=1.0 - D * m / 2.0)
 
 
 def hermite_sum_std(params, m: int, n: int) -> float:

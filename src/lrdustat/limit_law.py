@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .hermite import (ClassCoeffs, c_constant, gauss_hermite_prob,
-                      hermite_eval, hermite_sum_std)
+from .hermite import (DEFAULT_QUAD_ORDER, ClassCoeffs, c_constant,
+                      gauss_hermite_prob, hermite_eval, hermite_sum_std)
 from .lrd_sim import (FGN, CirculantEmbedding, LrdParams, Subordinator,
                       replication_rng)
 from .ustat import Kernel
@@ -181,10 +181,10 @@ def limit_thm1(entries: dict, D: float, grid=None, reps: int = DEFAULT_REPS,
 # ---------------------------------------------------------------------------
 # empirical-process limit (general kernels)
 
-def probe_tv(kernel: Kernel, grid: np.ndarray, n_sections: int = 9):
-    """Grid estimate of max over sections of the total variation of
-    h(., y) and h(x, .)."""
-    sections = np.linspace(grid[0], grid[-1], n_sections)
+def probe_tv(kernel: Kernel, grid: np.ndarray):
+    """Grid estimate of max over 9 evenly spaced sections of the total
+    variation of h(., y) and h(x, .)."""
+    sections = np.linspace(grid[0], grid[-1], 9)
     tv_rows = max(
         float(np.sum(np.abs(np.diff(np.asarray(kernel.eval(grid, y), dtype=float)))))
         for y in sections
@@ -197,7 +197,7 @@ def probe_tv(kernel: Kernel, grid: np.ndarray, n_sections: int = 9):
 
 
 def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
-               z_ensemble: LimitEnsemble, quad_order: int = 200) -> LimitEnsemble:
+               z_ensemble: LimitEnsemble) -> LimitEnsemble:
     """Empirical-process limit functional
 
         -(1-lam) Z(lam) * A - lam (Z(1) - Z(lam)) * B,
@@ -205,7 +205,8 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
     where Z(lam) = Z_m(lam)/m!, A = int J d(h-tilde) and
     B = int ( int J(y) dh(x, y)(y) ) dF(x), both evaluated by numeric
     Stieltjes integration on the class grid, with
-    h-tilde(x) = int h(x, y) dF(y) and F the distribution of G(xi).
+    h-tilde(x) = int h(x, y) dF(y) and F the distribution of G(xi)
+    (integrals over F by the Gauss-Hermite rule of DEFAULT_QUAD_ORDER nodes).
 
     A TV probe is run on the class grid; violations of the kernel's declared
     bound (or an unbounded kernel) attach warnings instead of refusing the
@@ -226,7 +227,7 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
         warns.append(
             f"TV probe {tv:.3g} exceeds declared bound {kernel.tv_bound:.3g}")
 
-    s_nodes, s_weights = gauss_hermite_prob(quad_order)
+    s_nodes, s_weights = gauss_hermite_prob(DEFAULT_QUAD_ORDER)
     data_nodes = g(s_nodes)  # samples of F via the transform
     j_vals = cls.J_rank
     j_mid = 0.5 * (j_vals[1:] + j_vals[:-1])

@@ -17,7 +17,6 @@ Wood-Chan): one real inverse FFT of size 2(n-1) per draw.
 from __future__ import annotations
 
 import csv
-import json
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -73,13 +72,6 @@ class LrdParams:
     def hurst(self) -> float:
         """Hurst index H = 1 - D/2 of the associated fBm, in (1/2, 1)."""
         return 1.0 - self.D / 2.0
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "D": self.D}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LrdParams":
-        return cls(D=float(d["D"]), family=str(d["family"]))
 
 
 def build_covariance(params: LrdParams, max_lag: int) -> np.ndarray:
@@ -234,7 +226,7 @@ class Subordinator:
                    kind="identity", center=False)
 
     @classmethod
-    def from_distribution(cls, dist, center: bool = True) -> "Subordinator":
+    def from_distribution(cls, dist) -> "Subordinator":
         """Quantile transform G(x) = F_target^{-1}(Phi(x)) for a frozen
         scipy.stats distribution.  Upper-tail arguments go through the
         survival function to avoid Phi(x) rounding to 1."""
@@ -249,10 +241,10 @@ class Subordinator:
             med = dist.median()
             return np.where(y > med, norm.isf(dist.sf(y)), norm.ppf(dist.cdf(y)))
 
-        return cls(fn, inv, kind="quantile", center=center)
+        return cls(fn, inv, kind="quantile")
 
     @classmethod
-    def tabulated(cls, xs, ys, center: bool = True) -> "Subordinator":
+    def tabulated(cls, xs, ys) -> "Subordinator":
         """Monotone lookup table; evaluation outside [xs[0], xs[-1]] raises.
 
         The centering integral clamps to the table endpoints; with a table
@@ -278,10 +270,9 @@ class Subordinator:
 
         sub = cls(fn, inv if monotone else None, kind="tabulated",
                   center=False, monotone=monotone)
-        if center:
-            # np.interp clamps to the end values, unlike the checked fn
-            x, w = gauss_hermite_prob(_GH_NODES)
-            sub.offset = float(np.dot(w, np.interp(x, xs, ys)))
+        # np.interp clamps to the end values, unlike the checked fn
+        x, w = gauss_hermite_prob(_GH_NODES)
+        sub.offset = float(np.dot(w, np.interp(x, xs, ys)))
         return sub
 
     def __call__(self, x) -> np.ndarray:
@@ -350,8 +341,3 @@ def read_path_binary(path) -> np.ndarray:
         if data.size != count:
             raise ParameterError("truncated binary path file")
         return data.astype(float)
-
-
-def write_config_json(params: LrdParams, n: int, seed: int, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({**params.to_dict(), "n": n, "seed": seed}, fh, indent=2)

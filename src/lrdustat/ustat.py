@@ -41,23 +41,17 @@ class Kernel:
     factors: tuple = ()
 
 
-def cusum_kernel(sign: int = 1) -> Kernel:
-    """h(x, y) = sign * (x - y).  sign=-1 gives the y - x convention; the
-    sup-|.| statistic is identical for either choice."""
-    if sign not in (1, -1):
-        raise ParameterError("sign must be +1 or -1")
+def cusum_kernel() -> Kernel:
+    """h(x, y) = x - y, with a_{10} = 1 and a_{01} = -1 its only nonzero
+    Hermite coefficients."""
 
-    def provider(k, l, _s=float(sign)):
-        if (k, l) == (1, 0):
-            return _s
-        if (k, l) == (0, 1):
-            return -_s
-        return 0.0
+    def provider(k, l):
+        return {(1, 0): 1.0, (0, 1): -1.0}.get((k, l), 0.0)
 
     return Kernel(
-        name="cusum" if sign == 1 else "cusum_neg",
-        eval=lambda x, y, _s=float(sign): _s * (np.asarray(x, dtype=float) - y),
-        tags=frozenset({TAG_FAST_CUSUM}) if sign == 1 else frozenset(),
+        name="cusum",
+        eval=lambda x, y: np.asarray(x, dtype=float) - y,
+        tags=frozenset({TAG_FAST_CUSUM}),
         coeff_provider=provider,
     )
 
@@ -237,9 +231,9 @@ def ustat_incremental(data, kernel: Kernel) -> UStatPath:
     return UStatPath(raw=out, n=n, kernel_name=kernel.name)
 
 
-def ustat_cusum(data, sign: int = 1) -> UStatPath:
-    """CUSUM kernel h(x, y) = sign (x - y) in O(n) via prefix sums:
-    U(k) = sign ((n-k) S_k - k (S_n - S_k)).
+def ustat_cusum(data) -> UStatPath:
+    """CUSUM kernel h(x, y) = x - y in O(n) via prefix sums:
+    U(k) = (n-k) S_k - k (S_n - S_k).
 
     U(k) is unchanged by a shift of the data, so the prefix sums run over
     the centred data: uncentred sums of a large common level cancel
@@ -249,9 +243,8 @@ def ustat_cusum(data, sign: int = 1) -> UStatPath:
     n = data.size
     s = np.cumsum(data - data.mean())
     k = np.arange(1, n, dtype=float)
-    raw = float(sign) * ((n - k) * s[:-1] - k * (s[-1] - s[:-1]))
-    name = "cusum" if sign == 1 else "cusum_neg"
-    return UStatPath(raw=raw, n=n, kernel_name=name)
+    raw = (n - k) * s[:-1] - k * (s[-1] - s[:-1])
+    return UStatPath(raw=raw, n=n, kernel_name="cusum")
 
 
 def ustat_wilcoxon(data) -> UStatPath:

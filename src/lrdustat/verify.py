@@ -13,16 +13,18 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .hermite import (HermiteCoeffTable, c_constant, hermite_design,
-                      hermite_eval, hermite_sum_std, kernel_table, scaling)
+from .hermite import (HermiteCoeffTable, c_constant, hermite_eval,
+                      hermite_sum_std, kernel_table, scaling)
 from .limit_law import LimitEnsemble
 from .lrd_sim import CirculantEmbedding, LrdParams, asymptotic_L, \
     build_covariance, replication_rng
-from .ustat import Kernel, changepoint_statistic, normalize, ustat_fast
+from .ustat import (Kernel, changepoint_statistic, normalize, ustat_factored,
+                    ustat_fast)
 
 
 @dataclass
@@ -120,24 +122,27 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
 
 
 def rank_projection_path(data_xi: np.ndarray, table: HermiteCoeffTable) -> np.ndarray:
-    """Degree-m projection process at every split, via prefix sums:
+    """Degree-m projection process at every split,
 
-        P(b) = sum_{k+l=m} a_{kl}/(k! l!) (sum_{i<=b} H_k)(sum_{j>b} H_l)
+        P(b) = sum_{k+l=m} a_{kl}/(k! l!) (sum_{i<=b} H_k)(sum_{j>b} H_l),
 
-    O(n) per diagonal entry over all splits jointly.
+    the U-statistic path of the finite-rank projection kernel
+    sum a_{kl}/(k! l!) H_k(x) H_l(y), by :func:`ustat_factored` in O(n) per
+    diagonal entry.
     """
     m = table.rank
     if m is None:
         raise ParameterError("kernel rank not detectable from its table")
-    design = hermite_design(m, data_xi)
-    prefix = np.cumsum(design, axis=1)
-    totals = prefix[:, -1]
-    out = np.zeros(data_xi.size - 1)
-    for (k, l), a in table.diagonal(m).items():
-        left = prefix[k][:-1]
-        right = totals[l] - prefix[l][:-1]
-        out += a / (math.factorial(k) * math.factorial(l)) * left * right
-    return out
+    factors = tuple((a / (math.factorial(k) * math.factorial(l)),
+                     partial(hermite_eval, k), partial(hermite_eval, l))
+                    for (k, l), a in table.diagonal(m).items())
+    # ustat_factored reads only ``factors``; ``eval`` is the same sum, kept
+    # because every Kernel has one
+    projection = Kernel(
+        name=f"rank_{m}_projection",
+        eval=lambda x, y: sum(w * f(x) * g(y) for w, f, g in factors),
+        factors=factors)
+    return ustat_factored(data_xi, projection).raw
 
 
 def check_reduction(kernel: Kernel, params: LrdParams, n_list,
@@ -165,7 +170,8 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
             xi = emb.sample(replication_rng(seed, r))
             u = ustat_fast(xi, kernel).raw
             proj = rank_projection_path(xi, table)
-            sups[r] = np.max(np.abs(normalize(u - proj, sc, table.a00)))
+            sups[r] = changepoint_statistic(
+                normalize(u - proj, sc, table.a00))[0]
         per_n[n] = {"mean_sup_discrepancy": float(np.mean(sups)),
                     "stderr": float(np.std(sups, ddof=1) / math.sqrt(reps))}
     return ExperimentReport(

@@ -24,14 +24,18 @@ def isolated_cache(tmp_path, monkeypatch):
 class TestSimulate:
     def test_csv_output_and_sidecar(self, tmp_path):
         out = tmp_path / "path.csv"
-        rc = cli.main(["simulate", "--D", "0.4", "--n", "512",
-                       "--seed", "3", "-o", str(out)])
+        rc = cli.main(["simulate", "--family", "tweaked", "--D", "0.4",
+                       "--n", "512", "--seed", "3", "-o", str(out)])
         assert rc == 0
         values = lrd_sim.read_path_csv(out)
         assert values.size == 512
         sidecar = json.loads((tmp_path / "path.csv.json").read_text())
-        assert sidecar["D"] == 0.4
-        assert sidecar["seed"] == 3
+        assert sidecar == {"subcommand": "simulate", "seed": 3,
+                           "family": "tweaked", "D": 0.4, "n": 512,
+                           "transform": "identity", "binary": False,
+                           "out": str(out),
+                           "stream_version": lrd_sim.STREAM_VERSION,
+                           "package_version": lrdustat.__version__}
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -140,6 +144,13 @@ class TestLimit:
         assert len(list(isolated_cache.glob("cv_*.json"))) == 2
         assert first.exists()
 
+    def test_sidecar_records_parsed_levels(self, tmp_path, capsys):
+        out = tmp_path / "cv.json"
+        assert cli.main(self.ARGS + ["-o", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "cv.json.json").read_text())
+        assert sidecar["levels"] == [0.8, 0.9, 0.95]
+        assert sidecar["stream_version"] == lrd_sim.STREAM_VERSION
+
     def test_no_cache_flag(self, isolated_cache, capsys):
         assert cli.main(self.ARGS + ["--no-cache"]) == 0
         assert list(isolated_cache.glob("cv_*.json")) == []
@@ -164,10 +175,29 @@ class TestDetect:
 
     def test_shift_rejected(self, tmp_path, capsys):
         self._write_data(tmp_path, 3.0)
-        rc, report = self._run(tmp_path, [], capsys)
+        out = tmp_path / "report.json"
+        rc, report = self._run(tmp_path, ["-o", str(out)], capsys)
         assert rc == 0
         assert report["levels"]["0.95"]["reject"] is True
         assert abs(report["k_star_fraction"] - 0.5) < 0.15
+        assert json.loads(out.read_text()) == report
+        sidecar = json.loads((tmp_path / "report.json.json").read_text())
+        assert sidecar["levels"] == [0.95]
+        assert sidecar["kernel"] == "wilcoxon"
+        assert sidecar["stream_version"] == lrd_sim.STREAM_VERSION
+
+    def test_families_share_one_limit_table(self, tmp_path, isolated_cache,
+                                            capsys, monkeypatch):
+        # the limit law depends on D and the rank-m diagonal only
+        self._write_data(tmp_path, 0.0)
+        assert self._run(tmp_path, ["--family", "fgn"], capsys)[0] == 0
+        calls = []
+        real = cli.limit_law.limit_thm1
+        monkeypatch.setattr(cli.limit_law, "limit_thm1",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        assert self._run(tmp_path, ["--family", "tweaked"], capsys)[0] == 0
+        assert calls == []  # a hit: the fgn run's table was served
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 1
 
     def test_missing_D_is_config_error(self, tmp_path, capsys):
         self._write_data(tmp_path, 0.0)
@@ -222,6 +252,59 @@ class TestDetect:
         rc, report = self._run(tmp_path, [], capsys)
         assert rc == 0
         assert report["n"] == 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--D", "0.4", "--n", "64", "--reps", "5", "-o", "x.csv"],
+    ["simulate", "--D", "0.4", "--n", "64", "--levels", "nonsense",
+     "-o", "x.csv"],
+    ["coeffs", "--kernel", "cusum", "--reps", "5"],
+    ["coeffs", "--kernel", "cusum", "--levels", "0.9"],
+    ["verify", "variance", "--D", "0.4", "--n", "8", "--levels", "0.9"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--family", "bogus"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--levels", "0.9,x"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "abc"],
+], ids=["simulate-reps", "simulate-levels", "coeffs-reps", "coeffs-levels",
+        "verify-levels", "limit-bad-family", "limit-bad-levels",
+        "detect-bad-levels"])
+def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_make_reference_argv_parses(tmp_path, monkeypatch):
+    # bench/make_reference.py rebuilds bench/reference.json through
+    # `lrdustat limit`; every argv it builds must parse with this parser
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "make_reference.py"
+    spec = importlib.util.spec_from_file_location("make_reference", path)
+    make_reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_reference)
+    parsed = []
+
+    def fake_run(argv, **kwargs):
+        assert argv[1:3] == ["-m", "lrdustat.cli"]
+        args = cli.build_parser().parse_args(argv[3:])
+        parsed.append(args)
+        table = {"quantiles": {"levels": args.levels,
+                               "values": [0.0] * len(args.levels)}}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(table), "")
+
+    monkeypatch.setattr(make_reference.subprocess, "run", fake_run)
+    monkeypatch.setattr(make_reference, "OUT", tmp_path / "reference.json")
+    assert make_reference.main() == 0
+    assert [a.kernel for a in parsed] == make_reference.KERNELS
+    for args in parsed:
+        assert args.func is cli.cmd_limit
+        assert args.family == make_reference.FAMILY
+        assert args.reps == make_reference.REPS
+        assert args.levels == make_reference.LEVELS
 
 
 class TestVerify:

@@ -264,10 +264,6 @@ class TestScaling:
         assert sc.d_n_prime == pytest.approx(1000 ** 0.8)
         assert sc.d_n == pytest.approx(math.sqrt(sc.c_m) * sc.d_n_prime)
 
-    def test_k_const_half(self):
-        sc = scaling(0.5, 1, 10, 1.0)
-        assert sc.K_const == pytest.approx(math.sqrt(2.0 * math.pi))
-
     def test_hurst(self):
         assert scaling(0.4, 1, 10, 1.0).H == pytest.approx(0.8)
         assert scaling(0.3, 2, 10, 1.0).H == pytest.approx(0.7)

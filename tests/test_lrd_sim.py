@@ -220,7 +220,3 @@ class TestSerialization:
         out.write_bytes(b"not a path file at all")
         with pytest.raises(ParameterError):
             lrd_sim.read_path_binary(out)
-
-    def test_params_json_roundtrip(self):
-        params = LrdParams(D=0.35, family=TWEAKED_POWER_LAW)
-        assert LrdParams.from_dict(params.to_dict()) == params

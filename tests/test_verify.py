@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from lrdustat.errors import ParameterError, RegimeError
-from lrdustat.hermite import scaling
+from lrdustat.hermite import hermite_eval, kernel_table, scaling
 from lrdustat.limit_law import default_grid, simulate_fbm
 from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
                               asymptotic_L, replication_rng)
 from lrdustat.verify import (check_reduction, check_variance,
                              check_weak_convergence,
                              exact_hermite_sum_variance, ks_statistic,
-                             normalized_sup_statistics)
-from lrdustat.ustat import (cusum_kernel, gaussian_bump_kernel, ustat_naive,
+                             normalized_sup_statistics, rank_projection_path)
+from lrdustat.ustat import (Kernel, builtin_kernel, cusum_kernel,
+                            gaussian_bump_kernel, ustat_naive,
                             wilcoxon_kernel)
 
 
@@ -89,6 +90,25 @@ class TestCheckVariance:
         a = check_variance(1, LrdParams(D=0.4), [256], reps=120, seed=9)
         b = check_variance(1, LrdParams(D=0.4), [256], reps=120, seed=9)
         assert a.per_n == b.per_n
+
+
+class TestRankProjectionPath:
+    @pytest.mark.parametrize("name", ["cusum", "wilcoxon", "gaussian_bump",
+                                      "huber:1.345", "tukey:4.685"])
+    def test_matches_oracle_on_projection_kernel(self, name):
+        # the O(n^3) oracle on sum_{k+l=m} a_kl/(k! l!) H_k(x) H_l(y)
+        table = kernel_table(builtin_kernel(name))
+        terms = [(a / (math.factorial(k) * math.factorial(l)), k, l)
+                 for (k, l), a in table.diagonal(table.rank).items()]
+        projection = Kernel(name="projection", eval=lambda x, y: sum(
+            w * hermite_eval(k, x) * hermite_eval(l, y) for w, k, l in terms))
+        emb = CirculantEmbedding(LrdParams(D=0.3), 150)
+        for r in range(3):
+            xi = emb.sample(replication_rng(4, r))
+            ref = ustat_naive(xi, projection).raw
+            got = rank_projection_path(xi, table)
+            scale = max(np.max(np.abs(ref)), 1.0)
+            assert np.max(np.abs(got - ref)) / scale <= 1e-9
 
 
 class TestCheckReduction:
