@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,10 @@ def _write_sidecar(args) -> None:
 def levels_list(text: str) -> list:
     """``--levels`` value: comma-separated probabilities.  A ValueError here
     makes argparse report the bad value and exit with status 2."""
-    return [float(x) for x in text.split(",") if x]
+    levels = [float(x) for x in text.split(",") if x]
+    if not levels:
+        raise ValueError("no level given")
+    return levels
 
 
 def _load_data(path: str) -> np.ndarray:
@@ -117,14 +121,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_coeffs(args) -> int:
     kernel = ustat.builtin_kernel(args.kernel)
-    if kernel.coeff_provider is not None and args.source == "auto":
+    if args.source == "montecarlo":
+        # resolved here, so the sidecar records the values that ran
+        args.pairs = 10 ** 6 if args.pairs is None else args.pairs
+        args.seed = 0 if args.seed is None else args.seed
+        table, _ = hermite.coeffs_2d_montecarlo(kernel, args.Q, args.pairs,
+                                                args.seed)
+    elif args.pairs is not None or args.seed is not None:
+        raise ParameterError("--pairs and --seed need --source montecarlo")
+    elif kernel.coeff_provider is not None and args.source == "auto":
         table = hermite.closed_form_table(kernel.coeff_provider, args.Q)
-    elif args.source == "montecarlo":
-        table, _ = hermite.coeffs_2d_montecarlo(kernel, args.Q,
-                                                pairs=args.pairs,
-                                                seed=args.seed)
     else:
-        table = hermite.coeffs_2d(kernel, args.Q, quad_order=args.quad_order)
+        table = hermite.coeffs_2d(kernel, args.Q)
     payload = table.to_json_dict()
     payload["kernel"] = kernel.name
     text = json.dumps(payload, indent=2)
@@ -185,11 +193,11 @@ def cmd_detect(args) -> int:
 def cmd_verify(args) -> int:
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
     if args.experiment == "variance":
-        report = verify.check_variance(args.k, params, args.n_list,
+        report = verify.check_variance(args.k, params, args.n,
                                        reps=args.reps, seed=args.seed)
     elif args.experiment == "reduction":
         kernel = ustat.builtin_kernel(args.kernel)
-        report = verify.check_reduction(kernel, params, args.n_list,
+        report = verify.check_reduction(kernel, params, args.n,
                                         reps=args.reps, seed=args.seed)
     else:  # weak
         kernel = ustat.builtin_kernel(args.kernel)
@@ -198,9 +206,8 @@ def cmd_verify(args) -> int:
             table.diagonal(table.rank), args.D,
             grid=limit_law.default_grid(args.grid_size),
             reps=args.limit_reps, seed=args.seed + 1)
-        report = verify.check_weak_convergence(kernel, params,
-                                               args.n_list[0], args.reps,
-                                               ensemble, seed=args.seed)
+        report = verify.check_weak_convergence(kernel, table, params, args.n,
+                                               args.reps, ensemble, args.seed)
     print(report.summary_text())
     if args.out:
         report.dump(args.out)
@@ -210,10 +217,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no abbreviations: `verify weak --k 2` must not parse as `--kernel 2`
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="lrdustat",
         description="Two-sample U-statistic processes for LRD time series")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=strict)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
@@ -237,13 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("coeffs", help="Hermite coefficient table of a kernel")
-    common(p)
     p.add_argument("--kernel", required=True)
     p.add_argument("--Q", type=int, default=4)
-    p.add_argument("--quad-order", type=int, default=hermite.DEFAULT_QUAD_ORDER)
     p.add_argument("--source", choices=["auto", "quadrature", "montecarlo"],
                    default="auto")
-    p.add_argument("--pairs", type=int, default=10 ** 6)
+    p.add_argument("--pairs", type=int, help="montecarlo only; default 10^6")
+    p.add_argument("--seed", type=int, help="montecarlo only; default 0")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_coeffs)
 
@@ -276,20 +285,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("verify", help="Monte Carlo checks of the asymptotics")
-    common(p)
-    add_reps(p)
-    p.add_argument("experiment", choices=["variance", "reduction", "weak"])
-    p.add_argument("--k", type=int, default=1,
-                   help="Hermite degree for the variance experiment")
-    p.add_argument("--kernel", default="cusum")
-    p.add_argument("--D", type=float, required=True)
-    p.add_argument("--family", default=lrd_sim.FGN)
-    p.add_argument("--n", dest="n_list", type=int, action="append",
-                   required=True, help="sample size; repeatable")
-    p.add_argument("--limit-reps", type=int, default=limit_law.DEFAULT_REPS)
-    p.add_argument("--grid-size", type=int, default=limit_law.DEFAULT_GRID_SIZE)
-    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_verify)
+    experiments = p.add_subparsers(dest="experiment", required=True,
+                                   parser_class=strict)
+    shared = argparse.ArgumentParser(add_help=False)  # all experiments
+    common(shared)
+    add_reps(shared)
+    shared.add_argument("--D", type=float, required=True)
+    shared.add_argument("--family", default=lrd_sim.FGN)
+    shared.add_argument("-o", "--out")
+    e = experiments.add_parser("variance", parents=[shared])
+    e.add_argument("--n", type=int, action="append", required=True)
+    e.add_argument("--k", type=int, default=1, help="Hermite degree")
+    e = experiments.add_parser("reduction", parents=[shared])
+    e.add_argument("--n", type=int, action="append", required=True)
+    e.add_argument("--kernel", default="cusum")
+    e = experiments.add_parser("weak", parents=[shared])
+    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--kernel", default="cusum")
+    e.add_argument("--limit-reps", type=int, default=limit_law.DEFAULT_REPS)
+    e.add_argument("--grid-size", type=int, default=limit_law.DEFAULT_GRID_SIZE)
     return parser
 
 

@@ -9,7 +9,6 @@ c_m, d_n, d'_n and H.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -103,10 +102,6 @@ class HermiteCoeffTable:
         return {"Q": self.Q, "source": self.source, "tol": self.tol,
                 "entries": kept, "rank": self.rank}
 
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "HermiteCoeffTable":
         q = int(d["Q"])
@@ -170,6 +165,8 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int = 10 ** 7,
     """
     if Q < 1:
         raise ParameterError("Q must be >= 1")
+    if pairs < 1:
+        raise ParameterError("pairs must be >= 1")
     rng = replication_rng(seed)
     sums = np.zeros((Q + 1, Q + 1))
     sq_sums = np.zeros((Q + 1, Q + 1))

@@ -9,7 +9,6 @@ joint dependence of the limit components is preserved.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -299,13 +298,6 @@ class CriticalValueTable:
         return cls(descriptor=d["descriptor"], levels=list(q["levels"]),
                    values=list(q["values"]), reps=int(d["reps"]),
                    grid_size=int(d["grid_size"]))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "critical_value"])
-            for lv, v in zip(self.levels, self.values):
-                writer.writerow([repr(lv), repr(v)])
 
 
 def critical_values(ensemble: LimitEnsemble, levels) -> CriticalValueTable:

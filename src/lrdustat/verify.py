@@ -60,11 +60,6 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def exact_hermite_sum_variance(k: int, params: LrdParams, n: int) -> float:
-    """Var(sum_{i<=n} H_k(xi_i)) = k! sum_{i,j} gamma(|i-j|)^k, exactly."""
-    return hermite_sum_std(params, k, n) ** 2
-
-
 def _srd_series_constant(k: int, params: LrdParams, tail: int = 10 ** 6) -> float:
     """sum over all integer lags of gamma(d)^k (converges when Dk > 1)."""
     gamma = build_covariance(params, tail)
@@ -90,7 +85,7 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
     per_n = {}
     for n in n_list:
         n = int(n)
-        exact = exact_hermite_sum_variance(k, params, n)
+        exact = hermite_sum_std(params, k, n) ** 2
         row = {"exact_var": exact}
         if lrd:
             asym = (c_constant(params.D, k)
@@ -182,11 +177,11 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
         wall_clock=time.perf_counter() - start)
 
 
-def normalized_sup_statistics(kernel: Kernel, params: LrdParams, n: int,
-                              reps: int, seed: int) -> np.ndarray:
-    """Sup-statistics of the centred rank-diagonal-normalized U-statistic
-    process for ``reps`` independent simulated datasets."""
-    table = kernel_table(kernel)
+def normalized_sup_statistics(kernel: Kernel, table: HermiteCoeffTable,
+                              params: LrdParams, n: int, reps: int,
+                              seed: int) -> np.ndarray:
+    """Sup-statistics of the U-statistic process, centred and normalized by
+    the kernel's ``table``, for ``reps`` independent simulated datasets."""
     emb = CirculantEmbedding(params, n)
     sc = scaling(params.D, table.rank, n, asymptotic_L(params, n))
     sups = np.empty(reps)
@@ -208,15 +203,16 @@ def ks_statistic(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def check_weak_convergence(kernel: Kernel, params: LrdParams, n: int,
-                           reps: int, limit: LimitEnsemble,
+def check_weak_convergence(kernel: Kernel, table: HermiteCoeffTable,
+                           params: LrdParams, n: int, reps: int,
+                           limit: LimitEnsemble,
                            seed: int = 0) -> ExperimentReport:
-    """Two-sample KS distance between simulated normalized sup-statistics
-    and the limit ensemble's sup-statistic distribution."""
+    """Two-sample KS distance between sup-statistics normalized by the
+    kernel's ``table`` and the limit ensemble's sup-statistic distribution."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     start = time.perf_counter()
-    sups = normalized_sup_statistics(kernel, params, n, reps, seed)
+    sups = normalized_sup_statistics(kernel, table, params, n, reps, seed)
     limit_sups = limit.sup_abs()
     ks = ks_statistic(sups, limit_sups)
     per_n = {n: {"ks_distance": ks,

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from lrdustat.hermite import (class_coeffs, closed_form_table, coeffs_2d,
-                              coeffs_2d_montecarlo, scaling,
+                              coeffs_2d_montecarlo, kernel_table, scaling,
                               summability_diagnostic,
                               wilcoxon_coeff_closed_form)
 from lrdustat.limit_law import (default_grid, limit_thm1, limit_thm2,
@@ -49,8 +49,9 @@ def wilcoxon_limit():
 @pytest.fixture(scope="module")
 def wilcoxon_data_sups():
     """Normalized sup-statistics of 1000 simulated null datasets, n=2000."""
-    return normalized_sup_statistics(wilcoxon_kernel(), PARAMS, 2000,
-                                     reps=1000, seed=55)
+    return normalized_sup_statistics(wilcoxon_kernel(),
+                                     kernel_table(wilcoxon_kernel()), PARAMS,
+                                     2000, reps=1000, seed=55)
 
 
 def test_criterion_1_hermite_coefficients():
@@ -222,8 +223,8 @@ def test_criterion_8_detector_size_and_power(wilcoxon_limit):
     offset = k_idx * (n - k_idx) * 0.5  # a00 of the Wilcoxon kernel
     emb = CirculantEmbedding(PARAMS, n)
 
-    null_sups = normalized_sup_statistics(kernel, PARAMS, n, reps=runs,
-                                          seed=321)
+    null_sups = normalized_sup_statistics(kernel, kernel_table(kernel), PARAMS,
+                                          n, reps=runs, seed=321)
     size = float(np.mean(null_sups > cv))
 
     rejections = 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -82,7 +83,7 @@ class TestCoeffs:
 
     def test_quadrature_source(self, capsys):
         rc = cli.main(["coeffs", "--kernel", "gaussian_bump", "--Q", "2",
-                       "--source", "quadrature", "--quad-order", "64"])
+                       "--source", "quadrature"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rank"] == 2
@@ -93,7 +94,17 @@ class TestCoeffs:
                        "-o", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["rank"] == 1
-        assert (tmp_path / "coeffs.json.json").exists()
+        sidecar = json.loads((tmp_path / "coeffs.json.json").read_text())
+        assert (sidecar["pairs"], sidecar["seed"]) == (None, None)  # not read
+
+    def test_montecarlo_sidecar_records_defaults(self, tmp_path):
+        out = tmp_path / "coeffs.json"
+        rc = cli.main(["coeffs", "--kernel", "wilcoxon", "--Q", "1",
+                       "--source", "montecarlo", "-o", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["source"] == "monte_carlo"
+        sidecar = json.loads((tmp_path / "coeffs.json.json").read_text())
+        assert (sidecar["pairs"], sidecar["seed"]) == (10 ** 6, 0)
 
     def test_unknown_kernel(self, capsys):
         assert cli.main(["coeffs", "--kernel", "nope"]) == 2
@@ -199,6 +210,13 @@ class TestDetect:
         assert calls == []  # a hit: the fgn run's table was served
         assert len(list(isolated_cache.glob("cv_*.json"))) == 1
 
+    def test_empty_levels_exit_2(self, tmp_path, capsys):
+        # on a readable input, so only the missing level can stop the run
+        self._write_data(tmp_path, 0.0)
+        with pytest.raises(SystemExit) as exc:
+            self._run(tmp_path, ["--levels", ""], capsys)
+        assert exc.value.code == 2
+
     def test_missing_D_is_config_error(self, tmp_path, capsys):
         self._write_data(tmp_path, 0.0)
         rc = cli.main(["detect", "--input", str(tmp_path / "data.csv")])
@@ -254,27 +272,93 @@ class TestDetect:
         assert report["n"] == 300
 
 
+# valid options of each experiment; a rejected one goes in front, so that
+# an abbreviation such as `--k` for `--kernel` would be overridden
+VARIANCE = ["--D", "0.4", "--n", "8", "--reps", "0"]
+REDUCTION = ["--kernel", "cusum", "--D", "0.4", "--n", "64", "--reps", "3"]
+WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
+        "--limit-reps", "100", "--grid-size", "8"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--D", "0.4", "--n", "64", "--reps", "5", "-o", "x.csv"],
     ["simulate", "--D", "0.4", "--n", "64", "--levels", "nonsense",
      "-o", "x.csv"],
     ["coeffs", "--kernel", "cusum", "--reps", "5"],
     ["coeffs", "--kernel", "cusum", "--levels", "0.9"],
-    ["verify", "variance", "--D", "0.4", "--n", "8", "--levels", "0.9"],
+    ["coeffs", "--kernel", "cusum", "--quad-order", "1"],
+    ["coeffs", "--kernel", "cusum", "--pairs", "0", "--seed", "5"],
+    ["coeffs", "--kernel", "cusum", "--source", "quadrature", "--seed", "5"],
+    ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
+     "--pairs", "0"],
+    ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
+     "--pairs", "-3"],
+    ["verify", "variance", "--levels", "0.9", *VARIANCE],
+    ["verify", "variance", "--kernel", "nope", *VARIANCE],
+    ["verify", "variance", "--limit-reps", "3", *VARIANCE],
+    ["verify", "variance", "--grid-size", "1", *VARIANCE],
+    ["verify", "reduction", "--k", "2", *REDUCTION],
+    ["verify", "reduction", "--limit-reps", "3", *REDUCTION],
+    ["verify", "reduction", "--grid-size", "1", *REDUCTION],
+    ["verify", "weak", "--k", "2", *WEAK],
     ["limit", "--kernel", "cusum", "--D", "0.4", "--family", "bogus"],
     ["limit", "--kernel", "cusum", "--D", "0.4", "--levels", "0.9,x"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--levels", ","],
     ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "abc"],
 ], ids=["simulate-reps", "simulate-levels", "coeffs-reps", "coeffs-levels",
-        "verify-levels", "limit-bad-family", "limit-bad-levels",
-        "detect-bad-levels"])
+        "coeffs-quad-order", "coeffs-pairs-seed-closed-form",
+        "coeffs-seed-quadrature", "coeffs-montecarlo-zero-pairs",
+        "coeffs-montecarlo-negative-pairs", "verify-levels",
+        "verify-variance-kernel", "verify-variance-limit-reps",
+        "verify-variance-grid-size", "verify-reduction-k",
+        "verify-reduction-limit-reps", "verify-reduction-grid-size",
+        "verify-weak-k", "limit-bad-family", "limit-bad-levels",
+        "limit-no-levels", "detect-bad-levels"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
+    # argparse exits 2 through SystemExit; a ParameterError returns 2
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
     assert "internal error" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _leaf_options(parser, path=()):
+    """{command path: sorted long option names} for each leaf (sub)command."""
+    subparsers = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {" ".join(path): sorted(max(a.option_strings, key=len)
+                                       for a in parser._actions
+                                       if a.option_strings and a.dest != "help")}
+    return {leaf: opts for a in subparsers
+            for name, child in a.choices.items()
+            for leaf, opts in _leaf_options(child, path + (name,)).items()}
+
+
+def test_option_contract():
+    # every option here is read by its command, except `limit --family`
+    # (kept for bench/make_reference.py); a new option must be added here
+    assert _leaf_options(cli.build_parser()) == {
+        "simulate": ["--D", "--binary", "--family", "--n", "--out", "--seed",
+                     "--transform"],
+        "coeffs": ["--Q", "--kernel", "--out", "--pairs", "--seed",
+                   "--source"],
+        "limit": ["--D", "--family", "--grid-size", "--kernel", "--levels",
+                  "--no-cache", "--out", "--reps", "--seed"],
+        "detect": ["--D", "--family", "--grid-size", "--input", "--kernel",
+                   "--levels", "--no-cache", "--out", "--reps", "--seed"],
+        "verify variance": ["--D", "--family", "--k", "--n", "--out",
+                            "--reps", "--seed"],
+        "verify reduction": ["--D", "--family", "--kernel", "--n", "--out",
+                             "--reps", "--seed"],
+        "verify weak": ["--D", "--family", "--grid-size", "--kernel",
+                        "--limit-reps", "--n", "--out", "--reps", "--seed"],
+    }
 
 
 def test_make_reference_argv_parses(tmp_path, monkeypatch):
@@ -324,6 +408,10 @@ class TestVerify:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["name"] == "reduction_principle"
+        sidecar = json.loads((tmp_path / "report.json.json").read_text())
+        assert sidecar["experiment"] == "reduction"
+        assert sidecar["n"] == [64]
+        assert not {"k", "limit_reps", "grid_size"} & set(sidecar)
 
     def test_weak_runs(self, capsys):
         rc = cli.main(["verify", "weak", "--kernel", "cusum", "--D", "0.4",

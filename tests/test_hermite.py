@@ -8,8 +8,7 @@ from scipy.stats import norm
 
 from lrdustat import hermite
 from lrdustat.errors import ParameterError, RankNotFoundError, RegimeError
-from lrdustat.hermite import (CLOSED_FORM, CONVERGENT_LIKELY,
-                              DIVERGENT_LIKELY, HermiteCoeffTable,
+from lrdustat.hermite import (CONVERGENT_LIKELY, DIVERGENT_LIKELY, HermiteCoeffTable,
                               class_coeffs, closed_form_table, coeffs_2d,
                               coeffs_2d_montecarlo, gauss_hermite_prob,
                               hermite_design, hermite_eval, rank_2d, scaling,
@@ -126,6 +125,11 @@ class TestCoeffs2d:
         a = 1.0 / (2.0 * math.sqrt(math.pi))
         assert abs(table.get(1, 0) + a) < 3 * err[1, 0]
         assert abs(table.get(0, 1) - a) < 3 * err[0, 1]
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_montecarlo_needs_a_pair(self, pairs):
+        with pytest.raises(ParameterError):
+            coeffs_2d_montecarlo(wilcoxon_kernel(), 1, pairs=pairs)
 
 
 class TestWilcoxonClosedForm:
@@ -283,11 +287,3 @@ class TestSerialization:
         assert back.get(1, 0) == pytest.approx(table.get(1, 0))
         # entries below tolerance were dropped and read back as 0
         assert back.get(2, 1) == 0.0
-
-    def test_dump(self, tmp_path):
-        table = closed_form_table(wilcoxon_coeff_closed_form, 3)
-        out = tmp_path / "t.json"
-        table.dump(out)
-        data = json.loads(out.read_text())
-        assert data["rank"] == 1
-        assert data["source"] == CLOSED_FORM

@@ -281,11 +281,3 @@ class TestCriticalValues:
         assert back.values == table.values
         assert back.levels == table.levels
         assert back.reps == table.reps
-
-    def test_csv(self, cv_ensemble, tmp_path):
-        table = critical_values(cv_ensemble, [0.9, 0.95])
-        out = tmp_path / "cv.csv"
-        table.write_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "level,critical_value"
-        assert len(lines) == 3

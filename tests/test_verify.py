@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from lrdustat.errors import ParameterError, RegimeError
-from lrdustat.hermite import hermite_eval, kernel_table, scaling
+from lrdustat.hermite import (hermite_eval, hermite_sum_std, kernel_table,
+                              scaling)
 from lrdustat.limit_law import default_grid, simulate_fbm
 from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
                               asymptotic_L, replication_rng)
 from lrdustat.verify import (check_reduction, check_variance,
-                             check_weak_convergence,
-                             exact_hermite_sum_variance, ks_statistic,
+                             check_weak_convergence, ks_statistic,
                              normalized_sup_statistics, rank_projection_path)
 from lrdustat.ustat import (Kernel, builtin_kernel, cusum_kernel,
                             gaussian_bump_kernel, ustat_naive,
@@ -37,19 +37,19 @@ class TestExactVariance:
         # Var = 3 + 2*(2/sqrt(2) + 1/sqrt(3)), evaluated independently
         params = LrdParams(D=0.5, family=TWEAKED_POWER_LAW)
         expected = 3.0 + 4.0 / math.sqrt(2.0) + 2.0 / math.sqrt(3.0)
-        assert exact_hermite_sum_variance(1, params, 3) == pytest.approx(
+        assert hermite_sum_std(params, 1, 3) ** 2 == pytest.approx(
             expected, rel=1e-14)
         assert expected == pytest.approx(6.983127663125441, rel=1e-14)
 
     def test_k2_n1(self):
         # a single term: Var(H_2(xi)) = 2! = 2
-        assert exact_hermite_sum_variance(
-            2, LrdParams(D=0.3), 1) == pytest.approx(2.0)
+        assert hermite_sum_std(
+            LrdParams(D=0.3), 2, 1) ** 2 == pytest.approx(2.0)
 
     def test_iid_limit_structure(self):
         # for k large the cross terms vanish and Var ~ n * k!
         params = LrdParams(D=0.9, family=TWEAKED_POWER_LAW)
-        v = exact_hermite_sum_variance(8, params, 50)
+        v = hermite_sum_std(params, 8, 50) ** 2
         # the lag-1 cross term still contributes ~1.4%
         assert v == pytest.approx(50 * math.factorial(8), rel=0.02)
 
@@ -182,8 +182,9 @@ class TestWeakConvergence:
                              seed=5, resolution=512)
         # scale the fBm by the known rank-one functional factor before use:
         # here we only exercise the harness plumbing on a modest run
-        report = check_weak_convergence(wilcoxon_kernel(), params, n=256,
-                                        reps=60, limit=limit, seed=6)
+        kernel = wilcoxon_kernel()
+        report = check_weak_convergence(kernel, kernel_table(kernel), params,
+                                        n=256, reps=60, limit=limit, seed=6)
         row = report.per_n[256]
         assert 0.0 <= row["ks_distance"] <= 1.0
         assert row["data_reps"] == 60
@@ -191,8 +192,9 @@ class TestWeakConvergence:
 
     def test_normalized_sups_center_defaults_to_a00(self):
         params = LrdParams(D=0.4)
-        a = normalized_sup_statistics(wilcoxon_kernel(), params, 128,
-                                      reps=5, seed=7)
+        kernel = wilcoxon_kernel()
+        a = normalized_sup_statistics(kernel, kernel_table(kernel), params,
+                                      128, reps=5, seed=7)
         b = _direct_sups(wilcoxon_kernel(), params, 128, reps=5, seed=7,
                          m=1, a00=0.5)
         assert np.allclose(a, b, rtol=1e-12, atol=0.0)
@@ -200,16 +202,19 @@ class TestWeakConvergence:
     def test_normalized_sups_use_kernel_rank(self):
         # the Gaussian bump has Hermite rank 2 and mean a00 = 0
         params = LrdParams(D=0.4)
-        a = normalized_sup_statistics(gaussian_bump_kernel(), params, 96,
-                                      reps=4, seed=8)
+        kernel = gaussian_bump_kernel()
+        a = normalized_sup_statistics(kernel, kernel_table(kernel), params,
+                                      96, reps=4, seed=8)
         b = _direct_sups(gaussian_bump_kernel(), params, 96, reps=4, seed=8,
                          m=2, a00=0.0)
         assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
     def test_reproducible(self):
         params = LrdParams(D=0.4)
-        a = normalized_sup_statistics(cusum_kernel(), params, 128, reps=8,
+        kernel = cusum_kernel()
+        table = kernel_table(kernel)
+        a = normalized_sup_statistics(kernel, table, params, 128, reps=8,
                                       seed=11)
-        b = normalized_sup_statistics(cusum_kernel(), params, 128, reps=8,
+        b = normalized_sup_statistics(kernel, table, params, 128, reps=8,
                                       seed=11)
         assert np.array_equal(a, b)
