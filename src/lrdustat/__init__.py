@@ -11,10 +11,10 @@ from .hermite import (ClassCoeffs, HermiteCoeffTable, ScalingConstants,
 from .limit_law import (CriticalValueTable, LimitEnsemble, critical_values,
                         default_grid, limit_thm1, limit_thm2, simulate_fbm,
                         simulate_hermite)
-from .lrd_sim import (FGN, TWEAKED_POWER_LAW, GaussianPath, LrdParams,
-                      Subordinator, asymptotic_L, build_covariance,
-                      replication_rng, simulate_gaussian, subordinate)
-from .ustat import (Kernel, UStatPath, builtin_kernel, changepoint_statistic,
+from .lrd_sim import (FGN, TWEAKED_POWER_LAW, LrdParams, Subordinator,
+                      asymptotic_L, build_covariance, replication_rng,
+                      simulate_gaussian)
+from .ustat import (Kernel, builtin_kernel, changepoint_statistic,
                     cusum_kernel, gaussian_bump_kernel, huber_kernel,
                     normalize, tukey_kernel, ustat_cusum, ustat_factored,
                     ustat_incremental, ustat_naive, ustat_wilcoxon,

@@ -45,11 +45,14 @@ def _write_sidecar(args) -> None:
 
 
 def levels_list(text: str) -> list:
-    """``--levels`` value: comma-separated probabilities.  A ValueError here
-    makes argparse report the bad value and exit with status 2."""
+    """``--levels`` value: comma-separated probabilities in (0, 1).  A
+    ValueError here makes argparse report the bad value and exit with
+    status 2, before any simulation runs."""
     levels = [float(x) for x in text.split(",") if x]
     if not levels:
         raise ValueError("no level given")
+    if not all(0.0 < lv < 1.0 for lv in levels):  # NaN fails too
+        raise ValueError("levels must lie in (0, 1)")
     return levels
 
 
@@ -106,12 +109,11 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
 
 def cmd_simulate(args) -> int:
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
-    path = lrd_sim.simulate_gaussian(params, args.n, args.seed)
-    values = path.values
+    values = lrd_sim.simulate_gaussian(params, args.n, args.seed)
     if args.transform == "exp":
         from scipy.stats import expon
 
-        values = lrd_sim.subordinate(path, lrd_sim.Subordinator.from_distribution(expon()))
+        values = lrd_sim.Subordinator.from_distribution(expon())(values)
     if args.binary:
         lrd_sim.write_path_binary(values, args.out)
     else:
@@ -170,9 +172,8 @@ def cmd_detect(args) -> int:
     sc = hermite.scaling(args.D, coeffs.rank, n,
                          lrd_sim.asymptotic_L(
                              lrd_sim.LrdParams(D=args.D, family=args.family), n))
-    raw = ustat.ustat_fast(data, kernel).raw
     stat, k_star = ustat.changepoint_statistic(
-        ustat.normalize(raw, sc, coeffs.a00))
+        ustat.normalize(ustat.ustat_fast(data, kernel), sc, coeffs.a00))
     table = limit_table(kernel, coeffs, args.D, args.reps, args.grid_size,
                         args.seed, args.levels, use_cache=not args.no_cache)
     decisions = {repr(lv): {"critical_value": table.value_at(lv),

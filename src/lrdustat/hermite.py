@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, RankNotFoundError, RegimeError
-from .lrd_sim import Subordinator, gauss_hermite_prob, replication_rng
+from .lrd_sim import (QUAD_ORDER, Subordinator, gauss_hermite_prob,
+                      replication_rng)
 
 QUADRATURE = "quadrature"
 CLOSED_FORM = "closed_form"
 MONTE_CARLO = "monte_carlo"
-
-DEFAULT_QUAD_ORDER = 200
 
 
 def hermite_eval(k: int, x):
@@ -51,12 +50,6 @@ def hermite_design(max_degree: int, x: np.ndarray) -> np.ndarray:
     for j in range(1, max_degree):
         out[j + 1] = x * out[j] - j * out[j - 1]
     return out
-
-
-def _log_factorial(k) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(np.asarray(k, dtype=float) + 1.0)
 
 
 @dataclass
@@ -124,19 +117,18 @@ def _finish_table(entries, Q, source, tol, warns=()):
     return table
 
 
-def coeffs_2d(kernel, Q: int, quad_order: int = DEFAULT_QUAD_ORDER,
-              tol: float | None = None) -> HermiteCoeffTable:
-    """Tensor Gauss-Hermite coefficients a_{kl} = E[h(xi,eta)H_k(xi)H_l(eta)].
+def coeffs_2d(kernel, Q: int) -> HermiteCoeffTable:
+    """Tensor Gauss-Hermite coefficients a_{kl} = E[h(xi,eta)H_k(xi)H_l(eta)]
+    on the QUAD_ORDER-node rule, with rank tolerance
+    1e-8 sqrt(1 + E[h^2]).
 
     ``kernel`` is any object with a vectorized ``eval(x, y)``; a table with
     a machine-readable warning is returned for kernels tagged discontinuous
     (tensor quadrature converges slowly across jumps).
     """
-    if Q < 1:
-        raise ParameterError("Q must be >= 1")
-    if quad_order < Q + 1:
-        raise ParameterError("quad_order must be at least Q + 1")
-    x, w = gauss_hermite_prob(quad_order)
+    if not 1 <= Q < QUAD_ORDER:
+        raise ParameterError(f"Q must lie in 1..{QUAD_ORDER - 1}")
+    x, w = gauss_hermite_prob(QUAD_ORDER)
     xx, yy = np.meshgrid(x, x, indexing="ij")
     hv = np.asarray(kernel.eval(xx, yy), dtype=float)
     if not np.all(np.isfinite(hv)):
@@ -147,9 +139,8 @@ def coeffs_2d(kernel, Q: int, quad_order: int = DEFAULT_QUAD_ORDER,
     entries = np.full((Q + 1, Q + 1), np.nan)
     for k in range(Q + 1):
         entries[k, :Q + 1 - k] = full[k, :Q + 1 - k]
-    if tol is None:
-        second_moment = float(np.einsum("i,ij,j->", w, hv * hv, w))
-        tol = 1e-8 * math.sqrt(1.0 + second_moment)
+    second_moment = float(np.einsum("i,ij,j->", w, hv * hv, w))
+    tol = 1e-8 * math.sqrt(1.0 + second_moment)
     warns = []
     if "discontinuous" in {t.lower() for t in getattr(kernel, "tags", ())}:
         warns.append("quadrature-on-discontinuous-kernel")
@@ -282,10 +273,6 @@ def class_coeffs(g: Subordinator, k_max: int, grid) -> ClassCoeffs:
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) < 0):
         raise ParameterError("grid must be sorted")
-    if not g.monotone:
-        raise ParameterError(
-            "class coefficients require a monotone subordinator"
-        )
     cutoffs = np.asarray(g.inverse(grid), dtype=float)
     values = np.empty((k_max, grid.size))
     phi = lambda s: np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
@@ -335,8 +322,8 @@ def summability_diagnostic(provider, Q_list) -> SummabilityReport:
     if not q_list or q_list[0] < 1:
         raise ParameterError("Q_list must contain integers >= 1")
     q_max = q_list[-1]
-    weights = np.exp(-0.5 * (_log_factorial(np.arange(q_max + 1))[:, None]
-                             + _log_factorial(np.arange(q_max + 1))[None, :]))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(q_max + 1)])
+    weights = np.exp(-0.5 * (log_fact[:, None] + log_fact[None, :]))
     total = 0.0
     sums_by_q = {}
     for q in range(1, q_max + 1):

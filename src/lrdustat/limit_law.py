@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .hermite import (DEFAULT_QUAD_ORDER, ClassCoeffs, c_constant,
-                      gauss_hermite_prob, hermite_eval, hermite_sum_std)
-from .lrd_sim import (FGN, CirculantEmbedding, LrdParams, Subordinator,
-                      replication_rng)
+from .hermite import (ClassCoeffs, c_constant, gauss_hermite_prob,
+                      hermite_eval, hermite_sum_std)
+from .lrd_sim import (FGN, QUAD_ORDER, CirculantEmbedding, LrdParams,
+                      Subordinator, replication_rng)
 from .ustat import Kernel
 
 DEFAULT_GRID_SIZE = 256
@@ -205,7 +205,7 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
     B = int ( int J(y) dh(x, y)(y) ) dF(x), both evaluated by numeric
     Stieltjes integration on the class grid, with
     h-tilde(x) = int h(x, y) dF(y) and F the distribution of G(xi)
-    (integrals over F by the Gauss-Hermite rule of DEFAULT_QUAD_ORDER nodes).
+    (integrals over F by the Gauss-Hermite rule of QUAD_ORDER nodes).
 
     A TV probe is run on the class grid; violations of the kernel's declared
     bound (or an unbounded kernel) attach warnings instead of refusing the
@@ -226,7 +226,7 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
         warns.append(
             f"TV probe {tv:.3g} exceeds declared bound {kernel.tv_bound:.3g}")
 
-    s_nodes, s_weights = gauss_hermite_prob(DEFAULT_QUAD_ORDER)
+    s_nodes, s_weights = gauss_hermite_prob(QUAD_ORDER)
     data_nodes = g(s_nodes)  # samples of F via the transform
     j_vals = cls.J_rank
     j_mid = 0.5 * (j_vals[1:] + j_vals[:-1])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -164,21 +164,10 @@ class CirculantEmbedding:
         return np.fft.irfft(half.view(complex).ravel(), self._m)[:n]
 
 
-@dataclass(frozen=True)
-class GaussianPath:
-    """A simulated stationary Gaussian sample with its provenance."""
-
-    values: np.ndarray
-    params: LrdParams
-    seed: int
-
-    def __len__(self):
-        return self.values.size
-
-
 def simulate_gaussian(params: LrdParams, n: int, seed: int,
-                      rep: int = 0) -> GaussianPath:
-    """Exact stationary Gaussian sample via circulant embedding.
+                      rep: int = 0) -> np.ndarray:
+    """Exact stationary Gaussian sample of length n via circulant embedding,
+    returned read-only.
 
     Deterministic given (params, n, seed, rep): identical calls give
     bit-identical paths.
@@ -186,13 +175,15 @@ def simulate_gaussian(params: LrdParams, n: int, seed: int,
     emb = CirculantEmbedding(params, n)
     values = emb.sample(replication_rng(seed, rep))
     values.setflags(write=False)
-    return GaussianPath(values=values, params=params, seed=seed)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # subordination
 
-_GH_NODES = 200
+#: number of nodes of the Gauss-Hermite rule behind every expectation under
+#: the standard normal (centring, coefficient tables, limit functionals)
+QUAD_ORDER = 200
 
 
 def gauss_hermite_prob(order: int):
@@ -202,20 +193,18 @@ def gauss_hermite_prob(order: int):
 
 
 class Subordinator:
-    """A monotone transform G with E[G(xi)] = 0 under the standard normal.
+    """A monotone transform G with E[G(xi)] = 0 under the standard normal,
+    and its inverse.
 
-    Centering is applied at construction by subtracting the 200-node
-    Gauss-Hermite estimate of the mean.
+    With ``center`` the mean of ``fn`` under the QUAD_ORDER-node
+    Gauss-Hermite rule is subtracted.
     """
 
-    def __init__(self, fn, inverse=None, *, kind: str, center: bool = True,
-                 monotone: bool = True):
-        self.kind = kind
-        self.monotone = monotone
+    def __init__(self, fn, inverse, *, center: bool = True):
         self._fn = fn
         self._inverse = inverse
-        if center and kind != "identity":
-            x, w = gauss_hermite_prob(_GH_NODES)
+        if center:
+            x, w = gauss_hermite_prob(QUAD_ORDER)
             self.offset = float(np.dot(w, np.asarray(fn(x), dtype=float)))
         else:
             self.offset = 0.0
@@ -223,7 +212,7 @@ class Subordinator:
     @classmethod
     def identity(cls) -> "Subordinator":
         return cls(lambda x: np.asarray(x, dtype=float), lambda y: y,
-                   kind="identity", center=False)
+                   center=False)
 
     @classmethod
     def from_distribution(cls, dist) -> "Subordinator":
@@ -241,57 +230,14 @@ class Subordinator:
             med = dist.median()
             return np.where(y > med, norm.isf(dist.sf(y)), norm.ppf(dist.cdf(y)))
 
-        return cls(fn, inv, kind="quantile")
-
-    @classmethod
-    def tabulated(cls, xs, ys) -> "Subordinator":
-        """Monotone lookup table; evaluation outside [xs[0], xs[-1]] raises.
-
-        The centering integral clamps to the table endpoints; with a table
-        covering a few normal standard deviations the clipped tail mass is
-        negligible.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.size < 2 or np.any(np.diff(xs) <= 0):
-            raise ParameterError("tabulated x-grid must be strictly increasing")
-        monotone = bool(np.all(np.diff(ys) >= 0))
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            if x.size and (x.min() < xs[0] or x.max() > xs[-1]):
-                raise ParameterError(
-                    "tabulated subordinator evaluated outside its table range"
-                )
-            return np.interp(x, xs, ys)
-
-        def inv(y):
-            return np.interp(y, ys, xs)
-
-        sub = cls(fn, inv if monotone else None, kind="tabulated",
-                  center=False, monotone=monotone)
-        # np.interp clamps to the end values, unlike the checked fn
-        x, w = gauss_hermite_prob(_GH_NODES)
-        sub.offset = float(np.dot(w, np.interp(x, xs, ys)))
-        return sub
+        return cls(fn, inv)
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self._fn(x), dtype=float) - self.offset
 
     def inverse(self, y):
         """Preimage of centered values: G^{-1}(y) with G already centered."""
-        if self._inverse is None:
-            raise ParameterError(
-                f"{self.kind} subordinator has no usable inverse"
-            )
         return self._inverse(np.asarray(y, dtype=float) + self.offset)
-
-
-def subordinate(path: GaussianPath, g: Subordinator) -> np.ndarray:
-    """Elementwise X_i = G(xi_i).  Identity returns the values unchanged."""
-    if g.kind == "identity":
-        return np.asarray(path.values, dtype=float)
-    return g(path.values)
 
 
 # ---------------------------------------------------------------------------

@@ -128,16 +128,10 @@ def rank_projection_path(data_xi: np.ndarray, table: HermiteCoeffTable) -> np.nd
     m = table.rank
     if m is None:
         raise ParameterError("kernel rank not detectable from its table")
-    factors = tuple((a / (math.factorial(k) * math.factorial(l)),
-                     partial(hermite_eval, k), partial(hermite_eval, l))
-                    for (k, l), a in table.diagonal(m).items())
-    # ustat_factored reads only ``factors``; ``eval`` is the same sum, kept
-    # because every Kernel has one
-    projection = Kernel(
-        name=f"rank_{m}_projection",
-        eval=lambda x, y: sum(w * f(x) * g(y) for w, f, g in factors),
-        factors=factors)
-    return ustat_factored(data_xi, projection).raw
+    return ustat_factored(data_xi, [
+        (a / (math.factorial(k) * math.factorial(l)),
+         partial(hermite_eval, k), partial(hermite_eval, l))
+        for (k, l), a in table.diagonal(m).items()])
 
 
 def check_reduction(kernel: Kernel, params: LrdParams, n_list,
@@ -163,7 +157,7 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
         sups = np.empty(reps)
         for r in range(reps):
             xi = emb.sample(replication_rng(seed, r))
-            u = ustat_fast(xi, kernel).raw
+            u = ustat_fast(xi, kernel)
             proj = rank_projection_path(xi, table)
             sups[r] = changepoint_statistic(
                 normalize(u - proj, sc, table.a00))[0]
@@ -187,7 +181,7 @@ def normalized_sup_statistics(kernel: Kernel, table: HermiteCoeffTable,
     sups = np.empty(reps)
     for r in range(reps):
         xi = emb.sample(replication_rng(seed, r))
-        u = ustat_fast(xi, kernel).raw
+        u = ustat_fast(xi, kernel)
         sups[r] = changepoint_statistic(normalize(u, sc, table.a00))[0]
     return sups
 

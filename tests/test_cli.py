@@ -171,7 +171,7 @@ class TestDetect:
     def _write_data(self, tmp_path, shift):
         from lrdustat.lrd_sim import LrdParams, simulate_gaussian
 
-        data = simulate_gaussian(LrdParams(D=0.4), 400, seed=2).values.copy()
+        data = simulate_gaussian(LrdParams(D=0.4), 400, seed=2).copy()
         data[200:] += shift
         out = tmp_path / "data.csv"
         lrd_sim.write_path_csv(data, out)
@@ -256,7 +256,7 @@ class TestDetect:
         n = data.size
         sc = scaling(0.4, 2, n,
                      lrd_sim.asymptotic_L(lrd_sim.LrdParams(D=0.4), n))
-        u = ustat_naive(data, gaussian_bump_kernel()).raw
+        u = ustat_naive(data, gaussian_bump_kernel())
         path = np.abs(u) / (n * sc.d_n_prime)
         assert report["statistic"] == pytest.approx(np.max(path), rel=1e-12)
         assert report["k_star"] == int(np.argmax(path)) + 1
@@ -264,7 +264,7 @@ class TestDetect:
     def test_binary_input(self, tmp_path, capsys):
         from lrdustat.lrd_sim import LrdParams, simulate_gaussian
 
-        data = simulate_gaussian(LrdParams(D=0.4), 300, seed=4).values
+        data = simulate_gaussian(LrdParams(D=0.4), 300, seed=4)
         out = tmp_path / "data.csv"  # _load_data sniffs the magic, not the name
         lrd_sim.write_path_binary(data, out)
         rc, report = self._run(tmp_path, [], capsys)
@@ -305,6 +305,11 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["limit", "--kernel", "cusum", "--D", "0.4", "--levels", "0.9,x"],
     ["limit", "--kernel", "cusum", "--D", "0.4", "--levels", ","],
     ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "abc"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--levels", "1.5"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--levels", "0.9,nan"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "0,0.9"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "0.9,1"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "-0.1"],
 ], ids=["simulate-reps", "simulate-levels", "coeffs-reps", "coeffs-levels",
         "coeffs-quad-order", "coeffs-pairs-seed-closed-form",
         "coeffs-seed-quadrature", "coeffs-montecarlo-zero-pairs",
@@ -313,11 +318,22 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "verify-variance-grid-size", "verify-reduction-k",
         "verify-reduction-limit-reps", "verify-reduction-grid-size",
         "verify-weak-k", "limit-bad-family", "limit-bad-levels",
-        "limit-no-levels", "detect-bad-levels"])
+        "limit-no-levels", "detect-bad-levels", "limit-level-above-1",
+        "limit-level-nan", "detect-level-0", "detect-level-1",
+        "detect-level-negative"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
-    # argparse exits 2 through SystemExit; a ParameterError returns 2
+    # argparse exits 2 through SystemExit; a ParameterError returns 2.
+    # Either way no limit law is simulated first.  `detect` reads a stub
+    # sample, so its rows fail on the option and not on the absent x.csv.
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_data",
+                        lambda path: np.linspace(0.0, 1.0, 50))
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("limit_thm1 called")
+
+    monkeypatch.setattr(cli.limit_law, "limit_thm1", no_simulation)
     try:
         rc = cli.main(argv)
     except SystemExit as exc:

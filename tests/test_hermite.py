@@ -14,7 +14,7 @@ from lrdustat.hermite import (CONVERGENT_LIKELY, DIVERGENT_LIKELY, HermiteCoeffT
                               hermite_design, hermite_eval, rank_2d, scaling,
                               summability_diagnostic,
                               wilcoxon_coeff_closed_form)
-from lrdustat.lrd_sim import Subordinator
+from lrdustat.lrd_sim import QUAD_ORDER, Subordinator
 from lrdustat.ustat import (cusum_kernel, gaussian_bump_kernel,
                             wilcoxon_kernel)
 
@@ -52,7 +52,7 @@ class TestHermiteEval:
 
 class TestCoeffs2d:
     def test_cusum(self):
-        table = coeffs_2d(cusum_kernel(), 3, quad_order=64)
+        table = coeffs_2d(cusum_kernel(), 3)
         assert table.get(1, 0) == pytest.approx(1.0, abs=1e-10)
         assert table.get(0, 1) == pytest.approx(-1.0, abs=1e-10)
         for k in range(4):
@@ -68,7 +68,7 @@ class TestCoeffs2d:
             def eval(x, y):
                 return hermite_eval(2, x) * hermite_eval(1, y)
 
-        table = coeffs_2d(HK(), 4, quad_order=64)
+        table = coeffs_2d(HK(), 4)
         assert table.get(2, 1) == pytest.approx(2.0, abs=1e-8)
         for k in range(5):
             for l in range(5 - k):
@@ -76,7 +76,7 @@ class TestCoeffs2d:
                     assert abs(table.get(k, l)) <= 1e-8
 
     def test_quadrature_matches_closed_form_providers(self):
-        table = coeffs_2d(cusum_kernel(), 4, quad_order=64)
+        table = coeffs_2d(cusum_kernel(), 4)
         provider = cusum_kernel().coeff_provider
         for k in range(5):
             for l in range(5 - k):
@@ -84,7 +84,7 @@ class TestCoeffs2d:
                                                         abs=1e-8)
 
     def test_discontinuous_kernel_attaches_warning(self):
-        table = coeffs_2d(wilcoxon_kernel(), 2, quad_order=64)
+        table = coeffs_2d(wilcoxon_kernel(), 2)
         assert table.warnings
 
     def test_nonfinite_kernel_rejected(self):
@@ -96,7 +96,12 @@ class TestCoeffs2d:
                 return np.where(np.asarray(x) > 0, np.inf, 0.0)
 
         with pytest.raises(ParameterError):
-            coeffs_2d(Bad(), 2, quad_order=32)
+            coeffs_2d(Bad(), 2)
+
+    @pytest.mark.parametrize("Q", [0, QUAD_ORDER])
+    def test_degree_beyond_rule_rejected(self, Q):
+        with pytest.raises(ParameterError):
+            coeffs_2d(cusum_kernel(), Q)
 
     def test_parseval_bound(self):
         # sum a_{kl}^2/(k! l!) increases in Q, bounded by E[h^2] + slack
@@ -161,7 +166,7 @@ class TestWilcoxonClosedForm:
 
 class TestRank:
     def test_cusum_rank_one(self):
-        assert coeffs_2d(cusum_kernel(), 3, quad_order=64).rank == 1
+        assert coeffs_2d(cusum_kernel(), 3).rank == 1
 
     def test_centered_wilcoxon_rank_one(self):
         table = closed_form_table(wilcoxon_coeff_closed_form, 4)
@@ -175,7 +180,7 @@ class TestRank:
             def eval(x, y):
                 return np.asarray(x, dtype=float) * y
 
-        assert coeffs_2d(HK(), 3, quad_order=64).rank == 2
+        assert coeffs_2d(HK(), 3).rank == 2
 
     def test_rank_not_found(self):
         table = closed_form_table(lambda k, l: 0.0, 3)
@@ -192,7 +197,7 @@ class TestRank:
             def eval(x, y):
                 return c * (np.asarray(x, dtype=float) * y)
 
-        table = coeffs_2d(Scaled(), 3, quad_order=64, tol=1e-10 * c)
+        table = coeffs_2d(Scaled(), 3)
         assert table.rank == 2
 
 
@@ -220,12 +225,6 @@ class TestClassCoeffs:
         assert integral == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)),
                                          abs=1e-4)
 
-    def test_non_monotone_rejected(self):
-        xs = np.linspace(-3, 3, 31)
-        g = Subordinator.tabulated(xs, np.sin(2 * xs))
-        with pytest.raises(ParameterError):
-            class_coeffs(g, 2, np.linspace(-1, 1, 11))
-
 
 class TestSummability:
     def test_cusum_constant(self):
@@ -242,7 +241,7 @@ class TestSummability:
         assert rep.classification == DIVERGENT_LIKELY
 
     def test_gaussian_bump_convergent(self):
-        tables = {q: coeffs_2d(gaussian_bump_kernel(), q, quad_order=100)
+        tables = {q: coeffs_2d(gaussian_bump_kernel(), q)
                   for q in (4, 8, 16, 32)}
 
         def provider(k, l):
@@ -279,7 +278,7 @@ class TestScaling:
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        table = coeffs_2d(cusum_kernel(), 3, quad_order=64)
+        table = coeffs_2d(cusum_kernel(), 3)
         back = HermiteCoeffTable.from_json_dict(
             json.loads(json.dumps(table.to_json_dict())))
         assert back.Q == table.Q

@@ -9,7 +9,7 @@ from lrdustat.errors import NonEmbeddableError, ParameterError
 from lrdustat.lrd_sim import (FGN, TWEAKED_POWER_LAW, CirculantEmbedding,
                               LrdParams, Subordinator, asymptotic_L,
                               build_covariance, replication_rng,
-                              simulate_gaussian, subordinate)
+                              simulate_gaussian)
 
 # closed-form FGN autocovariance at lag 1 for H = 0.8, evaluated with
 # 50-digit arithmetic (mpmath) as an independent oracle:
@@ -106,9 +106,9 @@ class TestSimulateGaussian:
         params = LrdParams(D=0.4)
         a = simulate_gaussian(params, 512, seed=7)
         b = simulate_gaussian(params, 512, seed=7)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = simulate_gaussian(params, 512, seed=8)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_replications_differ(self):
         params = LrdParams(D=0.4)
@@ -139,12 +139,12 @@ class TestSimulateGaussian:
         # frozen from 200 independent replications (LRD inflates it well
         # above the iid n^{-1/2} rate)
         se = 0.0637
-        x = simulate_gaussian(params, 4096, seed=7).values
+        x = simulate_gaussian(params, 4096, seed=7)
         acov1 = np.dot(x[:-1], x[1:]) / (4096 - 1)
         assert abs(acov1 - FGN_D04_GAMMA1) < 3 * se
 
     def test_sample_variance_large_n(self):
-        x = simulate_gaussian(LrdParams(D=0.4), 10 ** 5, seed=1).values
+        x = simulate_gaussian(LrdParams(D=0.4), 10 ** 5, seed=1)
         assert 0.9 < np.var(x) < 1.1
 
     def test_non_embeddable_raises(self, monkeypatch):
@@ -165,9 +165,11 @@ class TestSimulateGaussian:
 
 class TestSubordinator:
     def test_identity_passthrough(self):
-        path = simulate_gaussian(LrdParams(D=0.4), 16, seed=0)
-        out = subordinate(path, Subordinator.identity())
-        assert np.array_equal(out, path.values)
+        values = simulate_gaussian(LrdParams(D=0.4), 16, seed=0)
+        g = Subordinator.identity()
+        assert g.offset == 0.0
+        assert np.array_equal(g(values), values)
+        assert np.array_equal(g.inverse(values), values)
 
     def test_exponential_quantile_transform(self):
         g = Subordinator.from_distribution(expon())
@@ -186,29 +188,16 @@ class TestSubordinator:
         g = Subordinator.from_distribution(expon())
         assert g(np.array([])).size == 0
 
-    def test_tabulated_range_error(self):
-        g = Subordinator.tabulated(np.linspace(-4, 4, 33),
-                                   np.linspace(-4, 4, 33) ** 3)
-        with pytest.raises(ParameterError):
-            g(np.array([5.0]))
-
-    def test_tabulated_non_monotone_has_no_inverse(self):
-        xs = np.linspace(-2, 2, 21)
-        g = Subordinator.tabulated(xs, np.sin(3 * xs))
-        assert not g.monotone
-        with pytest.raises(ParameterError):
-            g.inverse(np.array([0.0]))
-
 
 class TestSerialization:
     def test_csv_roundtrip(self, tmp_path):
-        values = simulate_gaussian(LrdParams(D=0.4), 64, seed=2).values
+        values = simulate_gaussian(LrdParams(D=0.4), 64, seed=2)
         out = tmp_path / "p.csv"
         lrd_sim.write_path_csv(values, out)
         assert np.array_equal(lrd_sim.read_path_csv(out), values)
 
     def test_binary_roundtrip(self, tmp_path):
-        values = simulate_gaussian(LrdParams(D=0.4), 64, seed=2).values
+        values = simulate_gaussian(LrdParams(D=0.4), 64, seed=2)
         out = tmp_path / "p.bin"
         lrd_sim.write_path_binary(values, out)
         assert np.array_equal(lrd_sim.read_path_binary(out), values)

@@ -27,19 +27,19 @@ finite_data = hnp.arrays(
 class TestHandExamples:
     def test_cusum_123(self):
         # U(1) = (1-2)+(1-3) = -3; U(2) = (1-3)+(2-3) = -3
-        assert np.array_equal(ustat_cusum([1.0, 2.0, 3.0]).raw, [-3.0, -3.0])
+        assert np.array_equal(ustat_cusum([1.0, 2.0, 3.0]), [-3.0, -3.0])
 
     def test_wilcoxon_132(self):
         # data 1,3,2: U(1) = #{j>1: 1<=x_j} = 2; U(2) = 1{1<=2} + 1{3<=2} = 1
-        assert np.array_equal(ustat_wilcoxon([1.0, 3.0, 2.0]).raw, [2.0, 1.0])
+        assert np.array_equal(ustat_wilcoxon([1.0, 3.0, 2.0]), [2.0, 1.0])
 
     def test_wilcoxon_sorted_four(self):
-        assert np.array_equal(ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]).raw,
+        assert np.array_equal(ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]),
                               [3.0, 4.0, 3.0])
 
     def test_wilcoxon_ties_use_leq(self):
         # all equal: every pair counts, U(k) = k (n - k)
-        assert np.array_equal(ustat_wilcoxon([5.0, 5.0, 5.0, 5.0]).raw,
+        assert np.array_equal(ustat_wilcoxon([5.0, 5.0, 5.0, 5.0]),
                               [3.0, 4.0, 3.0])
 
 
@@ -52,38 +52,38 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(5)
         data = rng.standard_normal(60)
         kernel = kernel_fn()
-        a = ustat_naive(data, kernel).raw
-        b = ustat_incremental(data, kernel).raw
+        a = ustat_naive(data, kernel)
+        b = ustat_incremental(data, kernel)
         scale = np.maximum(np.abs(a), 1.0)
         assert np.max(np.abs(a - b) / scale) < 1e-12
 
     def test_fast_cusum_matches_naive(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal(80)
-        a = ustat_naive(data, cusum_kernel()).raw
-        b = ustat_cusum(data).raw
+        a = ustat_naive(data, cusum_kernel())
+        b = ustat_cusum(data)
         scale = np.maximum(np.abs(a), 1.0)
         assert np.max(np.abs(a - b) / scale) < 1e-12
 
     def test_fast_wilcoxon_matches_naive_exactly(self):
         rng = np.random.default_rng(7)
         data = np.round(rng.standard_normal(80), 1)  # force ties
-        a = ustat_naive(data, wilcoxon_kernel()).raw
-        b = ustat_wilcoxon(data).raw
+        a = ustat_naive(data, wilcoxon_kernel())
+        b = ustat_wilcoxon(data)
         assert np.array_equal(a, b)
 
     def test_fast_dispatch(self):
         data = np.array([0.3, -1.0, 2.0, 0.1])
-        assert np.array_equal(ustat_fast(data, cusum_kernel()).raw,
-                              ustat_cusum(data).raw)
-        assert np.array_equal(ustat_fast(data, wilcoxon_kernel()).raw,
-                              ustat_wilcoxon(data).raw)
+        assert np.array_equal(ustat_fast(data, cusum_kernel()),
+                              ustat_cusum(data))
+        assert np.array_equal(ustat_fast(data, wilcoxon_kernel()),
+                              ustat_wilcoxon(data))
         bump = gaussian_bump_kernel()
-        assert np.array_equal(ustat_fast(data, bump).raw,
-                              ustat_factored(data, bump).raw)
+        assert np.array_equal(ustat_fast(data, bump),
+                              ustat_factored(data, bump.factors))
         huber = builtin_kernel("huber:1.345")
-        assert np.array_equal(ustat_fast(data, huber).raw,
-                              ustat_incremental(data, huber).raw)
+        assert np.array_equal(ustat_fast(data, huber),
+                              ustat_incremental(data, huber))
 
     def test_factored_bump_matches_naive(self):
         # criterion 4's data and bound for the bump's fast path
@@ -94,10 +94,10 @@ class TestOracleEquivalence:
                 data = replication_rng(1234 + n, rep).standard_normal(n)
                 if rep % 2:
                     data = np.round(data, 1)
-                ref = ustat_naive(data, bump).raw
+                ref = ustat_naive(data, bump)
                 scale = np.maximum(np.abs(ref), 1.0)
                 worst = max(worst, float(np.max(
-                    np.abs(ustat_factored(data, bump).raw - ref) / scale)))
+                    np.abs(ustat_factored(data, bump.factors) - ref) / scale)))
         assert worst <= 1e-9
 
     def test_factors_reproduce_eval(self):
@@ -111,15 +111,27 @@ class TestOracleEquivalence:
             expanded = sum(w * f(x) * g(y) for w, f, g in kernel.factors)
             assert np.max(np.abs(expanded - kernel.eval(x, y))) <= 1e-14
 
-    def test_factored_requires_factors(self):
-        with pytest.raises(ParameterError):
-            ustat_factored([1.0, 2.0], huber_kernel(1.0))
-
     def test_short_data_rejected(self):
         with pytest.raises(ParameterError):
             ustat_cusum([1.0])
         with pytest.raises(ParameterError):
             ustat_naive([np.nan, 1.0], cusum_kernel())
+
+
+@pytest.mark.parametrize("path", [
+    lambda x: ustat_naive(x, huber_kernel(1.0)),
+    lambda x: ustat_incremental(x, huber_kernel(1.0)),
+    ustat_cusum,
+    ustat_wilcoxon,
+    lambda x: ustat_factored(x, gaussian_bump_kernel().factors),
+    lambda x: ustat_fast(x, tukey_kernel(4.685)),
+], ids=["naive", "incremental", "cusum", "wilcoxon", "factored", "fast"])
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_path_is_float_vector_of_n_minus_1_splits(path, n):
+    u = path(replication_rng(3, n).standard_normal(n))
+    assert isinstance(u, np.ndarray)
+    assert u.dtype == np.float64
+    assert u.shape == (n - 1,)
 
 
 class _Fenwick:
@@ -181,7 +193,7 @@ class TestWilcoxonAgainstFenwick:
             "signed_zeros": rng.choice([-0.0, 0.0, 1.0, -1.0], size=n),
         }
         for name, data in cases.items():
-            assert np.array_equal(ustat_wilcoxon(data).raw,
+            assert np.array_equal(ustat_wilcoxon(data),
                                   fenwick_wilcoxon(data)), name
 
 
@@ -190,8 +202,8 @@ class TestProperties:
                                   allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_cusum_shift_invariance(self, data, c):
-        base = ustat_cusum(data).raw
-        shifted = ustat_cusum(data + c).raw
+        base = ustat_cusum(data)
+        shifted = ustat_cusum(data + c)
         tol = 1e-9 * (1.0 + np.max(np.abs(base))) + 1e-6 * abs(c) * data.size ** 2
         assert np.max(np.abs(base - shifted)) <= tol
 
@@ -200,20 +212,20 @@ class TestProperties:
     def test_wilcoxon_monotone_transform_invariance(self, data):
         # scaling by a power of two is exact in floats, so it is a strictly
         # monotone transform even for subnormal-scale differences
-        base = ustat_wilcoxon(data).raw
-        transformed = ustat_wilcoxon(data * 4.0).raw
+        base = ustat_wilcoxon(data)
+        transformed = ustat_wilcoxon(data * 4.0)
         assert np.array_equal(base, transformed)
         # rank transform is also order-preserving
         ranks = np.searchsorted(np.unique(data), data).astype(float)
-        assert np.array_equal(base, ustat_wilcoxon(ranks).raw)
+        assert np.array_equal(base, ustat_wilcoxon(ranks))
 
     @given(finite_data)
     @settings(max_examples=60, deadline=None)
     def test_cusum_reversal_antisymmetry(self, data):
         # h(x,y) = x - y is antisymmetric, so reversing the sample maps
         # U(k) to -U(n-k)
-        fwd = ustat_cusum(data).raw
-        rev = ustat_cusum(data[::-1]).raw
+        fwd = ustat_cusum(data)
+        rev = ustat_cusum(data[::-1])
         # prefix-sum rounding grows like n^3 * eps * max|data| (dominant
         # when the exact path is identically zero, e.g. constant data)
         n = data.size
@@ -227,8 +239,8 @@ class TestProperties:
         # counting the complementary pairs: U_{<=}(k) + U_reflected = k(n-k)
         # where the reflection uses 1{x > y} = 1 - 1{x <= y}
         n = data.size
-        u = ustat_wilcoxon(data).raw
-        gt = ustat_naive(data, _strict_greater_kernel()).raw
+        u = ustat_wilcoxon(data)
+        gt = ustat_naive(data, _strict_greater_kernel())
         k = np.arange(1, n, dtype=float)
         assert np.array_equal(u + gt, k * (n - k))
 
@@ -246,7 +258,7 @@ class TestChangepoint:
         n = len(data)
         params = LrdParams(D=D)
         sc = scaling(D, 1, n, asymptotic_L(params, n))
-        return normalize(ustat_cusum(np.asarray(data, dtype=float)).raw, sc,
+        return normalize(ustat_cusum(np.asarray(data, dtype=float)), sc,
                          0.0)
 
     def test_constant_data_statistic_zero(self):
@@ -271,20 +283,20 @@ class TestNormalize:
     def test_wrong_n_rejected(self):
         sc = scaling(0.4, 1, 5, 1.0)
         with pytest.raises(ParameterError):
-            normalize(ustat_cusum([1.0, 2.0, 3.0]).raw, sc, 0.0)
+            normalize(ustat_cusum([1.0, 2.0, 3.0]), sc, 0.0)
 
     def test_thm1_scale(self):
         sc = scaling(0.4, 1, 3, 1.0)
         path = ustat_cusum([1.0, 2.0, 3.0])
-        values = normalize(path.raw, sc, 0.0)
+        values = normalize(path, sc, 0.0)
         assert np.allclose(values, np.array([-3.0, -3.0]) / (sc.d_n_prime * 3))
-        assert np.array_equal(path.raw, [-3.0, -3.0])
+        assert np.array_equal(path, [-3.0, -3.0])
 
     def test_thm2_centering(self):
         # sorted Wilcoxon path [3, 4, 3] centered by a00 = 1/2:
         # k(n-k)/2 = [1.5, 2, 1.5]
         sc = scaling(0.4, 1, 4, 1.0)
-        values = normalize(ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]).raw, sc, 0.5)
+        values = normalize(ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]), sc, 0.5)
         expected = (np.array([3.0, 4.0, 3.0])
                     - np.array([1.5, 2.0, 1.5])) / (4 * sc.d_n_prime)
         assert np.allclose(values, expected)
@@ -307,4 +319,22 @@ class TestBuiltinLookup:
         v = np.asarray(k.eval(t, 0.0))
         tv = float(np.sum(np.abs(np.diff(v))))
         assert tv == pytest.approx(k.tv_bound, rel=1e-6)
+
+    @pytest.mark.parametrize("make", [huber_kernel, tukey_kernel])
+    @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf, 0.0,
+                                       -1.0])
+    def test_scale_must_be_positive_finite(self, make, param):
+        with pytest.raises(ParameterError):
+            make(param)
+
+    @pytest.mark.parametrize("make", [huber_kernel, tukey_kernel])
+    @pytest.mark.parametrize("param", [0.1, 1.0, 1.345, 4.685, 30.0])
+    def test_score_within_half_tv_bound(self, make, param):
+        # both scores are odd with sup |Psi| = tv_bound / 2
+        kernel = make(param)
+        t = np.concatenate([np.linspace(-50.0, 50.0, 4001),
+                            np.linspace(-param, param, 2001)])
+        vals = np.abs(kernel.eval(t, 0.0))
+        assert np.all(np.isfinite(vals))
+        assert np.max(vals) <= 0.5 * kernel.tv_bound * (1 + 1e-9)
 
