@@ -56,6 +56,20 @@ def levels_list(text: str) -> list:
     return levels
 
 
+def int_at_least(low: int):
+    """argparse type for an integer option with floor ``low``: a smaller
+    value exits with status 2 and a message naming the floor, before any
+    simulation runs."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _load_data(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(16)
@@ -229,8 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
 
-    def add_reps(p):
-        p.add_argument("--reps", type=int, default=limit_law.DEFAULT_REPS)
+    def add_reps(p, floor=None):
+        p.add_argument("--reps", default=limit_law.DEFAULT_REPS,
+                       type=int if floor is None else int_at_least(floor))
+
+    def add_grid_size(p):
+        p.add_argument("--grid-size", type=int_at_least(1),
+                       default=limit_law.DEFAULT_GRID_SIZE)
 
     def add_levels(p):
         p.add_argument("--levels", type=levels_list, default=[0.9, 0.95, 0.99])
@@ -249,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="Hermite coefficient table of a kernel")
     p.add_argument("--kernel", required=True)
-    p.add_argument("--Q", type=int, default=4)
+    p.add_argument("--Q", type=int_at_least(1), default=4)
     p.add_argument("--source", choices=["auto", "quadrature", "montecarlo"],
                    default="auto")
     p.add_argument("--pairs", type=int, help="montecarlo only; default 10^6")
@@ -259,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="simulate limit law, tabulate quantiles")
     common(p)
-    add_reps(p)
+    add_reps(p, limit_law.MIN_TABLE_REPS)
     add_levels(p)
     p.add_argument("--kernel", required=True)
     p.add_argument("--D", type=float, required=True)
@@ -267,20 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
     # depend on it, so it is only checked and recorded in the sidecar
     p.add_argument("--family", choices=[lrd_sim.FGN, lrd_sim.TWEAKED_POWER_LAW],
                    default=lrd_sim.FGN)
-    p.add_argument("--grid-size", type=int, default=limit_law.DEFAULT_GRID_SIZE)
+    add_grid_size(p)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("detect", help="change-point test on a data file")
     common(p)
-    add_reps(p)
+    add_reps(p, limit_law.MIN_TABLE_REPS)
     add_levels(p)
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", default="wilcoxon")
     p.add_argument("--D", type=float, default=None)
     p.add_argument("--family", default=lrd_sim.FGN)
-    p.add_argument("--grid-size", type=int, default=limit_law.DEFAULT_GRID_SIZE)
+    add_grid_size(p)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_detect)
@@ -304,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = experiments.add_parser("weak", parents=[shared])
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--kernel", default="cusum")
-    e.add_argument("--limit-reps", type=int, default=limit_law.DEFAULT_REPS)
-    e.add_argument("--grid-size", type=int, default=limit_law.DEFAULT_GRID_SIZE)
+    e.add_argument("--limit-reps", type=int_at_least(1),
+                   default=limit_law.DEFAULT_REPS)
+    add_grid_size(e)
     return parser
 
 

@@ -4,7 +4,10 @@ Fractional Brownian motion and higher-order Hermite processes are
 approximated through normalized partial sums of Hermite polynomials of an
 auxiliary LRD Gaussian path (the finite-n form of the non-central limit
 theorem), all orders sharing one auxiliary path per replication so the
-joint dependence of the limit components is preserved.
+joint dependence of the limit components is preserved.  Order 1 alone is
+fBm, and its paths are exact in distribution at the grid points: by
+self-similarity they come from an fGn draw at the grid's resolution
+N_aux/q, q the largest step that every grid index is a multiple of.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .ustat import Kernel
 DEFAULT_GRID_SIZE = 256
 DEFAULT_N_AUX = 2 ** 15
 DEFAULT_REPS = 2000
+#: fewest replications a critical-value table is computed from
+MIN_TABLE_REPS = 100
 
 
 def default_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -49,7 +54,9 @@ class LimitEnsemble:
 
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) < 0):
+    if grid.size < 2:
+        raise ParameterError("grid needs at least 2 points")
+    if np.any(np.diff(grid) < 0):
         raise ParameterError("grid must be sorted")
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise ParameterError("grid must lie inside [0, 1]")
@@ -95,12 +102,20 @@ def _hermite_partial_paths(orders, D: float, grid: np.ndarray, reps: int,
                            N_aux: int, seed: int) -> dict:
     """Normalized partial-sum paths of H_k for every requested order k,
     all orders driven by the same auxiliary path per replication."""
+    if reps < 1:
+        raise ParameterError("reps must be >= 1")
     params = LrdParams(D=D, family=FGN)
-    emb = CirculantEmbedding(params, N_aux)
     idx = _grid_indices(grid, N_aux)
-    scales = {k: 1.0 / hermite_sum_std(params, k, N_aux) for k in orders}
+    # Order 1 alone needs the fGn partial sums only at idx.  At multiples
+    # of q they have the law of the partial sums of fGn of length N_aux/q
+    # times q^H (fBm self-similarity), so draw that shorter path, which is
+    # exact at the grid points.  q <= N_aux/2 keeps at least 2 points.
+    q = math.gcd(N_aux, N_aux // 2, *idx) if orders == [1] else 1
+    n, idx = N_aux // q, idx // q
+    emb = CirculantEmbedding(params, n)
+    scales = {k: 1.0 / hermite_sum_std(params, k, n) for k in orders}
     out = {k: np.empty((reps, grid.size)) for k in orders}
-    cum = np.empty(N_aux + 1)
+    cum = np.empty(n + 1)
     cum[0] = 0.0
     for r in range(reps):
         zeta = emb.sample(replication_rng(seed, r))
@@ -116,8 +131,8 @@ def simulate_hermite(m: int, D: float, grid, reps: int,
 
     The normalization uses the exact partial-sum standard deviation at
     N_aux (Mehler quadratic form), so Var(Z_m(1)) = 1 holds exactly in
-    distribution at any N_aux.  For m = 1 this agrees with simulate_fbm up
-    to discretization.
+    distribution at any N_aux.  For m = 1 the values at the grid points are
+    fBm exactly in law, as simulate_fbm's are at multiples of 1/resolution.
     """
     if m < 1:
         raise ParameterError("m must be >= 1")
@@ -305,8 +320,9 @@ def critical_values(ensemble: LimitEnsemble, levels) -> CriticalValueTable:
     levels = [float(lv) for lv in levels]
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ParameterError("levels must lie in (0, 1)")
-    if ensemble.reps < 100:
-        raise ParameterError("need at least 100 replications for quantiles")
+    if ensemble.reps < MIN_TABLE_REPS:
+        raise ParameterError(
+            f"need at least {MIN_TABLE_REPS} replications for quantiles")
     sups = ensemble.sup_abs()
     values = [float(np.quantile(sups, lv)) for lv in levels]
     return CriticalValueTable(descriptor=ensemble.descriptor, levels=levels,

@@ -287,6 +287,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["coeffs", "--kernel", "cusum", "--reps", "5"],
     ["coeffs", "--kernel", "cusum", "--levels", "0.9"],
     ["coeffs", "--kernel", "cusum", "--quad-order", "1"],
+    ["coeffs", "--kernel", "cusum", "--Q", "-2"],
     ["coeffs", "--kernel", "cusum", "--pairs", "0", "--seed", "5"],
     ["coeffs", "--kernel", "cusum", "--source", "quadrature", "--seed", "5"],
     ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
@@ -310,8 +311,19 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "0,0.9"],
     ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "0.9,1"],
     ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "-0.1"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--grid-size", "-3"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--grid-size", "0"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--grid-size", "0"],
+    ["verify", "weak", "--grid-size", "0", *WEAK],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--reps", "-5"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--reps", "-5"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--reps", "50"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--reps", "99"],
+    ["verify", "weak", "--limit-reps", "-1", *WEAK],
+    ["verify", "weak", "--limit-reps", "0", *WEAK],
 ], ids=["simulate-reps", "simulate-levels", "coeffs-reps", "coeffs-levels",
-        "coeffs-quad-order", "coeffs-pairs-seed-closed-form",
+        "coeffs-quad-order", "coeffs-negative-Q",
+        "coeffs-pairs-seed-closed-form",
         "coeffs-seed-quadrature", "coeffs-montecarlo-zero-pairs",
         "coeffs-montecarlo-negative-pairs", "verify-levels",
         "verify-variance-kernel", "verify-variance-limit-reps",
@@ -320,7 +332,11 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "verify-weak-k", "limit-bad-family", "limit-bad-levels",
         "limit-no-levels", "detect-bad-levels", "limit-level-above-1",
         "limit-level-nan", "detect-level-0", "detect-level-1",
-        "detect-level-negative"])
+        "detect-level-negative", "limit-grid-size-negative",
+        "limit-grid-size-0", "detect-grid-size-0", "verify-weak-grid-size-0",
+        "limit-reps-negative", "detect-reps-negative", "limit-reps-50",
+        "detect-reps-99", "verify-weak-limit-reps-negative",
+        "verify-weak-limit-reps-0"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
     # argparse exits 2 through SystemExit; a ParameterError returns 2.

@@ -7,11 +7,11 @@ from scipy.stats import ks_2samp
 
 from lrdustat import limit_law
 from lrdustat.errors import ParameterError, RegimeError
-from lrdustat.hermite import c_constant, class_coeffs
+from lrdustat.hermite import c_constant, class_coeffs, hermite_sum_std
 from lrdustat.limit_law import (CriticalValueTable, critical_values,
                                 default_grid, limit_thm1, limit_thm2,
                                 simulate_fbm, simulate_hermite)
-from lrdustat.lrd_sim import Subordinator
+from lrdustat.lrd_sim import CirculantEmbedding, LrdParams, Subordinator
 from lrdustat.ustat import Kernel, cusum_kernel, wilcoxon_kernel
 
 H = 0.8  # corresponds to D = 0.4 at rank one
@@ -184,6 +184,64 @@ class TestThm1:
     def test_regime_rejected(self):
         with pytest.raises(RegimeError):
             limit_thm1({(1, 1): 1.0}, 0.5, reps=1)
+
+
+class TestRankOneGridDraw:
+    """Order 1 alone is drawn at N_aux/q, q the largest common step of the
+    grid indices, and rescaled by the exact partial-sum deviation there."""
+
+    @pytest.mark.parametrize("d", [0.1, 0.4, 0.6, 0.9])
+    @pytest.mark.parametrize("n", [2, 256, 2 ** 15])
+    def test_normalisation_is_exact_power(self, d, n):
+        # for fGn the partial-sum variance telescopes to n^(2H)
+        h = 1.0 - d / 2.0
+        assert hermite_sum_std(LrdParams(D=d), 1, n) == pytest.approx(
+            n ** h, rel=1e-12)
+
+    @pytest.fixture
+    def draw_sizes(self, monkeypatch):
+        sizes = []
+
+        class Recording(CirculantEmbedding):
+            def __init__(self, params, n):
+                sizes.append(n)
+                super().__init__(params, n)
+
+        monkeypatch.setattr(limit_law, "CirculantEmbedding", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("grid_size, drawn", [(256, 256), (200, 2 ** 15),
+                                                  (1, 2)])
+    def test_rank_one_draws_at_grid_resolution(self, draw_sizes, grid_size,
+                                               drawn):
+        limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, default_grid(grid_size),
+                   reps=2, N_aux=2 ** 15, seed=0)
+        assert draw_sizes == [drawn]
+
+    def test_mixed_orders_draw_at_n_aux(self, draw_sizes):
+        limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3,
+                   default_grid(256), reps=2, N_aux=2 ** 15, seed=0)
+        assert draw_sizes == [2 ** 15]
+
+    def test_agrees_in_law_with_fbm(self):
+        # both are exact fBm at the grid points; independent seeds, so the
+        # two-sample KS distances of Z(1) and of the sup stay below the
+        # bound exceeded with probability about 1e-6 under one law, which
+        # for two samples of equal size r is sqrt(-log(1e-6 / 2) / r)
+        d, reps = 0.4, 10000
+        grid = default_grid(64)
+        rank_one = simulate_hermite(1, d, grid, reps=reps, seed=61)
+        fbm = simulate_fbm(1.0 - d / 2.0, grid, reps=reps, seed=62)
+        bound = math.sqrt(-math.log(1e-6 / 2.0) / reps)
+        assert ks_2samp(rank_one.paths[:, -1],
+                        fbm.paths[:, -1]).statistic < bound
+        assert ks_2samp(rank_one.sup_abs(), fbm.sup_abs()).statistic < bound
+
+    def test_reps_floor(self):
+        with pytest.raises(ParameterError):
+            simulate_hermite(1, 0.4, default_grid(8), reps=0)
+        with pytest.raises(ParameterError):
+            limit_thm1({(1, 0): 1.0}, 0.4, default_grid(8), reps=0)
 
 
 class TestThm2:
