@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"  # before the imports: submodules may read it
 
-from .errors import (NonEmbeddableError, ParameterError, RankNotFoundError,
-                     RegimeError)
+from .errors import NonEmbeddableError, ParameterError, RegimeError
 from .hermite import (ClassCoeffs, HermiteCoeffTable, ScalingConstants,
                       class_coeffs, coeffs_2d, coeffs_2d_montecarlo,
                       hermite_eval, kernel_table, rank_2d, scaling,

@@ -254,10 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_levels(p):
         p.add_argument("--levels", type=levels_list, default=[0.9, 0.95, 0.99])
 
+    def add_family(p):
+        p.add_argument("--family", default=lrd_sim.FGN,
+                       choices=[lrd_sim.FGN, lrd_sim.TWEAKED_POWER_LAW])
+
     p = sub.add_parser("simulate", help="simulate an LRD Gaussian path")
     common(p)
-    p.add_argument("--family", choices=[lrd_sim.FGN, lrd_sim.TWEAKED_POWER_LAW],
-                   default=lrd_sim.FGN)
+    add_family(p)
     p.add_argument("--D", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--transform", choices=["identity", "exp"],
@@ -284,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=float, required=True)
     # bench/make_reference.py passes --family; the limit law does not
     # depend on it, so it is only checked and recorded in the sidecar
-    p.add_argument("--family", choices=[lrd_sim.FGN, lrd_sim.TWEAKED_POWER_LAW],
-                   default=lrd_sim.FGN)
+    add_family(p)
     add_grid_size(p)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("-o", "--out")
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", default="wilcoxon")
     p.add_argument("--D", type=float, default=None)
-    p.add_argument("--family", default=lrd_sim.FGN)
+    add_family(p)
     add_grid_size(p)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("-o", "--out")
@@ -312,16 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(shared)
     add_reps(shared)
     shared.add_argument("--D", type=float, required=True)
-    shared.add_argument("--family", default=lrd_sim.FGN)
+    add_family(shared)
     shared.add_argument("-o", "--out")
+    # reduction and weak draw samples, which need n >= 2
     e = experiments.add_parser("variance", parents=[shared])
-    e.add_argument("--n", type=int, action="append", required=True)
+    e.add_argument("--n", type=int_at_least(1), action="append", required=True)
     e.add_argument("--k", type=int, default=1, help="Hermite degree")
     e = experiments.add_parser("reduction", parents=[shared])
-    e.add_argument("--n", type=int, action="append", required=True)
+    e.add_argument("--n", type=int_at_least(2), action="append", required=True)
     e.add_argument("--kernel", default="cusum")
     e = experiments.add_parser("weak", parents=[shared])
-    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--n", type=int_at_least(2), required=True)
     e.add_argument("--kernel", default="cusum")
     e.add_argument("--limit-reps", type=int_at_least(1),
                    default=limit_law.DEFAULT_REPS)

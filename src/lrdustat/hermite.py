@@ -14,58 +14,64 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, RankNotFoundError, RegimeError
-from .lrd_sim import (QUAD_ORDER, Subordinator, gauss_hermite_prob,
-                      replication_rng)
+from .errors import ParameterError, RegimeError
+from .lrd_sim import (QUAD_ORDER, Subordinator, build_covariance,
+                      gauss_hermite_prob, replication_rng)
 
 QUADRATURE = "quadrature"
 CLOSED_FORM = "closed_form"
 MONTE_CARLO = "monte_carlo"
 
 
-def hermite_eval(k: int, x):
-    """Probabilists' Hermite polynomial H_k(x) by three-term recurrence.
-
-    H_0 = 1, H_1 = x, H_{k+1}(x) = x H_k(x) - k H_{k-1}(x).
-    """
-    if k < 0:
-        raise ParameterError("Hermite degree must be >= 0")
+def hermite_design(max_degree: int, x) -> np.ndarray:
+    """H_0..H_max_degree at x by the three-term recurrence
+    H_0 = 1, H_1 = x, H_{k+1}(x) = x H_k(x) - k H_{k-1}(x);
+    shape (max_degree + 1,) + x.shape."""
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for j in range(1, k):
-        h, h_prev = x * h - j * h_prev, h
-    return h if h.ndim else float(h)
-
-
-def hermite_design(max_degree: int, x: np.ndarray) -> np.ndarray:
-    """Matrix of H_0..H_max_degree evaluated at x, shape (Q+1, len(x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((max_degree + 1, x.size))
+    out = np.empty((max_degree + 1,) + x.shape)
     out[0] = 1.0
     if max_degree >= 1:
         out[1] = x
     for j in range(1, max_degree):
-        out[j + 1] = x * out[j] - j * out[j - 1]
+        row = out[j + 1, ...]  # a view, 0-d for scalar x
+        np.multiply(x, out[j], out=row)
+        row -= j * out[j - 1]
     return out
+
+
+def hermite_eval(k: int, x):
+    """Probabilists' Hermite polynomial H_k(x): row k of hermite_design."""
+    if k < 0:
+        raise ParameterError("Hermite degree must be >= 0")
+    h = hermite_design(k, x)[k]
+    return h if h.ndim else float(h)
+
+
+def _triangle(Q: int) -> np.ndarray:
+    """Boolean (Q+1, Q+1) mask of the degrees k + l <= Q."""
+    return np.add.outer(np.arange(Q + 1), np.arange(Q + 1)) <= Q
 
 
 @dataclass
 class HermiteCoeffTable:
     """Truncated coefficient matrix a_{kl} for total degrees k+l <= Q.
 
-    Entries with k+l > Q are NaN (unset).  ``rank`` is the smallest
-    k+l >= 1 with |a_{kl}| > tol, or None if undetectable at this Q.
+    ``entries`` may be given as a full (Q+1, Q+1) matrix: entries with
+    k+l > Q are set to NaN (unset).  ``rank`` is computed by
+    :func:`rank_2d`: the smallest k+l >= 1 with |a_{kl}| > tol, or None if
+    undetectable at this Q.
     """
 
     Q: int
     entries: np.ndarray
     source: str
     tol: float
-    rank: int | None
     warnings: list = field(default_factory=list)
+    rank: int | None = field(init=False)
+
+    def __post_init__(self):
+        self.entries = np.where(_triangle(self.Q), self.entries, np.nan)
+        self.rank = rank_2d(self)
 
     @property
     def a00(self) -> float:
@@ -86,35 +92,10 @@ class HermiteCoeffTable:
         return out
 
     def to_json_dict(self) -> dict:
-        kept = []
-        for k in range(self.Q + 1):
-            for l in range(self.Q + 1 - k):
-                a = float(self.entries[k, l])
-                if abs(a) > self.tol:
-                    kept.append([k, l, a])
+        kept = [[int(k), int(l), float(self.entries[k, l])]
+                for k, l in zip(*np.nonzero(np.abs(self.entries) > self.tol))]
         return {"Q": self.Q, "source": self.source, "tol": self.tol,
                 "entries": kept, "rank": self.rank}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "HermiteCoeffTable":
-        q = int(d["Q"])
-        entries = np.full((q + 1, q + 1), np.nan)
-        for k in range(q + 1):
-            entries[k, :q + 1 - k] = 0.0
-        for k, l, a in d["entries"]:
-            entries[int(k), int(l)] = float(a)
-        return cls(Q=q, entries=entries, source=str(d["source"]),
-                   tol=float(d["tol"]), rank=d.get("rank"))
-
-
-def _finish_table(entries, Q, source, tol, warns=()):
-    table = HermiteCoeffTable(Q=Q, entries=entries, source=source, tol=tol,
-                              rank=None, warnings=list(warns))
-    try:
-        table.rank = rank_2d(table)
-    except RankNotFoundError:
-        table.rank = None
-    return table
 
 
 def coeffs_2d(kernel, Q: int) -> HermiteCoeffTable:
@@ -135,16 +116,12 @@ def coeffs_2d(kernel, Q: int) -> HermiteCoeffTable:
         raise ParameterError("kernel evaluated to a non-finite value at "
                              "a quadrature node")
     design = hermite_design(Q, x) * w  # row k: H_k(x_i) w_i
-    full = design @ hv @ design.T
-    entries = np.full((Q + 1, Q + 1), np.nan)
-    for k in range(Q + 1):
-        entries[k, :Q + 1 - k] = full[k, :Q + 1 - k]
     second_moment = float(np.einsum("i,ij,j->", w, hv * hv, w))
-    tol = 1e-8 * math.sqrt(1.0 + second_moment)
     warns = []
     if "discontinuous" in {t.lower() for t in getattr(kernel, "tags", ())}:
         warns.append("quadrature-on-discontinuous-kernel")
-    return _finish_table(entries, Q, QUADRATURE, tol, warns)
+    return HermiteCoeffTable(Q, design @ hv @ design.T, QUADRATURE,
+                             1e-8 * math.sqrt(1.0 + second_moment), warns)
 
 
 def coeffs_2d_montecarlo(kernel, Q: int, pairs: int = 10 ** 7,
@@ -176,14 +153,8 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int = 10 ** 7,
         total += size
     mean = sums / total
     var = np.maximum(sq_sums / total - mean ** 2, 0.0)
-    stderr = np.sqrt(var / total)
-    entries = np.full((Q + 1, Q + 1), np.nan)
-    err = np.full((Q + 1, Q + 1), np.nan)
-    for k in range(Q + 1):
-        entries[k, :Q + 1 - k] = mean[k, :Q + 1 - k]
-        err[k, :Q + 1 - k] = stderr[k, :Q + 1 - k]
-    table = _finish_table(entries, Q, MONTE_CARLO, 1e-8)
-    return table, err
+    table = HermiteCoeffTable(Q, mean, MONTE_CARLO, 1e-8)
+    return table, np.where(_triangle(Q), np.sqrt(var / total), np.nan)
 
 
 def wilcoxon_coeff_closed_form(k: int, l: int) -> float:
@@ -205,12 +176,11 @@ def wilcoxon_coeff_closed_form(k: int, l: int) -> float:
 
 def closed_form_table(provider, Q: int) -> HermiteCoeffTable:
     """Build a coefficient table from a closed-form provider (k, l) -> a,
-    with rank tolerance 1e-12."""
-    entries = np.full((Q + 1, Q + 1), np.nan)
-    for k in range(Q + 1):
-        for l in range(Q + 1 - k):
-            entries[k, l] = provider(k, l)
-    return _finish_table(entries, Q, CLOSED_FORM, 1e-12)
+    called for k+l <= Q only, with rank tolerance 1e-12."""
+    inside = _triangle(Q)
+    entries = np.zeros(inside.shape)
+    entries[inside] = [provider(k, l) for k, l in zip(*np.nonzero(inside))]
+    return HermiteCoeffTable(Q, entries, CLOSED_FORM, 1e-12)
 
 
 def kernel_table(kernel) -> HermiteCoeffTable:
@@ -226,15 +196,16 @@ def kernel_table(kernel) -> HermiteCoeffTable:
     return table
 
 
-def rank_2d(table: HermiteCoeffTable) -> int:
-    """Smallest k+l >= 1 with |a_{kl}| > table.tol; a_{00} is excluded."""
+def rank_2d(table: HermiteCoeffTable) -> int | None:
+    """Smallest k+l >= 1 with |a_{kl}| > table.tol, a_{00} excluded, or
+    None when no entry up to total degree table.Q exceeds the tolerance."""
     if table.Q < 1:
         raise ParameterError("table must be populated to degree Q >= 1")
     for q in range(1, table.Q + 1):
         for k in range(q + 1):
             if abs(table.entries[k, q - k]) > table.tol:
                 return q
-    raise RankNotFoundError(table.Q)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -259,32 +230,32 @@ class ClassCoeffs:
 
 
 def class_coeffs(g: Subordinator, k_max: int, grid) -> ClassCoeffs:
-    """Hermite coefficients J_k(x) = E[1{G(xi) <= x} H_k(xi)].
+    """Hermite coefficients J_k(x) = E[1{G(xi) <= x} H_k(xi)], exactly.
 
-    Requires monotone G: the indicator restricts the integral to
-    s <= G^{-1}(x), which is evaluated by adaptive quadrature.  The class
-    rank is the first k with max |J_k| > 1e-8.
+    For monotone G the indicator restricts the integral to s <= t with
+    t = G^{-1}(x), and (H_{k-1} phi)' = -H_k phi gives
+    J_k(x) = -H_{k-1}(t) phi(t), which is 0 where t = -inf or +inf (x below
+    or above the range of G).  The class rank is the first k with
+    max |J_k| > 1e-8; a grid on which no J_k reaches it (one that misses
+    the range of G) raises ParameterError.
     """
-    from scipy.integrate import quad
-
     tol = 1e-8
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) < 0):
         raise ParameterError("grid must be sorted")
-    cutoffs = np.asarray(g.inverse(grid), dtype=float)
-    values = np.empty((k_max, grid.size))
-    phi = lambda s: np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
-    for k in range(1, k_max + 1):
-        integrand = lambda s, k=k: hermite_eval(k, s) * phi(s)
-        for j, t in enumerate(cutoffs):
-            val, _ = quad(integrand, -np.inf, t, limit=200)
-            values[k - 1, j] = val
-    max_abs = np.max(np.abs(values), axis=1)
-    above = np.nonzero(max_abs > tol)[0]
+    t = np.asarray(g.inverse(grid), dtype=float)
+    finite = np.isfinite(t)
+    t = np.where(finite, t, 0.0)
+    phi = np.where(finite, np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi),
+                   0.0)
+    values = -hermite_design(k_max - 1, t) * phi
+    above = np.nonzero(np.max(np.abs(values), axis=1) > tol)[0]
     if above.size == 0:
-        raise RankNotFoundError(k_max)
+        raise ParameterError(
+            f"no class coefficient J_1..J_{k_max} above {tol:g} on the grid; "
+            "does it miss the range of G?")
     return ClassCoeffs(grid=grid, values=values, rank=int(above[0]) + 1,
                        tol=tol)
 
@@ -401,8 +372,6 @@ def scaling(D: float, m: int, n: int, L_at_n: float) -> ScalingConstants:
 def hermite_sum_std(params, m: int, n: int) -> float:
     """Exact standard deviation of sum_{i<=n} H_m(xi_i) via Mehler's identity:
     Var = m! * sum_{i,j} gamma(|i-j|)^m."""
-    from .lrd_sim import build_covariance
-
     gamma = build_covariance(params, n - 1)
     lags = np.arange(1, n, dtype=float)
     var = math.factorial(m) * (n + 2.0 * np.dot(n - lags, gamma[1:] ** m))

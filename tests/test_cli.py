@@ -321,6 +321,11 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["detect", "--input", "x.csv", "--D", "0.4", "--reps", "99"],
     ["verify", "weak", "--limit-reps", "-1", *WEAK],
     ["verify", "weak", "--limit-reps", "0", *WEAK],
+    ["verify", "variance", "--n", "0", *VARIANCE],
+    ["verify", "reduction", "--n", "1", *REDUCTION],
+    ["verify", "weak", "--n", "1", *WEAK],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--family", "bogus"],
+    ["verify", "weak", "--family", "bogus", *WEAK],
 ], ids=["simulate-reps", "simulate-levels", "coeffs-reps", "coeffs-levels",
         "coeffs-quad-order", "coeffs-negative-Q",
         "coeffs-pairs-seed-closed-form",
@@ -336,7 +341,9 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "limit-grid-size-0", "detect-grid-size-0", "verify-weak-grid-size-0",
         "limit-reps-negative", "detect-reps-negative", "limit-reps-50",
         "detect-reps-99", "verify-weak-limit-reps-negative",
-        "verify-weak-limit-reps-0"])
+        "verify-weak-limit-reps-0", "verify-variance-n-0",
+        "verify-reduction-n-1", "verify-weak-n-1", "detect-bad-family",
+        "verify-weak-bad-family"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
     # argparse exits 2 through SystemExit; a ParameterError returns 2.
@@ -454,11 +461,17 @@ class TestVerify:
 
 
 # Run in a fresh interpreter: the CLI's start-up, detect and verify
-# reduction/weak paths must not import scipy (about a second per process);
-# the subcommands that need it import it lazily and must still run.
+# reduction/weak paths, and the empirical-process route (class_coeffs,
+# limit_thm2) must not import scipy (about a second per process); the
+# subcommands that need it import it lazily and must still run.
 IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     import json, sys
+    import numpy as np
     import lrdustat.cli as cli
+    from lrdustat.hermite import class_coeffs
+    from lrdustat.limit_law import default_grid, limit_thm2, simulate_hermite
+    from lrdustat.lrd_sim import Subordinator
+    from lrdustat.ustat import cusum_kernel
 
     def scipy_modules():
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -480,6 +493,11 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
                                        "gaussian_bump", "--D", "0.4",
                                        "--n", "64", "--reps", "2"])
     seen["verify_reduction"] = scipy_modules()
+    identity = Subordinator.identity()
+    cls = class_coeffs(identity, 1, np.linspace(-8.0, 8.0, 201))
+    z = simulate_hermite(1, 0.4, default_grid(16), reps=10, N_aux=2 ** 12)
+    limit_thm2(cusum_kernel(), identity, cls, z)
+    seen["limit_thm2"] = scipy_modules()
     rc["simulate_exp"] = cli.main(["simulate", "--D", "0.4", "--n", "64",
                                    "--transform", "exp", "-o", out])
     print(json.dumps({"rc": rc, "seen": seen}))
@@ -501,4 +519,5 @@ def test_cli_and_detect_import_no_scipy(tmp_path):
     assert all(rc == 0 for rc in result["rc"].values()), result["rc"]
     assert result["seen"] == {stage: [] for stage in
                               ("import", "wilcoxon", "cusum", "gaussian_bump",
-                               "verify_weak", "verify_reduction")}
+                               "verify_weak", "verify_reduction",
+                               "limit_thm2")}
