@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     add_family(p)
     p.add_argument("--D", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int_at_least(2), required=True)
     p.add_argument("--transform", choices=["identity", "exp"],
                    default="identity")
     p.add_argument("--binary", action="store_true")

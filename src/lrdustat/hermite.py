@@ -157,15 +157,25 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int = 10 ** 7,
     return table, np.where(_triangle(Q), np.sqrt(var / total), np.nan)
 
 
+#: largest total degree k+l of the Wilcoxon closed form: Gamma(s/2)
+#: overflows float64 from s = 345 on (Gamma(172.5) > 1.8e308)
+WILCOXON_MAX_DEGREE = 344
+
+
 def wilcoxon_coeff_closed_form(k: int, l: int) -> float:
     """Closed-form Hermite coefficients of the kernel 1{x <= y}.
 
     a_{kl} = (-1)^((l+3k-1)/2) Gamma((l+k)/2) / (2 pi) for k+l odd,
-    0 for k+l even and positive, and 1/2 for k = l = 0.
+    0 for k+l even and positive, and 1/2 for k = l = 0.  Total degrees
+    above WILCOXON_MAX_DEGREE raise ParameterError.
     """
     if k < 0 or l < 0:
         raise ParameterError("degrees must be >= 0")
     s = k + l
+    if s > WILCOXON_MAX_DEGREE:
+        raise ParameterError(
+            f"Wilcoxon coefficients of total degree {s} overflow float64; "
+            f"the largest supported total degree is {WILCOXON_MAX_DEGREE}")
     if s == 0:
         return 0.5
     if s % 2 == 0:

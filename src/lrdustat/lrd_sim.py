@@ -11,7 +11,9 @@ slowly varying L.  Two concrete families are offered:
 A pure power law k^(-D) is deliberately not offered: it would force
 gamma(1) = gamma(0) = 1, which is not a valid nondegenerate covariance.
 Sampling is exact-in-distribution via circulant embedding (Davies-Harte,
-Wood-Chan): one real inverse FFT of size 2(n-1) per draw.
+Wood-Chan) of the smallest length n' >= n whose FFT size 2(n'-1) is
+5-smooth: one real inverse FFT of that size per draw, of which the first n
+values are returned.  A prefix of an exact stationary draw is exact.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ PATH_MAGIC = b"LRDUSTAT-PATH\x00\x00\x00"
 #: identity of the random streams: which draws a (seed, rep) pair yields.
 #: Bump it whenever a change alters them, so that caches of simulated
 #: results keyed on it are not served stale.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _MASK64 = (1 << 64) - 1
 
@@ -108,12 +110,26 @@ def asymptotic_L(params: LrdParams, n: int) -> float:
     return (n / (1.0 + n)) ** params.D
 
 
+def embedding_length(n: int) -> int:
+    """Smallest n' >= n whose circulant size 2(n'-1) is 5-smooth."""
+    m = 2 * (n - 1)
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m // 2 + 1
+        m += 2
+
+
 class CirculantEmbedding:
     """Precomputed circulant embedding of a stationary covariance sequence.
 
-    Building the embedding costs one FFT; each draw then costs one real
-    inverse FFT of size M = 2(n-1).  Reuse one instance across Monte Carlo
-    replications.
+    The covariance is embedded at n' = embedding_length(n) >= n, so each draw
+    costs one real inverse FFT of the 5-smooth size M = 2(n'-1), and returns
+    the first n values of the exact length-n' draw.  Building the embedding
+    costs one FFT.  Reuse one instance across Monte Carlo replications.
     """
 
     def __init__(self, params: LrdParams, n: int):
@@ -121,8 +137,9 @@ class CirculantEmbedding:
             raise ParameterError("n must be >= 2")
         self.params = params
         self.n = n
-        gamma = build_covariance(params, n - 1)
-        # first row of the circulant matrix, size M = 2(n-1)
+        n_emb = embedding_length(n)
+        gamma = build_covariance(params, n_emb - 1)
+        # first row of the circulant matrix, size M = 2(n'-1)
         row = np.concatenate([gamma, gamma[-2:0:-1]])
         eig = np.fft.fft(row).real
         max_eig = eig.max()
@@ -130,8 +147,8 @@ class CirculantEmbedding:
         if min_eig < -EMBED_TOL * max_eig:
             raise NonEmbeddableError(
                 f"covariance embedding for family={params.family!r}, "
-                f"D={params.D}, n={n} has eigenvalue {min_eig:.3e} below "
-                f"-{EMBED_TOL:g} * max eigenvalue"
+                f"D={params.D}, n={n} (embedded at {n_emb}) has eigenvalue "
+                f"{min_eig:.3e} below -{EMBED_TOL:g} * max eigenvalue"
             )
         if min_eig < 0.0:
             warnings.warn(
@@ -145,23 +162,22 @@ class CirculantEmbedding:
         # M * irfft of the conjugated half-spectrum.  Rows of _scale hold
         # (real, imag) factors: sqrt(M * eig), times 1/sqrt(2) at the complex
         # interior frequencies, with the conjugation as the sign of column 1.
-        scale = np.sqrt(eig[:n] * self._m)
-        scale[1:n - 1] /= np.sqrt(2.0)
+        scale = np.sqrt(eig[:n_emb] * self._m)
+        scale[1:n_emb - 1] /= np.sqrt(2.0)
         self._scale = np.stack([scale, -scale], axis=1)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One exact stationary Gaussian draw of length n.
 
-        Normals are drawn in a fixed order: the real frequencies 0 and n-1,
-        then the (real, imag) pairs of frequencies 1..n-2.
+        Normals are drawn in a fixed order: the real frequencies 0 and n'-1,
+        then the (real, imag) pairs of frequencies 1..n'-2.
         """
-        n = self.n
-        half = np.empty((n, 2))
+        half = np.empty_like(self._scale)
         half[0] = rng.standard_normal(), 0.0
-        half[n - 1] = rng.standard_normal(), 0.0
-        rng.standard_normal(out=half[1:n - 1])
+        half[-1] = rng.standard_normal(), 0.0
+        rng.standard_normal(out=half[1:-1])
         half *= self._scale
-        return np.fft.irfft(half.view(complex).ravel(), self._m)[:n]
+        return np.fft.irfft(half.view(complex).ravel(), self._m)[:self.n]
 
 
 def simulate_gaussian(params: LrdParams, n: int, seed: int,

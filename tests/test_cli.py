@@ -155,6 +155,21 @@ class TestLimit:
         assert len(list(isolated_cache.glob("cv_*.json"))) == 2
         assert first.exists()
 
+    def test_stream_version_2_cache_is_a_miss(self, isolated_cache, capsys,
+                                              monkeypatch):
+        # tables cached before the 5-smooth embedding are not served
+        with monkeypatch.context() as m:
+            m.setattr(lrd_sim, "STREAM_VERSION", 2)
+            assert cli.main(self.ARGS) == 0
+        calls = []
+        real = cli.limit_law.limit_thm1
+        monkeypatch.setattr(cli.limit_law, "limit_thm1",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        assert lrd_sim.STREAM_VERSION == 3
+        assert cli.main(self.ARGS) == 0
+        assert calls == [1]
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 2
+
     def test_sidecar_records_parsed_levels(self, tmp_path, capsys):
         out = tmp_path / "cv.json"
         assert cli.main(self.ARGS + ["-o", str(out)]) == 0
@@ -284,10 +299,12 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["simulate", "--D", "0.4", "--n", "64", "--reps", "5", "-o", "x.csv"],
     ["simulate", "--D", "0.4", "--n", "64", "--levels", "nonsense",
      "-o", "x.csv"],
+    ["simulate", "--D", "0.4", "--n", "1", "-o", "x.csv"],
     ["coeffs", "--kernel", "cusum", "--reps", "5"],
     ["coeffs", "--kernel", "cusum", "--levels", "0.9"],
     ["coeffs", "--kernel", "cusum", "--quad-order", "1"],
     ["coeffs", "--kernel", "cusum", "--Q", "-2"],
+    ["coeffs", "--kernel", "wilcoxon", "--Q", "400"],
     ["coeffs", "--kernel", "cusum", "--pairs", "0", "--seed", "5"],
     ["coeffs", "--kernel", "cusum", "--source", "quadrature", "--seed", "5"],
     ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
@@ -326,8 +343,9 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["verify", "weak", "--n", "1", *WEAK],
     ["detect", "--input", "x.csv", "--D", "0.4", "--family", "bogus"],
     ["verify", "weak", "--family", "bogus", *WEAK],
-], ids=["simulate-reps", "simulate-levels", "coeffs-reps", "coeffs-levels",
-        "coeffs-quad-order", "coeffs-negative-Q",
+], ids=["simulate-reps", "simulate-levels", "simulate-n-1", "coeffs-reps",
+        "coeffs-levels", "coeffs-quad-order", "coeffs-negative-Q",
+        "coeffs-wilcoxon-Q-400",
         "coeffs-pairs-seed-closed-form",
         "coeffs-seed-quadrature", "coeffs-montecarlo-zero-pairs",
         "coeffs-montecarlo-negative-pairs", "verify-levels",

@@ -162,6 +162,16 @@ class TestWilcoxonClosedForm:
         assert wilcoxon_coeff_closed_form(2, 1) == pytest.approx(oracle,
                                                                  abs=1e-9)
 
+    def test_largest_total_degree(self):
+        # Gamma(171.5) is finite in float64, Gamma(172.5) is not
+        assert hermite.WILCOXON_MAX_DEGREE == 344
+        assert math.isfinite(wilcoxon_coeff_closed_form(0, 343))
+        assert wilcoxon_coeff_closed_form(200, 144) == 0.0
+        for k, l in [(0, 345), (200, 145), (346, 0)]:
+            with pytest.raises(ParameterError, match="largest supported "
+                               "total degree is 344"):
+                wilcoxon_coeff_closed_form(k, l)
+
 
 class TestRank:
     def test_cusum_rank_one(self):

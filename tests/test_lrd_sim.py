@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.stats import expon
 
 from lrdustat import lrd_sim
 from lrdustat.errors import NonEmbeddableError, ParameterError
 from lrdustat.lrd_sim import (FGN, TWEAKED_POWER_LAW, CirculantEmbedding,
                               LrdParams, Subordinator, asymptotic_L,
-                              build_covariance, replication_rng,
-                              simulate_gaussian)
+                              build_covariance, embedding_length,
+                              replication_rng, simulate_gaussian)
 
 # closed-form FGN autocovariance at lag 1 for H = 0.8, evaluated with
 # 50-digit arithmetic (mpmath) as an independent oracle:
@@ -89,16 +90,81 @@ def complex_fft_sample(params, n, rng):
     return np.fft.fft(sqrt_eig * z).real[:n]
 
 
+class UnitVectorRng:
+    """Stand-in generator whose normals, in the order the sampler draws
+    them, form the unit vector e_j (j < 0 gives all zeros).  ``count`` is
+    the number of normals drawn so far."""
+
+    def __init__(self, j):
+        self.j = j
+        self.count = 0
+
+    def standard_normal(self, out=None):
+        if out is None:
+            self.count += 1
+            return float(self.count - 1 == self.j)
+        out[...] = 0.0
+        if 0 <= self.j - self.count < out.size:
+            out.flat[self.j - self.count] = 1.0
+        self.count += out.size
+        return out
+
+
+def five_smooth_up_to(limit):
+    """The set of 2^a 3^b 5^c <= limit, built by enumeration."""
+    out = set()
+    p2 = 1
+    while p2 <= limit:
+        p3 = p2
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                out.add(p5)
+                p5 *= 5
+            p3 *= 3
+        p2 *= 2
+    return out
+
+
 class TestCirculantStreams:
     @pytest.mark.parametrize("n", [2, 3, 7, 2000, 2 ** 15])
     def test_matches_complex_fft_reference(self, n):
+        # the reference is drawn at the embedded length n' and cut to n
         params = LrdParams(D=0.4)
         emb = CirculantEmbedding(params, n)
+        n_emb = embedding_length(n)
         for rep in range(5):
             got = emb.sample(replication_rng(3, rep))
-            want = complex_fft_sample(params, n, replication_rng(3, rep))
+            want = complex_fft_sample(params, n_emb,
+                                      replication_rng(3, rep))[:n]
             assert got.shape == (n,)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestEmbeddingLength:
+    def test_smallest_five_smooth_size(self):
+        smooth = five_smooth_up_to(20000)
+        for n in range(2, 5001):
+            n_emb = embedding_length(n)
+            assert n_emb >= n
+            assert 2 * (n_emb - 1) in smooth
+            assert not any(2 * (k - 1) in smooth for k in range(n, n_emb))
+
+    @pytest.mark.parametrize("family", [FGN, TWEAKED_POWER_LAW])
+    @pytest.mark.parametrize("n", [8, 2000])
+    def test_prefix_covariance_is_exact(self, family, n):
+        # The sampler is linear in its normals: feeding unit vectors gives
+        # the columns of A with x = A z, and Cov(x) = A A^T exactly.
+        assert embedding_length(n) > n
+        params = LrdParams(D=0.4, family=family)
+        emb = CirculantEmbedding(params, n)
+        counter = UnitVectorRng(-1)
+        assert not np.any(emb.sample(counter))
+        cols = np.array([emb.sample(UnitVectorRng(j))
+                         for j in range(counter.count)])
+        assert cols.shape == (2 * (embedding_length(n) - 1), n)
+        want = toeplitz(build_covariance(params, n - 1))
+        assert np.max(np.abs(cols.T @ cols - want)) <= 1e-12
 
 
 class TestSimulateGaussian:
