@@ -8,8 +8,7 @@ from .hermite import (ClassCoeffs, HermiteCoeffTable, ScalingConstants,
                       hermite_eval, kernel_table, rank_2d, scaling,
                       summability_diagnostic, wilcoxon_coeff_closed_form)
 from .limit_law import (CriticalValueTable, LimitEnsemble, critical_values,
-                        default_grid, limit_thm1, limit_thm2, simulate_fbm,
-                        simulate_hermite)
+                        default_grid, limit_thm1, limit_thm2, simulate_hermite)
 from .lrd_sim import (FGN, TWEAKED_POWER_LAW, LrdParams, Subordinator,
                       asymptotic_L, build_covariance, replication_rng,
                       simulate_gaussian)

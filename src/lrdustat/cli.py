@@ -84,17 +84,19 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
     """Critical-value table for the limit functional of the kernel's
     coefficient ``table`` (from :func:`hermite.kernel_table`), cached on disk
     keyed by (kernel, D, m, reps, grid, seed, levels) and by what produced
-    it: the sampler's stream version, N_aux and the package version.  The
-    limit law depends on D and the rank-m diagonal only, not on the
-    covariance family.  A cache file that does not parse is recomputed and
-    overwritten."""
+    it: the sampler's stream version, the N_aux the diagonal's law draws at
+    and the package version.  The limit law depends on D and the rank-m
+    diagonal only, not on the covariance family.  A cache file that does
+    not parse is recomputed and overwritten."""
     m = table.rank
+    diagonal = table.diagonal(m)
+    n_aux = limit_law.resolve_n_aux(limit_law.hermite_orders(diagonal))
     key_src = json.dumps({
         "kernel": kernel.name, "D": d_exp, "m": m,
         "reps": reps, "grid_size": grid_size, "seed": seed,
         "levels": sorted(levels),
         "stream_version": lrd_sim.STREAM_VERSION,
-        "n_aux": limit_law.DEFAULT_N_AUX, "package_version": __version__,
+        "n_aux": n_aux, "package_version": __version__,
     }, sort_keys=True)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     cache_file = _cache_dir() / f"cv_{key}.json"
@@ -105,8 +107,8 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
         except (ValueError, KeyError, TypeError):
             pass  # corrupt cache file: recompute below
     ensemble = limit_law.limit_thm1(
-        table.diagonal(m), d_exp, grid=limit_law.default_grid(grid_size),
-        reps=reps, seed=seed)
+        diagonal, d_exp, grid=limit_law.default_grid(grid_size), reps=reps,
+        N_aux=n_aux, seed=seed)
     cv_table = limit_law.critical_values(ensemble, sorted(levels))
     if use_cache:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
@@ -191,13 +193,15 @@ def cmd_detect(args) -> int:
     table = limit_table(kernel, coeffs, args.D, args.reps, args.grid_size,
                         args.seed, args.levels, use_cache=not args.no_cache)
     decisions = {repr(lv): {"critical_value": table.value_at(lv),
+                            "interval": table.interval_at(lv),
                             "reject": stat > table.value_at(lv)}
                  for lv in args.levels}
     report = {"subcommand": "detect", "input": args.input,
               "kernel": kernel.name, "D": args.D, "family": args.family,
               "n": int(n), "statistic": stat, "k_star": k_star,
               "k_star_fraction": k_star / n, "levels": decisions,
-              "table_reps": table.reps, "seed": args.seed}
+              "table_reps": table.reps, "seed": args.seed,
+              "law": table.descriptor, "warnings": table.warnings}
     text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -3,8 +3,9 @@
 Probabilists' Hermite polynomials, bivariate Hermite coefficients
 a_{kl} = E[h(xi, eta) H_k(xi) H_l(eta)] and their rank, the class
 coefficients J_k(x) driving the empirical-process limit, summability
-diagnostics for sum |a_{kl}| / sqrt(k! l!), and the scaling constants
-c_m, d_n, d'_n and H.
+diagnostics for sum |a_{kl}| / sqrt(k! l!), the scaling constants
+c_m, d_n, d'_n and H, and the skewness of H_2 partial sums, exact at
+finite n and in the Rosenblatt limit.
 """
 
 from __future__ import annotations
@@ -359,6 +360,19 @@ def c_constant(D: float, k: int) -> float:
     return 2.0 * math.factorial(k) / ((1.0 - D * k) * (2.0 - D * k))
 
 
+def rosenblatt_skewness(D: float) -> float:
+    """Skewness of the Rosenblatt variable Z_2(1), the rank-2 Hermite
+    process at time 1 (Taqqu 1975; its cumulants: Veillette & Taqqu 2013).
+
+    It is 8 I_3 / (2 I_2)^(3/2), with I_p the integral over [0, 1]^p of
+    |x_1 - x_2|^(-D) ... |x_p - x_1|^(-D) around the p-cycle:
+    2 I_2 = c_2 and I_3 = 6 B(1-D, 1-D) / ((2-3D)(3-3D)).
+    """
+    i3 = (6.0 * math.gamma(1.0 - D) ** 2 / math.gamma(2.0 - 2.0 * D)
+          / ((2.0 - 3.0 * D) * (3.0 - 3.0 * D)))
+    return 8.0 * i3 / c_constant(D, 2) ** 1.5
+
+
 def scaling(D: float, m: int, n: int, L_at_n: float) -> ScalingConstants:
     """Scaling constants: c_m, d'_n = (n^(2-mD) L^m)^(1/2), d_n = sqrt(c_m) d'_n
     and H = 1 - Dm/2."""
@@ -386,3 +400,31 @@ def hermite_sum_std(params, m: int, n: int) -> float:
     lags = np.arange(1, n, dtype=float)
     var = math.factorial(m) * (n + 2.0 * np.dot(n - lags, gamma[1:] ** m))
     return math.sqrt(var)
+
+
+def cycle_traces(gamma) -> tuple:
+    """(tr(G^2), tr(G^3)) of the symmetric Toeplitz matrix G with first row
+    ``gamma``, in O(n log n).
+
+    Grouping the index triples of tr(G^3) by their span s (the third index
+    lies between the other two) gives
+    tr(G^3) = n g_0^3 + sum_{s>=1} (n-s) g_s (6 c_s - 6 g_0 g_s),
+    with c = g * g the one-sided autoconvolution: one zero-padded FFT.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    n = gamma.size
+    spectrum = np.fft.rfft(gamma, 2 * n)
+    conv = np.fft.irfft(spectrum * spectrum, 2 * n)[1:n]
+    g0, g = gamma[0], gamma[1:]
+    weights = n - np.arange(1, n, dtype=float)
+    tr2 = n * g0 ** 2 + 2.0 * np.dot(weights, g * g)
+    tr3 = n * g0 ** 3 + 6.0 * np.dot(weights, g * (conv - g0 * g))
+    return float(tr2), float(tr3)
+
+
+def hermite2_sum_skewness(params, n: int) -> float:
+    """Exact skewness of sum_{i<=n} H_2(xi_i).  Its cumulants are
+    kappa_p = 2^(p-1) (p-1)! tr(G^p), G the n x n covariance matrix, so the
+    skewness is 8 tr(G^3) / (2 tr(G^2))^(3/2)."""
+    tr2, tr3 = cycle_traces(build_covariance(params, n - 1))
+    return 8.0 * tr3 / (2.0 * tr2) ** 1.5

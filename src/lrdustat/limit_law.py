@@ -1,17 +1,24 @@
 """Simulation of the limiting processes and their sup-functionals.
 
-Fractional Brownian motion and higher-order Hermite processes are
-approximated through normalized partial sums of Hermite polynomials of an
-auxiliary LRD Gaussian path (the finite-n form of the non-central limit
-theorem), all orders sharing one auxiliary path per replication so the
-joint dependence of the limit components is preserved.  Order 1 alone is
-fBm, and its paths are exact in distribution at the grid points: by
-self-similarity they come from an fGn draw at the grid's resolution
-N_aux/q, q the largest step that every grid index is a multiple of.
+Hermite processes are approximated through normalized partial sums of
+Hermite polynomials of an auxiliary LRD Gaussian path of length N_aux (the
+finite-n form of the non-central limit theorem), all orders sharing one
+auxiliary path per replication so the joint dependence of the limit
+components is preserved.  Two laws are drawn more cheaply than that:
+
+* Order 1 alone is fBm, and its paths are exact in distribution at the
+  grid points: by self-similarity they come from an fGn draw at the grid's
+  resolution N_aux/q, q the largest step that every grid index is a
+  multiple of.
+* Order 2 alone, the Rosenblatt process, is drawn at N_aux = 2^12 as
+  a S + b B: S the H_2 partial-sum path and B an independent fBm with
+  H = 1 - D.  The weights keep the covariance and make the third cumulant
+  of Z_2(1) the limit's exactly (:func:`rosenblatt_mix`).
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,16 +27,23 @@ import numpy as np
 
 from .errors import ParameterError, RegimeError
 from .hermite import (ClassCoeffs, c_constant, gauss_hermite_prob,
-                      hermite_eval, hermite_sum_std)
+                      hermite2_sum_skewness, hermite_eval, hermite_sum_std,
+                      rosenblatt_skewness)
 from .lrd_sim import (FGN, QUAD_ORDER, CirculantEmbedding, LrdParams,
                       Subordinator, replication_rng)
 from .ustat import Kernel
 
 DEFAULT_GRID_SIZE = 256
+#: auxiliary path length of every law but the corrected order-2 one
 DEFAULT_N_AUX = 2 ** 15
+#: auxiliary path length of the third-cumulant-corrected order-2 law
+CORRECTED_N_AUX = 2 ** 12
 DEFAULT_REPS = 2000
 #: fewest replications a critical-value table is computed from
 MIN_TABLE_REPS = 100
+#: probability that a critical value's order-statistic interval covers the
+#: quantile of the limit law
+CV_COVERAGE = 0.95
 
 
 def default_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -68,94 +82,126 @@ def _grid_indices(grid: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(np.floor(grid * n).astype(int), n)
 
 
-def simulate_fbm(H: float, grid, reps: int, seed: int,
-                 resolution: int = 1024) -> LimitEnsemble:
-    """Fractional Brownian motion paths with Var(B_H(1)) = 1.
+def hermite_orders(entries) -> list:
+    """Orders k >= 1 of the Hermite processes a diagonal {(k, l): a} uses."""
+    return sorted({k for kl in entries for k in kl if k >= 1})
 
-    Each path is the cumulative sum of exact fractional Gaussian noise at
-    the given resolution, scaled by resolution^(-H); for FGN the partial-sum
-    variance is exactly n^(2H), so the normalization is exact.
+
+def resolve_n_aux(orders, N_aux=None) -> int:
+    """Auxiliary path length of the law of the given Hermite orders:
+    ``N_aux`` when given, else CORRECTED_N_AUX for order 2 alone and
+    DEFAULT_N_AUX otherwise."""
+    if N_aux is not None:
+        return int(N_aux)
+    return CORRECTED_N_AUX if list(orders) == [2] else DEFAULT_N_AUX
+
+
+def rosenblatt_mix(D: float, N_aux: int) -> tuple:
+    """Weights (a, b) of the corrected order-2 law Z = a S + b B, and the
+    exact skewness g1_N of S(1).
+
+    S is the normalized H_2 partial-sum path over fGn of length N_aux and B
+    an independent fBm with H = 1 - D.  Both have unit variance at 1 and,
+    in the limit, the Rosenblatt process's covariance, so a^2 + b^2 = 1
+    keeps it; a^3 g1_N = g1(D) makes the skewness of Z(1) the limit's.
+    g1_N exceeds g1(D) at every D < 1/2, so a < 1; the clip at 1 only
+    catches rounding near D = 0, where the two agree.
     """
-    if not 0.5 < H < 1.0:
-        raise ParameterError("H must lie in (1/2, 1)")
-    grid = _check_grid(grid)
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
-    d = 2.0 * (1.0 - H)
-    emb = CirculantEmbedding(LrdParams(D=d, family=FGN), resolution)
-    idx = _grid_indices(grid, resolution)
-    scale = resolution ** (-H)
-    paths = np.empty((reps, grid.size))
-    cum = np.empty(resolution + 1)
-    cum[0] = 0.0
-    for r in range(reps):
-        noise = emb.sample(replication_rng(seed, r))
-        np.cumsum(noise, out=cum[1:])
-        paths[r] = scale * cum[idx]
-    return LimitEnsemble(grid=grid, paths=paths,
-                         descriptor={"process": "fbm", "H": H,
-                                     "resolution": resolution},
-                         seed=seed, reps=reps)
+    g1_n = hermite2_sum_skewness(LrdParams(D=D, family=FGN), N_aux)
+    a = min(1.0, (rosenblatt_skewness(D) / g1_n) ** (1.0 / 3.0))
+    return a, math.sqrt(1.0 - a * a), g1_n
+
+
+class _PartialSums:
+    """Normalized partial sums of H_k for each k in ``orders`` over one fGn
+    draw of length n per call, read at the indices ``idx`` into [0, n]."""
+
+    def __init__(self, D: float, n: int, orders, idx: np.ndarray):
+        params = LrdParams(D=D, family=FGN)
+        self.emb = CirculantEmbedding(params, n)
+        self.scales = {k: 1.0 / hermite_sum_std(params, k, n) for k in orders}
+        self.idx = idx
+        self.cum = np.zeros(n + 1)
+
+    def draw(self, rng: np.random.Generator) -> dict:
+        zeta = self.emb.sample(rng)
+        out = {}
+        for k, scale in self.scales.items():
+            np.cumsum(hermite_eval(k, zeta), out=self.cum[1:])
+            out[k] = scale * self.cum[self.idx]
+        return out
 
 
 def _hermite_partial_paths(orders, D: float, grid: np.ndarray, reps: int,
-                           N_aux: int, seed: int) -> dict:
-    """Normalized partial-sum paths of H_k for every requested order k,
-    all orders driven by the same auxiliary path per replication."""
+                           N_aux: int, seed: int) -> tuple:
+    """Normalized partial-sum paths of H_k for every requested order k, all
+    orders driven by the same auxiliary path per replication, and the law's
+    description: its N_aux, plus a, b and g1_N when order 2 alone is
+    corrected."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
-    params = LrdParams(D=D, family=FGN)
     idx = _grid_indices(grid, N_aux)
-    # Order 1 alone needs the fGn partial sums only at idx.  At multiples
-    # of q they have the law of the partial sums of fGn of length N_aux/q
-    # times q^H (fBm self-similarity), so draw that shorter path, which is
-    # exact at the grid points.  q <= N_aux/2 keeps at least 2 points.
-    q = math.gcd(N_aux, N_aux // 2, *idx) if orders == [1] else 1
-    n, idx = N_aux // q, idx // q
-    emb = CirculantEmbedding(params, n)
-    scales = {k: 1.0 / hermite_sum_std(params, k, n) for k in orders}
+    # At multiples of q, fGn partial sums have the law of the partial sums
+    # of fGn of length N_aux/q times q^H (fBm self-similarity), so fBm
+    # alone is drawn at N_aux/q points, exact at the grid points.
+    # q <= N_aux/2 keeps at least 2 points.
+    q = math.gcd(N_aux, N_aux // 2, *idx)
+    law = {"N_aux": N_aux}
+    if orders == [1]:
+        sums = _PartialSums(D, N_aux // q, [1], idx // q)
+    else:
+        sums = _PartialSums(D, N_aux, orders, idx)
+    corrected = orders == [2]
+    if corrected:
+        a, b, g1_n = rosenblatt_mix(D, N_aux)
+        law.update(a=a, b=b, g1_N=g1_n)
+        fbm = _PartialSums(2.0 * D, N_aux // q, [1], idx // q)  # H = 1 - D
     out = {k: np.empty((reps, grid.size)) for k in orders}
-    cum = np.empty(n + 1)
-    cum[0] = 0.0
     for r in range(reps):
-        zeta = emb.sample(replication_rng(seed, r))
+        rng = replication_rng(seed, r)
+        row = sums.draw(rng)
+        if corrected:  # B's normals come after the auxiliary path's
+            row[2] = a * row[2] + b * fbm.draw(rng)[1]
         for k in orders:
-            np.cumsum(hermite_eval(k, zeta), out=cum[1:])
-            out[k][r] = scales[k] * cum[idx]
-    return out
+            out[k][r] = row[k]
+    return out, law
 
 
-def simulate_hermite(m: int, D: float, grid, reps: int,
-                     N_aux: int = DEFAULT_N_AUX, seed: int = 0) -> LimitEnsemble:
+def simulate_hermite(m: int, D: float, grid, reps: int, N_aux=None,
+                     seed: int = 0) -> LimitEnsemble:
     """m-th order Hermite process via normalized Hermite partial sums.
 
     The normalization uses the exact partial-sum standard deviation at
     N_aux (Mehler quadratic form), so Var(Z_m(1)) = 1 holds exactly in
     distribution at any N_aux.  For m = 1 the values at the grid points are
-    fBm exactly in law, as simulate_fbm's are at multiples of 1/resolution.
+    fBm exactly in law; m = 2 draws the corrected law of
+    :func:`rosenblatt_mix`.  N_aux defaults to :func:`resolve_n_aux`'s.
     """
     if m < 1:
         raise ParameterError("m must be >= 1")
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
+    N_aux = resolve_n_aux([m], N_aux)
     if N_aux < 2 ** 12:
         raise ParameterError("N_aux must be at least 2^12")
     grid = _check_grid(grid)
-    paths = _hermite_partial_paths([m], D, grid, reps, N_aux, seed)[m]
-    return LimitEnsemble(grid=grid, paths=paths,
+    paths, law = _hermite_partial_paths([m], D, grid, reps, N_aux, seed)
+    return LimitEnsemble(grid=grid, paths=paths[m],
                          descriptor={"process": "hermite", "m": m, "D": D,
-                                     "N_aux": N_aux},
+                                     **law},
                          seed=seed, reps=reps)
 
 
 def limit_thm1(entries: dict, D: float, grid=None, reps: int = DEFAULT_REPS,
-               N_aux: int = DEFAULT_N_AUX, seed: int = 0) -> LimitEnsemble:
+               N_aux=None, seed: int = 0) -> LimitEnsemble:
     """Rank-diagonal limit functional of the Hermite-expansion theorem:
 
         sum_{k+l=m} a_{kl}/(k! l!) * sqrt(c_k c_l) * Z_k(lam) (Z_l(1) - Z_l(lam))
 
     with the conventions Z_0(lam) = lam and c_0 = 1, and all Z_k driven by
-    the same auxiliary path per replication.
+    the same auxiliary path per replication.  N_aux defaults to
+    :func:`resolve_n_aux`'s.  A rank-2 diagonal with a (1, 1) entry draws
+    Z_2 uncorrected, and its warnings give the skewness gap that leaves.
     """
     grid = default_grid() if grid is None else _check_grid(grid)
     entries = {(int(k), int(l)): float(a) for (k, l), a in entries.items()}
@@ -169,12 +215,17 @@ def limit_thm1(entries: dict, D: float, grid=None, reps: int = DEFAULT_REPS,
         raise ParameterError("diagonal degree m must be >= 1")
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
-    orders = sorted({k for (k, l) in entries if k >= 1}
-                    | {l for (k, l) in entries if l >= 1})
+    orders = hermite_orders(entries)
+    N_aux = resolve_n_aux(orders, N_aux)
     # Z_l(1) comes from the same pass: append lambda = 1 if the grid lacks it
     full_grid = grid if grid[-1] == 1.0 else np.append(grid, 1.0)
-    z = (_hermite_partial_paths(orders, D, full_grid, reps, N_aux, seed)
-         if orders else {})
+    z, law = _hermite_partial_paths(orders, D, full_grid, reps, N_aux, seed)
+    warns = []
+    if m == 2 and orders != [2]:
+        warns.append(
+            f"Z_2 drawn uncorrected at N_aux = {N_aux}: skewness of Z_2(1) "
+            f"{hermite2_sum_skewness(LrdParams(D=D, family=FGN), N_aux):.4f}"
+            f" against the limit's {rosenblatt_skewness(D):.4f}")
     z1 = {k: z[k][:, -1:] for k in z}
     z = {k: z[k][:, :grid.size] for k in z}
     z[0] = np.broadcast_to(grid, (reps, grid.size))
@@ -186,10 +237,10 @@ def limit_thm1(entries: dict, D: float, grid=None, reps: int = DEFAULT_REPS,
         paths += weight * z[k] * (z1[l] - z[l])
     return LimitEnsemble(grid=grid, paths=paths,
                          descriptor={"process": "thm1_functional", "m": m,
-                                     "D": D, "N_aux": N_aux,
+                                     "D": D, **law,
                                      "entries": sorted(
                                          [k, l, a] for (k, l), a in entries.items())},
-                         seed=seed, reps=reps)
+                         seed=seed, reps=reps, warnings=warns)
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +335,38 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
 
 @dataclass
 class CriticalValueTable:
-    """Empirical quantiles of the sup-statistic of a limit ensemble."""
+    """Empirical quantiles of the sup-statistic of a limit ensemble, each
+    with its order-statistic interval [lo, hi] for the limit law's quantile
+    (a side no order statistic bounds is None), and the ensemble's
+    warnings."""
 
     descriptor: dict
     levels: list
     values: list
+    intervals: list
     reps: int
     grid_size: int
+    warnings: list = field(default_factory=list)
 
     def value_at(self, level: float) -> float:
-        for lv, v in zip(self.levels, self.values):
+        return self.values[self._index(level)]
+
+    def interval_at(self, level: float) -> list:
+        return self.intervals[self._index(level)]
+
+    def _index(self, level: float) -> int:
+        for i, lv in enumerate(self.levels):
             if abs(lv - level) < 1e-12:
-                return v
+                return i
         raise ParameterError(f"level {level} not in table")
 
     def to_json_dict(self) -> dict:
         return {"descriptor": self.descriptor,
-                "quantiles": {"levels": self.levels, "values": self.values},
-                "reps": self.reps, "grid_size": self.grid_size}
+                "quantiles": {"levels": self.levels, "values": self.values,
+                              "intervals": self.intervals,
+                              "coverage": CV_COVERAGE},
+                "reps": self.reps, "grid_size": self.grid_size,
+                "warnings": self.warnings}
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:
@@ -311,20 +376,50 @@ class CriticalValueTable:
     def from_json_dict(cls, d: dict) -> "CriticalValueTable":
         q = d["quantiles"]
         return cls(descriptor=d["descriptor"], levels=list(q["levels"]),
-                   values=list(q["values"]), reps=int(d["reps"]),
-                   grid_size=int(d["grid_size"]))
+                   values=list(q["values"]), intervals=list(q["intervals"]),
+                   reps=int(d["reps"]), grid_size=int(d["grid_size"]),
+                   warnings=list(d["warnings"]))
+
+
+def order_statistic_ranks(level: float, reps: int) -> tuple:
+    """1-based ranks (l, u) of the order statistics of ``reps`` draws that
+    bracket the ``level`` quantile x of any continuous law, each side
+    missing with probability at most (1 - CV_COVERAGE)/2.
+
+    X_(j) <= x exactly when at least j draws are, so
+    P(X_(j) <= x) = P(Binomial(reps, level) >= j): F(X_(j)) is
+    Beta(j, reps + 1 - j).  A side that no order statistic bounds is None.
+    """
+    tail = (1.0 - CV_COVERAGE) / 2.0
+    log_p, log_q = math.log(level), math.log1p(-level)
+    top = math.lgamma(reps + 1)
+    cdf, total = [], 0.0
+    for i in range(reps + 1):
+        total += math.exp(top - math.lgamma(i + 1) - math.lgamma(reps - i + 1)
+                          + i * log_p + (reps - i) * log_q)
+        cdf.append(total)
+    # the largest l with P(B < l) <= tail, the smallest u with P(B >= u) <= tail
+    lo = bisect.bisect_right(cdf, tail)
+    hi = bisect.bisect_left(cdf, 1.0 - tail) + 1
+    return (lo if lo >= 1 else None), (hi if hi <= reps else None)
 
 
 def critical_values(ensemble: LimitEnsemble, levels) -> CriticalValueTable:
-    """Empirical quantiles of sup |path| per replication."""
+    """Empirical quantiles of sup |path| per replication, with their
+    order-statistic intervals."""
     levels = [float(lv) for lv in levels]
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ParameterError("levels must lie in (0, 1)")
     if ensemble.reps < MIN_TABLE_REPS:
         raise ParameterError(
             f"need at least {MIN_TABLE_REPS} replications for quantiles")
-    sups = ensemble.sup_abs()
+    sups = np.sort(ensemble.sup_abs())
     values = [float(np.quantile(sups, lv)) for lv in levels]
+    intervals = [[None if j is None else float(sups[j - 1])
+                  for j in order_statistic_ranks(lv, ensemble.reps)]
+                 for lv in levels]
     return CriticalValueTable(descriptor=ensemble.descriptor, levels=levels,
-                              values=values, reps=ensemble.reps,
-                              grid_size=ensemble.grid.size)
+                              values=values, intervals=intervals,
+                              reps=ensemble.reps,
+                              grid_size=ensemble.grid.size,
+                              warnings=list(ensemble.warnings))

@@ -155,20 +155,61 @@ class TestLimit:
         assert len(list(isolated_cache.glob("cv_*.json"))) == 2
         assert first.exists()
 
-    def test_stream_version_2_cache_is_a_miss(self, isolated_cache, capsys,
-                                              monkeypatch):
-        # tables cached before the 5-smooth embedding are not served
-        with monkeypatch.context() as m:
-            m.setattr(lrd_sim, "STREAM_VERSION", 2)
-            assert cli.main(self.ARGS) == 0
+    @staticmethod
+    def spy_limit_thm1(monkeypatch) -> list:
+        """Record one entry per limit law simulated from now on."""
         calls = []
         real = cli.limit_law.limit_thm1
         monkeypatch.setattr(cli.limit_law, "limit_thm1",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        assert lrd_sim.STREAM_VERSION == 3
-        assert cli.main(self.ARGS) == 0
+        return calls
+
+    def assert_old_version_misses(self, version, args, isolated_cache,
+                                  monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(lrd_sim, "STREAM_VERSION", version)
+            assert cli.main(args) == 0
+        calls = self.spy_limit_thm1(monkeypatch)
+        assert lrd_sim.STREAM_VERSION == 4
+        assert cli.main(args) == 0
         assert calls == [1]
         assert len(list(isolated_cache.glob("cv_*.json"))) == 2
+
+    def test_stream_version_2_cache_is_a_miss(self, isolated_cache, capsys,
+                                              monkeypatch):
+        # tables cached before the 5-smooth embedding are not served
+        self.assert_old_version_misses(2, self.ARGS, isolated_cache,
+                                       monkeypatch)
+
+    def test_stream_version_3_cache_is_a_miss(self, isolated_cache, capsys,
+                                              monkeypatch):
+        # rank-2 tables cached before the corrected order-2 law are not served
+        args = ["limit", "--kernel", "gaussian_bump", "--D", "0.4",
+                "--reps", "100", "--grid-size", "16"]
+        self.assert_old_version_misses(3, args, isolated_cache, monkeypatch)
+
+    @pytest.mark.parametrize("kernel, own, other, drawn", [
+        ("gaussian_bump", "CORRECTED_N_AUX", "DEFAULT_N_AUX", 2 ** 12),
+        ("wilcoxon", "DEFAULT_N_AUX", "CORRECTED_N_AUX", 2 ** 15),
+    ])
+    def test_cache_key_records_n_aux_drawn(self, kernel, own, other, drawn,
+                                           isolated_cache, capsys,
+                                           monkeypatch):
+        args = ["limit", "--kernel", kernel, "--D", "0.4", "--reps", "100",
+                "--grid-size", "16"]
+        assert cli.main(args) == 0
+        assert json.loads(capsys.readouterr().out)["descriptor"]["N_aux"] \
+            == drawn
+        calls = self.spy_limit_thm1(monkeypatch)
+        monkeypatch.setattr(cli.limit_law, other, 2 ** 13)
+        assert cli.main(args) == 0
+        assert calls == []  # the other law's N_aux is not in the key: a hit
+        capsys.readouterr()
+        monkeypatch.setattr(cli.limit_law, own, 2 ** 13)
+        assert cli.main(args) == 0
+        assert calls == [1]  # its own is: a miss, drawn at the new N_aux
+        assert json.loads(capsys.readouterr().out)["descriptor"]["N_aux"] \
+            == 2 ** 13
 
     def test_sidecar_records_parsed_levels(self, tmp_path, capsys):
         out = tmp_path / "cv.json"
@@ -211,6 +252,23 @@ class TestDetect:
         assert sidecar["levels"] == [0.95]
         assert sidecar["kernel"] == "wilcoxon"
         assert sidecar["stream_version"] == lrd_sim.STREAM_VERSION
+
+    def test_reports_law_and_error_bars(self, tmp_path, capsys):
+        self._write_data(tmp_path, 0.0)
+        rc, report = self._run(tmp_path, ["--kernel", "gaussian_bump",
+                                          "--levels", "0.5,0.95"], capsys)
+        assert rc == 0
+        law = report["law"]
+        assert (law["process"], law["m"], law["D"], law["N_aux"]) == \
+            ("thm1_functional", 2, 0.4, 2 ** 12)
+        assert 0.0 < law["b"] < law["a"] < 1.0 < law["g1_N"]
+        assert report["warnings"] == []
+        for row in report["levels"].values():
+            lo, hi = row["interval"]
+            assert lo <= row["critical_value"] <= hi
+        rc, report = self._run(tmp_path, [], capsys)  # wilcoxon, rank 1
+        assert report["law"]["N_aux"] == 2 ** 15
+        assert not {"a", "b", "g1_N"} & set(report["law"])
 
     def test_families_share_one_limit_table(self, tmp_path, isolated_cache,
                                             capsys, monkeypatch):

@@ -1,26 +1,35 @@
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import binom, ks_2samp
 
 from lrdustat import limit_law
 from lrdustat.errors import ParameterError, RegimeError
-from lrdustat.hermite import c_constant, class_coeffs, hermite_sum_std
+from lrdustat.hermite import (c_constant, class_coeffs, cycle_traces,
+                              hermite2_sum_skewness, hermite_sum_std,
+                              rosenblatt_skewness)
 from lrdustat.limit_law import (CriticalValueTable, critical_values,
                                 default_grid, limit_thm1, limit_thm2,
-                                simulate_fbm, simulate_hermite)
-from lrdustat.lrd_sim import CirculantEmbedding, LrdParams, Subordinator
+                                order_statistic_ranks, simulate_hermite)
+from lrdustat.lrd_sim import (CirculantEmbedding, LrdParams, Subordinator,
+                              build_covariance)
 from lrdustat.ustat import Kernel, cusum_kernel, wilcoxon_kernel
 
-H = 0.8  # corresponds to D = 0.4 at rank one
+H = 0.8  # fBm index of the rank-one limit at D = 2(1 - H) = 0.4
+D_ONE = 2.0 * (1.0 - H)
+
+
+def fbm_covariance(s, t, h=H):
+    """Brute oracle: Cov(B(s), B(t)) = (s^2H + t^2H - |t-s|^2H) / 2."""
+    return 0.5 * (s ** (2 * h) + t ** (2 * h) - abs(t - s) ** (2 * h))
 
 
 @pytest.fixture(scope="module")
 def ensemble():
-    return simulate_fbm(H, default_grid(64), reps=3000, seed=17,
-                        resolution=256)
+    return simulate_hermite(1, D_ONE, default_grid(64), reps=3000, seed=17)
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +46,7 @@ def driver():
 
 @pytest.fixture(scope="module")
 def cv_ensemble():
-    return simulate_fbm(H, default_grid(64), reps=500, seed=33,
-                        resolution=256)
+    return simulate_hermite(1, D_ONE, default_grid(64), reps=500, seed=33)
 
 
 class TestFbm:
@@ -56,35 +64,51 @@ class TestFbm:
             1.0, abs=0.08)
 
     def test_covariance_structure(self, ensemble):
-        # brute oracle: Cov(B(s), B(t)) = (s^2H + t^2H - |t-s|^2H) / 2,
-        # exact at grid points that are multiples of 1/resolution
+        # the rank-one law is exact fBm at every grid point
         grid = ensemble.grid
         for i, j in [(32, 64), (16, 48), (8, 64)]:
-            s, t = grid[i], grid[j]
-            target = 0.5 * (s ** (2 * H) + t ** (2 * H)
-                            - abs(t - s) ** (2 * H))
             est = np.mean(ensemble.paths[:, i] * ensemble.paths[:, j])
-            assert est == pytest.approx(target, abs=0.1)
+            assert est == pytest.approx(fbm_covariance(grid[i], grid[j]),
+                                        abs=0.1)
 
     def test_half_point_variance(self, ensemble):
         assert np.var(ensemble.paths[:, 32], ddof=1) == pytest.approx(
             0.5 ** (2 * H), abs=0.05)
 
     def test_self_similarity(self):
-        a = simulate_fbm(H, np.array([0.0, 0.5]), reps=2000, seed=1)
-        b = simulate_fbm(H, np.array([0.0, 1.0]), reps=2000, seed=2)
+        a = simulate_hermite(1, D_ONE, np.array([0.0, 0.5]), reps=2000,
+                             seed=1)
+        b = simulate_hermite(1, D_ONE, np.array([0.0, 1.0]), reps=2000,
+                             seed=2)
         rescaled = a.paths[:, -1] * 2.0 ** H
         assert ks_2samp(rescaled, b.paths[:, -1]).statistic <= 0.05
 
     def test_h_out_of_range(self):
+        # H = 0.5, 1 and 0.3 are D = 1, 0 and 1.4 (RegimeError is a
+        # ParameterError)
         for h in (0.5, 1.0, 0.3):
             with pytest.raises(ParameterError):
-                simulate_fbm(h, default_grid(8), reps=1, seed=0)
+                simulate_hermite(1, 2.0 * (1.0 - h), default_grid(8),
+                                 reps=1, seed=0)
 
     def test_deterministic(self):
-        a = simulate_fbm(H, default_grid(8), reps=3, seed=5, resolution=128)
-        b = simulate_fbm(H, default_grid(8), reps=3, seed=5, resolution=128)
+        a = simulate_hermite(1, D_ONE, default_grid(8), reps=3, seed=5)
+        b = simulate_hermite(1, D_ONE, default_grid(8), reps=3, seed=5)
         assert np.array_equal(a.paths, b.paths)
+
+
+@pytest.fixture
+def draw_sizes(monkeypatch):
+    """Lengths of the fGn paths the limit laws embed, in order."""
+    sizes = []
+
+    class Recording(CirculantEmbedding):
+        def __init__(self, params, n):
+            sizes.append(n)
+            super().__init__(params, n)
+
+    monkeypatch.setattr(limit_law, "CirculantEmbedding", Recording)
+    return sizes
 
 
 class TestHermiteProcess:
@@ -100,9 +124,10 @@ class TestHermiteProcess:
                                                                  abs=0.1)
 
     def test_order_two_unit_variance(self):
-        # the endpoint is normalized by the exact partial-sum standard
-        # deviation, so E[Z_2(1)^2] = 1 exactly; the estimator is noisier
-        # than in the Gaussian case because of heavier tails
+        # S is normalized by the exact partial-sum standard deviation and
+        # mixed with unit-variance fBm at a^2 + b^2 = 1, so E[Z_2(1)^2] = 1
+        # exactly; the estimator is noisier than in the Gaussian case
+        # because of heavier tails
         ens = simulate_hermite(2, 0.3, np.array([0.0, 1.0]), reps=1500,
                                N_aux=2 ** 12, seed=4)
         assert np.var(ens.paths[:, -1], ddof=1) == pytest.approx(1.0,
@@ -198,18 +223,6 @@ class TestRankOneGridDraw:
         assert hermite_sum_std(LrdParams(D=d), 1, n) == pytest.approx(
             n ** h, rel=1e-12)
 
-    @pytest.fixture
-    def draw_sizes(self, monkeypatch):
-        sizes = []
-
-        class Recording(CirculantEmbedding):
-            def __init__(self, params, n):
-                sizes.append(n)
-                super().__init__(params, n)
-
-        monkeypatch.setattr(limit_law, "CirculantEmbedding", Recording)
-        return sizes
-
     @pytest.mark.parametrize("grid_size, drawn", [(256, 256), (200, 2 ** 15),
                                                   (1, 2)])
     def test_rank_one_draws_at_grid_resolution(self, draw_sizes, grid_size,
@@ -223,15 +236,39 @@ class TestRankOneGridDraw:
                    default_grid(256), reps=2, N_aux=2 ** 15, seed=0)
         assert draw_sizes == [2 ** 15]
 
+    def test_default_n_aux_per_law(self, draw_sizes):
+        # order 2 alone draws its auxiliary path at 2^12, then fBm with
+        # H = 1 - D at the grid's resolution; every other law keeps 2^15
+        assert limit_law.resolve_n_aux([2]) == 2 ** 12
+        assert limit_law.resolve_n_aux([1]) == 2 ** 15
+        assert limit_law.resolve_n_aux([1, 2]) == 2 ** 15
+        assert limit_law.resolve_n_aux([1, 2, 3]) == 2 ** 15
+        assert limit_law.resolve_n_aux([2], 2 ** 14) == 2 ** 14
+        grid = default_grid(256)
+        limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, grid, reps=2, seed=0)
+        limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3, grid,
+                   reps=2, seed=0)
+        limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, grid, reps=2, seed=0)
+        assert draw_sizes == [2 ** 12, 256, 2 ** 15, 256]
+
     def test_agrees_in_law_with_fbm(self):
-        # both are exact fBm at the grid points; independent seeds, so the
+        # the grid draw against fBm from the Cholesky factor of the brute
+        # covariance oracle at the grid points: both are exact, so the
         # two-sample KS distances of Z(1) and of the sup stay below the
         # bound exceeded with probability about 1e-6 under one law, which
         # for two samples of equal size r is sqrt(-log(1e-6 / 2) / r)
-        d, reps = 0.4, 10000
+        reps = 10000
         grid = default_grid(64)
-        rank_one = simulate_hermite(1, d, grid, reps=reps, seed=61)
-        fbm = simulate_fbm(1.0 - d / 2.0, grid, reps=reps, seed=62)
+        rank_one = simulate_hermite(1, D_ONE, grid, reps=reps, seed=61)
+        inner = grid[1:]
+        chol = np.linalg.cholesky(fbm_covariance(inner[:, None],
+                                                 inner[None, :]))
+        normals = np.random.default_rng(62).standard_normal((reps,
+                                                             inner.size))
+        fbm = limit_law.LimitEnsemble(
+            grid=grid, paths=np.hstack([np.zeros((reps, 1)),
+                                        normals @ chol.T]),
+            descriptor={}, seed=62, reps=reps)
         bound = math.sqrt(-math.log(1e-6 / 2.0) / reps)
         assert ks_2samp(rank_one.paths[:, -1],
                         fbm.paths[:, -1]).statistic < bound
@@ -242,6 +279,97 @@ class TestRankOneGridDraw:
             simulate_hermite(1, 0.4, default_grid(8), reps=0)
         with pytest.raises(ParameterError):
             limit_thm1({(1, 0): 1.0}, 0.4, default_grid(8), reps=0)
+
+
+class TestCorrectedOrderTwo:
+    """Order 2 alone is drawn at N_aux = 2^12 as a S + b B, with the third
+    cumulant of Z_2(1) matched to the Rosenblatt limit's."""
+
+    D = 0.45
+
+    @pytest.mark.parametrize("d", [0.1, 0.4])
+    @pytest.mark.parametrize("n", [2, 3, 17, 512])
+    def test_cycle_traces_match_dense(self, n, d):
+        gamma = build_covariance(LrdParams(D=d), n - 1)
+        lags = np.arange(n)
+        g = gamma[np.abs(lags[:, None] - lags[None, :])]
+        tr2, tr3 = cycle_traces(gamma)
+        assert tr2 == pytest.approx(np.trace(g @ g), rel=1e-12, abs=0.0)
+        assert tr3 == pytest.approx(np.trace(g @ g @ g), rel=1e-12, abs=0.0)
+
+    def test_skewness_values(self):
+        assert [round(rosenblatt_skewness(d), 3)
+                for d in (0.2, 0.3, 0.4, 0.45)] == [2.548, 2.067, 1.183, 0.560]
+        assert round(hermite2_sum_skewness(LrdParams(D=0.4), 2 ** 12),
+                     4) == 1.3741
+
+    @pytest.fixture(scope="class")
+    def z_one(self):
+        # Z(1) of the corrected law and, from the same (seed, rep) streams,
+        # the uncorrected H_2 sums S(1), which a draw of orders 1 and 2
+        # leaves as they are
+        grid, reps, seed = np.array([0.0, 1.0]), 2000, 71
+        corrected = simulate_hermite(2, self.D, grid, reps=reps, seed=seed)
+        raw, _ = limit_law._hermite_partial_paths([1, 2], self.D, grid, reps,
+                                                  2 ** 12, seed)
+        return corrected.descriptor, corrected.paths[:, -1], raw[2][:, -1]
+
+    @staticmethod
+    def assert_skewness(x, target):
+        # E Z(1) = 0 and Var Z(1) = 1 exactly, so mean(x^3) is an unbiased
+        # estimate of the skewness; 4 of its standard errors
+        cubes = x ** 3
+        stderr = cubes.std(ddof=1) / math.sqrt(x.size)
+        assert abs(cubes.mean() - target) < 4.0 * stderr
+
+    def test_uncorrected_skewness_is_exact_finite_n(self, z_one):
+        law, _, raw = z_one
+        assert law["N_aux"] == 2 ** 12
+        assert law["g1_N"] == hermite2_sum_skewness(LrdParams(D=self.D),
+                                                    2 ** 12)
+        self.assert_skewness(raw, law["g1_N"])
+
+    def test_corrected_skewness_is_the_limit(self, z_one):
+        law, z, _ = z_one
+        g1 = rosenblatt_skewness(self.D)
+        assert law["a"] ** 3 * law["g1_N"] == pytest.approx(g1, rel=1e-12)
+        assert law["a"] ** 2 + law["b"] ** 2 == pytest.approx(1.0,
+                                                               rel=1e-12)
+        self.assert_skewness(z, g1)
+
+    def test_correction_adds_independent_fbm(self, z_one):
+        # (seed, rep) fixes S and then B, so (Z - a S) / b is B(1):
+        # unit variance and uncorrelated with S
+        law, z, raw = z_one
+        b_one = (z - law["a"] * raw) / law["b"]
+        reps = b_one.size
+        assert np.var(b_one) == pytest.approx(1.0,
+                                              abs=4.0 * math.sqrt(2.0 / reps))
+        assert abs(np.corrcoef(b_one, raw)[0, 1]) < 4.0 / math.sqrt(reps)
+
+    def test_q99_stable_in_n_aux(self):
+        # each 800-replication q99 lies in the other N_aux's
+        # order-statistic interval
+        entries = {(2, 0): 1.0, (0, 2): 1.0}
+        tables = [critical_values(limit_thm1(entries, self.D,
+                                             default_grid(64), reps=800,
+                                             N_aux=n_aux, seed=seed), [0.99])
+                  for n_aux, seed in ((2 ** 12, 5), (2 ** 14, 6))]
+        for mine, other in (tables, tables[::-1]):
+            lo, hi = other.intervals[0]
+            assert lo <= mine.values[0] <= hi
+
+    def test_mixed_rank_two_warns_of_skewness_gap(self):
+        mixed = limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3,
+                           default_grid(8), reps=2, N_aux=2 ** 12, seed=0)
+        (warning,) = mixed.warnings
+        assert f"{hermite2_sum_skewness(LrdParams(D=0.3), 2 ** 12):.4f}" \
+            in warning
+        assert f"{rosenblatt_skewness(0.3):.4f}" in warning
+        assert "a" not in mixed.descriptor
+        bump = limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.3, default_grid(8),
+                          reps=2, seed=0)
+        assert bump.warnings == []
 
 
 class TestThm2:
@@ -299,8 +427,7 @@ class TestCriticalValues:
             table.value_at(0.5)
 
     def test_reps_floor(self):
-        small = simulate_fbm(H, default_grid(8), reps=10, seed=0,
-                             resolution=64)
+        small = simulate_hermite(1, D_ONE, default_grid(8), reps=10, seed=0)
         with pytest.raises(ParameterError):
             critical_values(small, [0.95])
 
@@ -309,22 +436,20 @@ class TestCriticalValues:
             critical_values(cv_ensemble, [0.95, 1.0])
 
     def test_seed_reproducible(self):
-        a = simulate_fbm(H, default_grid(32), reps=200, seed=44,
-                         resolution=128)
-        b = simulate_fbm(H, default_grid(32), reps=200, seed=44,
-                         resolution=128)
+        a = simulate_hermite(1, D_ONE, default_grid(32), reps=200, seed=44)
+        b = simulate_hermite(1, D_ONE, default_grid(32), reps=200, seed=44)
         ta = critical_values(a, [0.95])
         tb = critical_values(b, [0.95])
         assert ta.values == tb.values
 
     def test_grid_refinement_stability(self):
-        # with matching seed/resolution, the same noise feeds both grids:
+        # the point 1/256 makes the coarse grid draw at the fine grid's
+        # resolution, so with one seed the same noise feeds both grids:
         # the coarse sup is dominated by the fine sup, and the 95% quantile
         # moves by only a small fraction
-        coarse = simulate_fbm(H, default_grid(64), reps=400, seed=8,
-                              resolution=512)
-        fine = simulate_fbm(H, default_grid(256), reps=400, seed=8,
-                            resolution=512)
+        coarse_grid = np.insert(default_grid(64), 1, 1.0 / 256)
+        coarse = simulate_hermite(1, D_ONE, coarse_grid, reps=400, seed=8)
+        fine = simulate_hermite(1, D_ONE, default_grid(256), reps=400, seed=8)
         assert np.all(coarse.sup_abs() <= fine.sup_abs() + 1e-12)
         qc = critical_values(coarse, [0.95]).values[0]
         qf = critical_values(fine, [0.95]).values[0]
@@ -339,3 +464,45 @@ class TestCriticalValues:
         assert back.values == table.values
         assert back.levels == table.levels
         assert back.reps == table.reps
+        assert back.intervals == table.intervals
+
+    @pytest.mark.parametrize("level, reps", [(0.25, 100), (0.5, 200),
+                                             (0.9, 200), (0.95, 2000),
+                                             (0.99, 200), (0.99, 1000)])
+    def test_order_statistic_ranks_are_tightest(self, level, reps):
+        # X_(l) > x when fewer than l draws are <= x, so the miss below is
+        # P(B <= l - 1) and the miss above P(B >= u), B ~ Binomial(reps,
+        # level): l is the largest and u the smallest rank within the tail
+        tail = (1.0 - limit_law.CV_COVERAGE) / 2.0
+        lo, hi = order_statistic_ranks(level, reps)
+        assert binom.cdf(lo - 1, reps, level) <= tail \
+            < binom.cdf(lo, reps, level)
+        if hi is None:  # even the maximum falls short too often
+            assert binom.sf(reps - 1, reps, level) > tail
+        else:
+            assert binom.sf(hi - 1, reps, level) <= tail \
+                < binom.sf(hi - 2, reps, level)
+
+    def test_intervals_cover_the_quantile(self):
+        # on the grid {0, 1} the rank-one sup is |Z(1)|, |N(0, 1)|, whose
+        # level-p quantile is exact.  Twenty 200-replication tables at three
+        # levels: each interval misses with probability at most 0.05, so
+        # 50 covers of 60 is a loose floor
+        levels = [0.5, 0.9, 0.95]
+        exact = [NormalDist().inv_cdf((1.0 + p) / 2.0) for p in levels]
+        ens = simulate_hermite(1, D_ONE, np.array([0.0, 1.0]), reps=4000,
+                               seed=91)
+        covers = 0
+        for paths in np.split(ens.paths, 20):
+            part = limit_law.LimitEnsemble(grid=ens.grid, paths=paths,
+                                           descriptor={}, seed=91, reps=200)
+            table = critical_values(part, levels)
+            covers += sum(lo <= q <= hi
+                          for (lo, hi), q in zip(table.intervals, exact))
+        assert covers >= 50
+
+    def test_interval_brackets_the_value(self, cv_ensemble):
+        table = critical_values(cv_ensemble, [0.5, 0.9, 0.99])
+        for value, (lo, hi) in zip(table.values, table.intervals):
+            assert lo <= value <= hi
+        assert table.interval_at(0.9) == table.intervals[1]
