@@ -85,9 +85,10 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
     coefficient ``table`` (from :func:`hermite.kernel_table`), cached on disk
     keyed by (kernel, D, m, reps, grid, seed, levels) and by what produced
     it: the sampler's stream version, the N_aux the diagonal's law draws at
-    and the package version.  The limit law depends on D and the rank-m
-    diagonal only, not on the covariance family.  A cache file that does
-    not parse is recomputed and overwritten."""
+    (None for a rank-1 law, which draws none) and the package version.  The
+    limit law depends on D and the rank-m diagonal only, not on the
+    covariance family.  A cache file that does not parse is recomputed and
+    overwritten."""
     m = table.rank
     diagonal = table.diagonal(m)
     n_aux = limit_law.resolve_n_aux(limit_law.hermite_orders(diagonal))
@@ -106,9 +107,8 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
                 return limit_law.CriticalValueTable.from_json_dict(json.load(fh))
         except (ValueError, KeyError, TypeError):
             pass  # corrupt cache file: recompute below
-    ensemble = limit_law.limit_thm1(
-        diagonal, d_exp, grid=limit_law.default_grid(grid_size), reps=reps,
-        N_aux=n_aux, seed=seed)
+    ensemble = limit_law.limit_thm1(diagonal, d_exp, grid_size=grid_size,
+                                    reps=reps, N_aux=n_aux, seed=seed)
     cv_table = limit_law.critical_values(ensemble, sorted(levels))
     if use_cache:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
@@ -222,8 +222,7 @@ def cmd_verify(args) -> int:
         kernel = ustat.builtin_kernel(args.kernel)
         table = hermite.kernel_table(kernel)
         ensemble = limit_law.limit_thm1(
-            table.diagonal(table.rank), args.D,
-            grid=limit_law.default_grid(args.grid_size),
+            table.diagonal(table.rank), args.D, grid_size=args.grid_size,
             reps=args.limit_reps, seed=args.seed + 1)
         report = verify.check_weak_convergence(kernel, table, params, args.n,
                                                args.reps, ensemble, args.seed)
@@ -316,18 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
                                    parser_class=strict)
     shared = argparse.ArgumentParser(add_help=False)  # all experiments
     common(shared)
-    add_reps(shared)
     shared.add_argument("--D", type=float, required=True)
     add_family(shared)
     shared.add_argument("-o", "--out")
-    # reduction and weak draw samples, which need n >= 2
+    # reduction and weak draw samples, which need n >= 2 and reps >= 1;
+    # variance --reps 0 runs the exact quadratic form only
     e = experiments.add_parser("variance", parents=[shared])
+    add_reps(e)
     e.add_argument("--n", type=int_at_least(1), action="append", required=True)
     e.add_argument("--k", type=int, default=1, help="Hermite degree")
     e = experiments.add_parser("reduction", parents=[shared])
+    add_reps(e, 1)
     e.add_argument("--n", type=int_at_least(2), action="append", required=True)
     e.add_argument("--kernel", default="cusum")
     e = experiments.add_parser("weak", parents=[shared])
+    add_reps(e, 1)
     e.add_argument("--n", type=int_at_least(2), required=True)
     e.add_argument("--kernel", default="cusum")
     e.add_argument("--limit-reps", type=int_at_least(1),

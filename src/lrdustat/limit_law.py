@@ -1,19 +1,21 @@
 """Simulation of the limiting processes and their sup-functionals.
 
-Hermite processes are approximated through normalized partial sums of
-Hermite polynomials of an auxiliary LRD Gaussian path of length N_aux (the
-finite-n form of the non-central limit theorem), all orders sharing one
-auxiliary path per replication so the joint dependence of the limit
-components is preserved.  Two laws are drawn more cheaply than that:
+Every law is drawn on the grid lambda_j = j/G, j = 0..G.  Hermite
+processes are approximated through normalized partial sums of Hermite
+polynomials of an auxiliary LRD Gaussian path of length N_aux (the
+finite-n form of the non-central limit theorem), read at the indices
+j N_aux // G, all orders sharing one auxiliary path per replication so the
+joint dependence of the limit components is preserved.  Two laws are drawn
+more cheaply than that:
 
-* Order 1 alone is fBm, and its paths are exact in distribution at the
-  grid points: by self-similarity they come from an fGn draw at the grid's
-  resolution N_aux/q, q the largest step that every grid index is a
-  multiple of.
+* Order 1 alone is fBm.  By self-similarity the partial sums of fGn of
+  length G, read at j, are fBm exactly in distribution at j/G, so it draws
+  no auxiliary path.
 * Order 2 alone, the Rosenblatt process, is drawn at N_aux = 2^12 as
   a S + b B: S the H_2 partial-sum path and B an independent fBm with
-  H = 1 - D.  The weights keep the covariance and make the third cumulant
-  of Z_2(1) the limit's exactly (:func:`rosenblatt_mix`).
+  H = 1 - D, drawn at the grid like order 1.  The weights keep the
+  covariance and make the third cumulant of Z_2(1) the limit's exactly
+  (:func:`rosenblatt_mix`).
 """
 
 from __future__ import annotations
@@ -66,34 +68,24 @@ class LimitEnsemble:
         return np.max(np.abs(self.paths), axis=1)
 
 
-def _check_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ParameterError("grid needs at least 2 points")
-    if np.any(np.diff(grid) < 0):
-        raise ParameterError("grid must be sorted")
-    if grid.min() < 0.0 or grid.max() > 1.0:
-        raise ParameterError("grid must lie inside [0, 1]")
-    return grid
-
-
-def _grid_indices(grid: np.ndarray, n: int) -> np.ndarray:
-    """Map lambda to the partial-sum index [lambda * n]."""
-    return np.minimum(np.floor(grid * n).astype(int), n)
-
-
 def hermite_orders(entries) -> list:
     """Orders k >= 1 of the Hermite processes a diagonal {(k, l): a} uses."""
     return sorted({k for kl in entries for k in kl if k >= 1})
 
 
-def resolve_n_aux(orders, N_aux=None) -> int:
-    """Auxiliary path length of the law of the given Hermite orders:
-    ``N_aux`` when given, else CORRECTED_N_AUX for order 2 alone and
-    DEFAULT_N_AUX otherwise."""
+def resolve_n_aux(orders, N_aux=None):
+    """Auxiliary path length of the law of the given Hermite orders: None
+    for order 1 alone, which draws none, else ``N_aux`` when given,
+    CORRECTED_N_AUX for order 2 alone and DEFAULT_N_AUX otherwise."""
+    orders = list(orders)
+    if orders == [1]:
+        if N_aux is not None:
+            raise ParameterError("order 1 alone draws no auxiliary path: "
+                                 "N_aux does not apply")
+        return None
     if N_aux is not None:
         return int(N_aux)
-    return CORRECTED_N_AUX if list(orders) == [2] else DEFAULT_N_AUX
+    return CORRECTED_N_AUX if orders == [2] else DEFAULT_N_AUX
 
 
 def rosenblatt_mix(D: float, N_aux: int) -> tuple:
@@ -114,13 +106,13 @@ def rosenblatt_mix(D: float, N_aux: int) -> tuple:
 
 class _PartialSums:
     """Normalized partial sums of H_k for each k in ``orders`` over one fGn
-    draw of length n per call, read at the indices ``idx`` into [0, n]."""
+    draw of length n per call, read at the indices j n // G, j = 0..G."""
 
-    def __init__(self, D: float, n: int, orders, idx: np.ndarray):
+    def __init__(self, D: float, n: int, orders, grid_size: int):
         params = LrdParams(D=D, family=FGN)
         self.emb = CirculantEmbedding(params, n)
         self.scales = {k: 1.0 / hermite_sum_std(params, k, n) for k in orders}
-        self.idx = idx
+        self.idx = np.arange(grid_size + 1) * n // grid_size
         self.cum = np.zeros(n + 1)
 
     def draw(self, rng: np.random.Generator) -> dict:
@@ -132,31 +124,30 @@ class _PartialSums:
         return out
 
 
-def _hermite_partial_paths(orders, D: float, grid: np.ndarray, reps: int,
-                           N_aux: int, seed: int) -> tuple:
-    """Normalized partial-sum paths of H_k for every requested order k, all
-    orders driven by the same auxiliary path per replication, and the law's
-    description: its N_aux, plus a, b and g1_N when order 2 alone is
-    corrected."""
+def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
+                           N_aux, seed: int) -> tuple:
+    """Normalized partial-sum paths of H_k on the grid j/G, G =
+    ``grid_size``, for every requested order k, all orders driven by the
+    same auxiliary path per replication, and the law's description: its
+    N_aux, plus a, b and g1_N when order 2 alone is corrected."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
-    idx = _grid_indices(grid, N_aux)
-    # At multiples of q, fGn partial sums have the law of the partial sums
-    # of fGn of length N_aux/q times q^H (fBm self-similarity), so fBm
-    # alone is drawn at N_aux/q points, exact at the grid points.
-    # q <= N_aux/2 keeps at least 2 points.
-    q = math.gcd(N_aux, N_aux // 2, *idx)
+    if grid_size < 1:
+        raise ParameterError("grid_size must be >= 1")
+    # fBm parts: fGn partial sums at j are exact fBm at j/G by
+    # self-similarity; G = 1 draws 2 points, read at 0 and 2
+    fbm_size = max(grid_size, 2)
     law = {"N_aux": N_aux}
     if orders == [1]:
-        sums = _PartialSums(D, N_aux // q, [1], idx // q)
+        sums = _PartialSums(D, fbm_size, [1], grid_size)
     else:
-        sums = _PartialSums(D, N_aux, orders, idx)
+        sums = _PartialSums(D, N_aux, orders, grid_size)
     corrected = orders == [2]
     if corrected:
         a, b, g1_n = rosenblatt_mix(D, N_aux)
         law.update(a=a, b=b, g1_N=g1_n)
-        fbm = _PartialSums(2.0 * D, N_aux // q, [1], idx // q)  # H = 1 - D
-    out = {k: np.empty((reps, grid.size)) for k in orders}
+        fbm = _PartialSums(2.0 * D, fbm_size, [1], grid_size)  # H = 1 - D
+    out = {k: np.empty((reps, grid_size + 1)) for k in orders}
     for r in range(reps):
         rng = replication_rng(seed, r)
         row = sums.draw(rng)
@@ -167,34 +158,34 @@ def _hermite_partial_paths(orders, D: float, grid: np.ndarray, reps: int,
     return out, law
 
 
-def simulate_hermite(m: int, D: float, grid, reps: int, N_aux=None,
+def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
                      seed: int = 0) -> LimitEnsemble:
-    """m-th order Hermite process via normalized Hermite partial sums.
+    """m-th order Hermite process on the grid j/G, G = ``grid_size``, via
+    normalized Hermite partial sums.
 
-    The normalization uses the exact partial-sum standard deviation at
-    N_aux (Mehler quadratic form), so Var(Z_m(1)) = 1 holds exactly in
-    distribution at any N_aux.  For m = 1 the values at the grid points are
-    fBm exactly in law; m = 2 draws the corrected law of
-    :func:`rosenblatt_mix`.  N_aux defaults to :func:`resolve_n_aux`'s.
+    The normalization uses the exact partial-sum standard deviation at the
+    drawn length (Mehler quadratic form), so Var(Z_m(1)) = 1 holds exactly
+    in distribution.  For m = 1 the paths are fBm exactly in law; m = 2
+    draws the corrected law of :func:`rosenblatt_mix`, and higher orders
+    draw at :func:`resolve_n_aux`'s N_aux.
     """
     if m < 1:
         raise ParameterError("m must be >= 1")
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
-    N_aux = resolve_n_aux([m], N_aux)
-    if N_aux < 2 ** 12:
-        raise ParameterError("N_aux must be at least 2^12")
-    grid = _check_grid(grid)
-    paths, law = _hermite_partial_paths([m], D, grid, reps, N_aux, seed)
-    return LimitEnsemble(grid=grid, paths=paths[m],
+    paths, law = _hermite_partial_paths([m], D, grid_size, reps,
+                                        resolve_n_aux([m]), seed)
+    return LimitEnsemble(grid=default_grid(grid_size), paths=paths[m],
                          descriptor={"process": "hermite", "m": m, "D": D,
                                      **law},
                          seed=seed, reps=reps)
 
 
-def limit_thm1(entries: dict, D: float, grid=None, reps: int = DEFAULT_REPS,
-               N_aux=None, seed: int = 0) -> LimitEnsemble:
-    """Rank-diagonal limit functional of the Hermite-expansion theorem:
+def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
+               reps: int = DEFAULT_REPS, N_aux=None,
+               seed: int = 0) -> LimitEnsemble:
+    """Rank-diagonal limit functional of the Hermite-expansion theorem on
+    the grid j/G, G = ``grid_size``:
 
         sum_{k+l=m} a_{kl}/(k! l!) * sqrt(c_k c_l) * Z_k(lam) (Z_l(1) - Z_l(lam))
 
@@ -203,7 +194,6 @@ def limit_thm1(entries: dict, D: float, grid=None, reps: int = DEFAULT_REPS,
     :func:`resolve_n_aux`'s.  A rank-2 diagonal with a (1, 1) entry draws
     Z_2 uncorrected, and its warnings give the skewness gap that leaves.
     """
-    grid = default_grid() if grid is None else _check_grid(grid)
     entries = {(int(k), int(l)): float(a) for (k, l), a in entries.items()}
     if not entries:
         raise ParameterError("no coefficient entries given")
@@ -217,19 +207,16 @@ def limit_thm1(entries: dict, D: float, grid=None, reps: int = DEFAULT_REPS,
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
     orders = hermite_orders(entries)
     N_aux = resolve_n_aux(orders, N_aux)
-    # Z_l(1) comes from the same pass: append lambda = 1 if the grid lacks it
-    full_grid = grid if grid[-1] == 1.0 else np.append(grid, 1.0)
-    z, law = _hermite_partial_paths(orders, D, full_grid, reps, N_aux, seed)
+    z, law = _hermite_partial_paths(orders, D, grid_size, reps, N_aux, seed)
     warns = []
     if m == 2 and orders != [2]:
         warns.append(
             f"Z_2 drawn uncorrected at N_aux = {N_aux}: skewness of Z_2(1) "
             f"{hermite2_sum_skewness(LrdParams(D=D, family=FGN), N_aux):.4f}"
             f" against the limit's {rosenblatt_skewness(D):.4f}")
+    grid = default_grid(grid_size)
     z1 = {k: z[k][:, -1:] for k in z}
-    z = {k: z[k][:, :grid.size] for k in z}
-    z[0] = np.broadcast_to(grid, (reps, grid.size))
-    z1[0] = 1.0
+    z[0], z1[0] = grid, 1.0
     paths = np.zeros((reps, grid.size))
     for (k, l), a in entries.items():
         weight = (a / (math.factorial(k) * math.factorial(l))
@@ -316,11 +303,8 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
 
     lam = z_ensemble.grid
     z = z_ensemble.paths / math.factorial(m)
-    z_one = z[:, -1:] if lam[-1] == 1.0 else None
-    if z_one is None:
-        raise ParameterError("driving ensemble grid must contain lambda = 1")
     paths = (-(1.0 - lam) * z * a_int
-             - lam * (z_one - z) * b_int)
+             - lam * (z[:, -1:] - z) * b_int)
     return LimitEnsemble(grid=lam, paths=paths,
                          descriptor={"process": "thm2_functional",
                                      "kernel": kernel.name, "m": m,
@@ -421,5 +405,5 @@ def critical_values(ensemble: LimitEnsemble, levels) -> CriticalValueTable:
     return CriticalValueTable(descriptor=ensemble.descriptor, levels=levels,
                               values=values, intervals=intervals,
                               reps=ensemble.reps,
-                              grid_size=ensemble.grid.size,
+                              grid_size=ensemble.grid.size - 1,
                               warnings=list(ensemble.warnings))

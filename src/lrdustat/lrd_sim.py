@@ -19,6 +19,7 @@ values are returned.  A prefix of an exact stationary draw is exact.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ PATH_MAGIC = b"LRDUSTAT-PATH\x00\x00\x00"
 #: identity of the random streams: which draws a (seed, rep) pair yields.
 #: Bump it whenever a change alters them, so that caches of simulated
 #: results keyed on it are not served stale.
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 _MASK64 = (1 << 64) - 1
 
@@ -111,7 +112,10 @@ def asymptotic_L(params: LrdParams, n: int) -> float:
 
 
 def embedding_length(n: int) -> int:
-    """Smallest n' >= n whose circulant size 2(n'-1) is 5-smooth."""
+    """Smallest n' >= n whose circulant size 2(n'-1) is 5-smooth, for
+    n >= 2."""
+    if n < 2:
+        raise ParameterError("n must be >= 2")
     m = 2 * (n - 1)
     while True:
         r = m
@@ -133,8 +137,6 @@ class CirculantEmbedding:
     """
 
     def __init__(self, params: LrdParams, n: int):
-        if n < 2:
-            raise ParameterError("n must be >= 2")
         self.params = params
         self.n = n
         n_emb = embedding_length(n)
@@ -299,7 +301,8 @@ def read_path_binary(path) -> np.ndarray:
         if len(header) != 8:
             raise ParameterError("truncated binary path header")
         (count,) = struct.unpack("<q", header)
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if data.size != count:
-            raise ParameterError("truncated binary path file")
-        return data.astype(float)
+        if not 0 <= count <= (os.fstat(fh.fileno()).st_size - 24) // 8:
+            raise ParameterError(
+                f"binary path header gives {count} values, which the file "
+                "does not hold")
+        return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(float)

@@ -15,8 +15,7 @@ from lrdustat.hermite import (class_coeffs, closed_form_table, coeffs_2d,
                               coeffs_2d_montecarlo, kernel_table, scaling,
                               summability_diagnostic,
                               wilcoxon_coeff_closed_form)
-from lrdustat.limit_law import (default_grid, limit_thm1, limit_thm2,
-                                simulate_hermite)
+from lrdustat.limit_law import limit_thm1, limit_thm2, simulate_hermite
 from lrdustat.lrd_sim import (CirculantEmbedding, LrdParams, Subordinator,
                               asymptotic_L, replication_rng)
 from lrdustat.ustat import (cusum_kernel, gaussian_bump_kernel, ustat_cusum,
@@ -42,8 +41,8 @@ def wilcoxon_limit():
     """Rank-one limit functional ensemble for the Wilcoxon kernel,
     5000 replications; shared by the weak-convergence and detector
     criteria."""
-    return limit_thm1(WILCOXON_ENTRIES, D, grid=default_grid(256),
-                      reps=5000, N_aux=2 ** 15, seed=101)
+    return limit_thm1(WILCOXON_ENTRIES, D, grid_size=256, reps=5000,
+                      seed=101)
 
 
 @pytest.fixture(scope="module")
@@ -195,11 +194,10 @@ def test_criterion_6_weak_convergence(wilcoxon_limit, wilcoxon_data_sups):
 def test_criterion_7_route_consistency():
     """The rank-diagonal and empirical-process limit routes give the same
     CUSUM functional after rescaling by sqrt(c_1)."""
-    grid = default_grid(64)
-    reps, n_aux, seed = 1000, 2 ** 13, 17
-    thm1 = limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, D, grid, reps=reps,
-                      N_aux=n_aux, seed=seed)
-    driver = simulate_hermite(1, D, grid, reps=reps, N_aux=n_aux, seed=seed)
+    reps, seed = 1000, 17
+    thm1 = limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, D, grid_size=64,
+                      reps=reps, seed=seed)
+    driver = simulate_hermite(1, D, 64, reps=reps, seed=seed)
     cls = class_coeffs(Subordinator.identity(), 1,
                        np.linspace(-8.0, 8.0, 2001))
     thm2 = limit_thm2(cusum_kernel(), Subordinator.identity(), cls, driver)

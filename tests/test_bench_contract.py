@@ -36,10 +36,17 @@ def test_every_target_resolves(tracing):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["ustat_wilcoxon", "ustat_cusum",
-                                  "ustat_incremental"])
-def test_ustat_paths_take_data(name):
-    # the tracer reads the path length from the argument named ``data``
-    from lrdustat import ustat
-
-    assert "data" in inspect.signature(getattr(ustat, name)).parameters
+@pytest.mark.parametrize("mod_name, attr, argument", [
+    ("ustat", "ustat_wilcoxon", "data"),
+    ("ustat", "ustat_cusum", "data"),
+    ("ustat", "ustat_incremental", "data"),
+    ("limit_law", "limit_thm1", "reps"),
+    ("lrd_sim", "CirculantEmbedding.__init__", "n"),
+], ids=["ustat_wilcoxon", "ustat_cusum", "ustat_incremental", "limit_thm1",
+        "CirculantEmbedding.__init__"])
+def test_traced_functions_take_bound_arguments(mod_name, attr, argument):
+    # the tracer reads span attributes from these arguments by name
+    obj = importlib.import_module(f"lrdustat.{mod_name}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert argument in inspect.signature(obj).parameters

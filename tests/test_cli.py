@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -120,6 +121,7 @@ class TestLimit:
         payload = json.loads(capsys.readouterr().out)
         values = payload["quantiles"]["values"]
         assert values[0] < values[1] < values[2]
+        assert payload["grid_size"] == 16  # steps G, not the G + 1 points
 
     def test_cache_roundtrip(self, isolated_cache, capsys):
         assert cli.main(self.ARGS) == 0
@@ -170,7 +172,7 @@ class TestLimit:
             m.setattr(lrd_sim, "STREAM_VERSION", version)
             assert cli.main(args) == 0
         calls = self.spy_limit_thm1(monkeypatch)
-        assert lrd_sim.STREAM_VERSION == 4
+        assert lrd_sim.STREAM_VERSION == 5
         assert cli.main(args) == 0
         assert calls == [1]
         assert len(list(isolated_cache.glob("cv_*.json"))) == 2
@@ -188,9 +190,19 @@ class TestLimit:
                 "--reps", "100", "--grid-size", "16"]
         self.assert_old_version_misses(3, args, isolated_cache, monkeypatch)
 
+    def test_stream_version_4_cache_is_a_miss(self, isolated_cache, capsys,
+                                              monkeypatch):
+        # rank-1 tables cached before the draw at the grid j/G are not
+        # served: at G = 200 they were read at floor(j 2^15 / 200) / 2^15
+        args = ["limit", "--kernel", "wilcoxon", "--D", "0.4",
+                "--reps", "100", "--grid-size", "200"]
+        self.assert_old_version_misses(4, args, isolated_cache, monkeypatch)
+
+    # a rank-1 law (wilcoxon) draws no auxiliary path: its N_aux is null
+    # and neither default N_aux is in its key
     @pytest.mark.parametrize("kernel, own, other, drawn", [
         ("gaussian_bump", "CORRECTED_N_AUX", "DEFAULT_N_AUX", 2 ** 12),
-        ("wilcoxon", "DEFAULT_N_AUX", "CORRECTED_N_AUX", 2 ** 15),
+        ("wilcoxon", "DEFAULT_N_AUX", "CORRECTED_N_AUX", None),
     ])
     def test_cache_key_records_n_aux_drawn(self, kernel, own, other, drawn,
                                            isolated_cache, capsys,
@@ -207,6 +219,9 @@ class TestLimit:
         capsys.readouterr()
         monkeypatch.setattr(cli.limit_law, own, 2 ** 13)
         assert cli.main(args) == 0
+        if drawn is None:
+            assert calls == []
+            return
         assert calls == [1]  # its own is: a miss, drawn at the new N_aux
         assert json.loads(capsys.readouterr().out)["descriptor"]["N_aux"] \
             == 2 ** 13
@@ -267,7 +282,7 @@ class TestDetect:
             lo, hi = row["interval"]
             assert lo <= row["critical_value"] <= hi
         rc, report = self._run(tmp_path, [], capsys)  # wilcoxon, rank 1
-        assert report["law"]["N_aux"] == 2 ** 15
+        assert report["law"]["N_aux"] is None  # no auxiliary path
         assert not {"a", "b", "g1_N"} & set(report["law"])
 
     def test_families_share_one_limit_table(self, tmp_path, isolated_cache,
@@ -312,7 +327,10 @@ class TestDetect:
         (b"value\n1.0\nabc\n2.0\n", []),             # non-numeric row
         (lrd_sim.PATH_MAGIC + b"\x05\x00", []),        # short binary header
         (b"value\n1.0\n2.0\n3.0\n", ["--kernel", "huber:abc"]),
-    ], ids=["blank-row", "non-numeric", "short-header", "bad-kernel-param"])
+        (lrd_sim.PATH_MAGIC + struct.pack("<q", -1) + bytes(16), []),
+        (lrd_sim.PATH_MAGIC + struct.pack("<q", 2 ** 62) + bytes(16), []),
+    ], ids=["blank-row", "non-numeric", "short-header", "bad-kernel-param",
+            "negative-count", "oversized-count"])
     def test_malformed_input_is_config_error(self, tmp_path, capsys,
                                              content, extra):
         (tmp_path / "data.csv").write_bytes(content)
@@ -396,6 +414,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["detect", "--input", "x.csv", "--D", "0.4", "--reps", "99"],
     ["verify", "weak", "--limit-reps", "-1", *WEAK],
     ["verify", "weak", "--limit-reps", "0", *WEAK],
+    ["verify", "reduction", "--reps", "0", *REDUCTION],
+    ["verify", "weak", "--reps", "0", *WEAK],
     ["verify", "variance", "--n", "0", *VARIANCE],
     ["verify", "reduction", "--n", "1", *REDUCTION],
     ["verify", "weak", "--n", "1", *WEAK],
@@ -417,7 +437,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "limit-grid-size-0", "detect-grid-size-0", "verify-weak-grid-size-0",
         "limit-reps-negative", "detect-reps-negative", "limit-reps-50",
         "detect-reps-99", "verify-weak-limit-reps-negative",
-        "verify-weak-limit-reps-0", "verify-variance-n-0",
+        "verify-weak-limit-reps-0", "verify-reduction-reps-0",
+        "verify-weak-reps-0", "verify-variance-n-0",
         "verify-reduction-n-1", "verify-weak-n-1", "detect-bad-family",
         "verify-weak-bad-family"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
@@ -545,7 +566,7 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     import numpy as np
     import lrdustat.cli as cli
     from lrdustat.hermite import class_coeffs
-    from lrdustat.limit_law import default_grid, limit_thm2, simulate_hermite
+    from lrdustat.limit_law import limit_thm2, simulate_hermite
     from lrdustat.lrd_sim import Subordinator
     from lrdustat.ustat import cusum_kernel
 
@@ -571,7 +592,7 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     seen["verify_reduction"] = scipy_modules()
     identity = Subordinator.identity()
     cls = class_coeffs(identity, 1, np.linspace(-8.0, 8.0, 201))
-    z = simulate_hermite(1, 0.4, default_grid(16), reps=10, N_aux=2 ** 12)
+    z = simulate_hermite(1, 0.4, 16, reps=10)
     limit_thm2(cusum_kernel(), identity, cls, z)
     seen["limit_thm2"] = scipy_modules()
     rc["simulate_exp"] = cli.main(["simulate", "--D", "0.4", "--n", "64",

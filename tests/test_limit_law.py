@@ -29,7 +29,7 @@ def fbm_covariance(s, t, h=H):
 
 @pytest.fixture(scope="module")
 def ensemble():
-    return simulate_hermite(1, D_ONE, default_grid(64), reps=3000, seed=17)
+    return simulate_hermite(1, D_ONE, 64, reps=3000, seed=17)
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +40,12 @@ def identity_class():
 
 @pytest.fixture(scope="module")
 def driver():
-    return simulate_hermite(1, 0.4, default_grid(32), reps=60,
-                            N_aux=2 ** 12, seed=21)
+    return simulate_hermite(1, 0.4, 32, reps=60, seed=21)
 
 
 @pytest.fixture(scope="module")
 def cv_ensemble():
-    return simulate_hermite(1, D_ONE, default_grid(64), reps=500, seed=33)
+    return simulate_hermite(1, D_ONE, 64, reps=500, seed=33)
 
 
 class TestFbm:
@@ -76,11 +75,9 @@ class TestFbm:
             0.5 ** (2 * H), abs=0.05)
 
     def test_self_similarity(self):
-        a = simulate_hermite(1, D_ONE, np.array([0.0, 0.5]), reps=2000,
-                             seed=1)
-        b = simulate_hermite(1, D_ONE, np.array([0.0, 1.0]), reps=2000,
-                             seed=2)
-        rescaled = a.paths[:, -1] * 2.0 ** H
+        a = simulate_hermite(1, D_ONE, 2, reps=2000, seed=1)
+        b = simulate_hermite(1, D_ONE, 1, reps=2000, seed=2)
+        rescaled = a.paths[:, 1] * 2.0 ** H
         assert ks_2samp(rescaled, b.paths[:, -1]).statistic <= 0.05
 
     def test_h_out_of_range(self):
@@ -88,12 +85,11 @@ class TestFbm:
         # ParameterError)
         for h in (0.5, 1.0, 0.3):
             with pytest.raises(ParameterError):
-                simulate_hermite(1, 2.0 * (1.0 - h), default_grid(8),
-                                 reps=1, seed=0)
+                simulate_hermite(1, 2.0 * (1.0 - h), 8, reps=1, seed=0)
 
     def test_deterministic(self):
-        a = simulate_hermite(1, D_ONE, default_grid(8), reps=3, seed=5)
-        b = simulate_hermite(1, D_ONE, default_grid(8), reps=3, seed=5)
+        a = simulate_hermite(1, D_ONE, 8, reps=3, seed=5)
+        b = simulate_hermite(1, D_ONE, 8, reps=3, seed=5)
         assert np.array_equal(a.paths, b.paths)
 
 
@@ -113,13 +109,11 @@ def draw_sizes(monkeypatch):
 
 class TestHermiteProcess:
     def test_starts_at_zero(self):
-        ens = simulate_hermite(2, 0.3, default_grid(16), reps=5,
-                               N_aux=2 ** 12, seed=0)
+        ens = simulate_hermite(2, 0.3, 16, reps=5, seed=0)
         assert np.all(ens.paths[:, 0] == 0.0)
 
     def test_order_one_unit_variance(self):
-        ens = simulate_hermite(1, 0.4, np.array([0.0, 1.0]), reps=2000,
-                               N_aux=2 ** 12, seed=3)
+        ens = simulate_hermite(1, 0.4, 1, reps=2000, seed=3)
         assert np.var(ens.paths[:, -1], ddof=1) == pytest.approx(1.0,
                                                                  abs=0.1)
 
@@ -128,18 +122,13 @@ class TestHermiteProcess:
         # mixed with unit-variance fBm at a^2 + b^2 = 1, so E[Z_2(1)^2] = 1
         # exactly; the estimator is noisier than in the Gaussian case
         # because of heavier tails
-        ens = simulate_hermite(2, 0.3, np.array([0.0, 1.0]), reps=1500,
-                               N_aux=2 ** 12, seed=4)
+        ens = simulate_hermite(2, 0.3, 1, reps=1500, seed=4)
         assert np.var(ens.paths[:, -1], ddof=1) == pytest.approx(1.0,
                                                                  abs=0.25)
 
     def test_regime_violation(self):
         with pytest.raises(RegimeError):
-            simulate_hermite(2, 0.5, default_grid(8), reps=1)
-
-    def test_n_aux_floor(self):
-        with pytest.raises(ParameterError):
-            simulate_hermite(1, 0.4, default_grid(8), reps=1, N_aux=100)
+            simulate_hermite(2, 0.5, 8, reps=1)
 
 
 class TestThm1:
@@ -148,11 +137,10 @@ class TestThm1:
         # equal sqrt(c1) ((1-lam) Z(lam) - lam (Z(1) - Z(lam))) path by path
         d = 0.4
         grid = default_grid(32)
-        reps, n_aux, seed = 50, 2 ** 12, 9
-        ens = limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, d, grid, reps=reps,
-                         N_aux=n_aux, seed=seed)
-        z = simulate_hermite(1, d, grid, reps=reps, N_aux=n_aux,
-                             seed=seed).paths
+        reps, seed = 50, 9
+        ens = limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, d, 32, reps=reps,
+                         seed=seed)
+        z = simulate_hermite(1, d, 32, reps=reps, seed=seed).paths
         z1 = z[:, -1:]
         expected = math.sqrt(c_constant(d, 1)) * ((1.0 - grid) * z
                                                   - grid * (z1 - z))
@@ -160,43 +148,16 @@ class TestThm1:
 
     def test_linearity_in_coefficients(self):
         d = 0.4
-        grid = default_grid(16)
-        one = limit_thm1({(1, 0): 1.0}, d, grid, reps=20, N_aux=2 ** 12,
-                         seed=2)
-        two = limit_thm1({(1, 0): 2.0}, d, grid, reps=20, N_aux=2 ** 12,
-                         seed=2)
+        one = limit_thm1({(1, 0): 1.0}, d, 16, reps=20, seed=2)
+        two = limit_thm1({(1, 0): 2.0}, d, 16, reps=20, seed=2)
         assert np.allclose(two.paths, 2.0 * one.paths, atol=1e-14)
 
     def test_boundary_values(self):
-        ens = limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, default_grid(16),
-                         reps=10, N_aux=2 ** 12, seed=0)
+        ens = limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, 16, reps=10,
+                         seed=0)
         # Z_k(0) = 0 and the second factor vanishes at lam = 1
         assert np.allclose(ens.paths[:, 0], 0.0)
         assert np.allclose(ens.paths[:, -1], 0.0, atol=1e-12)
-
-    def test_grid_without_one_takes_a_single_pass(self, monkeypatch):
-        # Z_l(1) for a grid ending below 1 comes from the same Monte Carlo
-        # pass: the paths equal the matching columns of the run on the grid
-        # extended by lambda = 1, at the same number of Hermite evaluations
-        calls = []
-        real_eval = limit_law.hermite_eval
-
-        def counting_eval(k, x):
-            calls.append(k)
-            return real_eval(k, x)
-
-        monkeypatch.setattr(limit_law, "hermite_eval", counting_eval)
-        entries = {(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}
-        half = np.linspace(0.0, 0.5, 9)
-        reps, n_aux, seed = 6, 2 ** 12, 4
-        short = limit_thm1(entries, 0.3, half, reps=reps, N_aux=n_aux,
-                           seed=seed)
-        short_calls = len(calls)
-        calls.clear()
-        full = limit_thm1(entries, 0.3, np.append(half, 1.0), reps=reps,
-                          N_aux=n_aux, seed=seed)
-        assert np.array_equal(short.paths, full.paths[:, :half.size])
-        assert short_calls == len(calls) == 2 * reps
 
     def test_mixed_diagonals_rejected(self):
         with pytest.raises(ParameterError):
@@ -212,8 +173,9 @@ class TestThm1:
 
 
 class TestRankOneGridDraw:
-    """Order 1 alone is drawn at N_aux/q, q the largest common step of the
-    grid indices, and rescaled by the exact partial-sum deviation there."""
+    """Order 1 alone is drawn as fGn of length G (2 when G = 1), read at
+    the grid points and rescaled by the exact partial-sum deviation of the
+    drawn length."""
 
     @pytest.mark.parametrize("d", [0.1, 0.4, 0.6, 0.9])
     @pytest.mark.parametrize("n", [2, 256, 2 ** 15])
@@ -223,43 +185,71 @@ class TestRankOneGridDraw:
         assert hermite_sum_std(LrdParams(D=d), 1, n) == pytest.approx(
             n ** h, rel=1e-12)
 
-    @pytest.mark.parametrize("grid_size, drawn", [(256, 256), (200, 2 ** 15),
+    @pytest.mark.parametrize("grid_size, drawn", [(256, 256), (200, 200),
                                                   (1, 2)])
     def test_rank_one_draws_at_grid_resolution(self, draw_sizes, grid_size,
                                                drawn):
-        limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, default_grid(grid_size),
-                   reps=2, N_aux=2 ** 15, seed=0)
+        limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, grid_size, reps=2,
+                   seed=0)
         assert draw_sizes == [drawn]
 
+    def test_rank_one_takes_no_n_aux(self):
+        with pytest.raises(ParameterError):
+            limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, 8, reps=1,
+                       N_aux=2 ** 15)
+
     def test_mixed_orders_draw_at_n_aux(self, draw_sizes):
-        limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3,
-                   default_grid(256), reps=2, N_aux=2 ** 15, seed=0)
+        limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3, 256,
+                   reps=2, N_aux=2 ** 15, seed=0)
         assert draw_sizes == [2 ** 15]
 
     def test_default_n_aux_per_law(self, draw_sizes):
         # order 2 alone draws its auxiliary path at 2^12, then fBm with
-        # H = 1 - D at the grid's resolution; every other law keeps 2^15
+        # H = 1 - D at the grid; order 1 alone draws no auxiliary path;
+        # every other law keeps 2^15
         assert limit_law.resolve_n_aux([2]) == 2 ** 12
-        assert limit_law.resolve_n_aux([1]) == 2 ** 15
+        assert limit_law.resolve_n_aux([1]) is None
         assert limit_law.resolve_n_aux([1, 2]) == 2 ** 15
         assert limit_law.resolve_n_aux([1, 2, 3]) == 2 ** 15
         assert limit_law.resolve_n_aux([2], 2 ** 14) == 2 ** 14
-        grid = default_grid(256)
-        limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, grid, reps=2, seed=0)
-        limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3, grid,
+        bump = limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, 256, reps=2,
+                          seed=0)
+        limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3, 256,
                    reps=2, seed=0)
-        limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, grid, reps=2, seed=0)
+        rank_one = limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, 256, reps=2,
+                              seed=0)
         assert draw_sizes == [2 ** 12, 256, 2 ** 15, 256]
+        assert bump.descriptor["N_aux"] == 2 ** 12
+        assert rank_one.descriptor["N_aux"] is None
 
-    def test_agrees_in_law_with_fbm(self):
+    @pytest.mark.parametrize("grid_size, drawn", [(200, [2 ** 12, 200]),
+                                                  (1, [2 ** 12, 2])])
+    def test_bump_draws_fbm_at_grid(self, draw_sizes, grid_size, drawn):
+        limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, grid_size, reps=2,
+                   seed=0)
+        assert draw_sizes == drawn
+
+    def test_auxiliary_path_read_at_integer_index(self):
+        # on the grid j/200 a mixed law reads its 2^12-point auxiliary path
+        # at j 2^12 // 200: the columns of the same draw at full resolution
+        full, _ = limit_law._hermite_partial_paths([1, 2], 0.3, 2 ** 12, 3,
+                                                   2 ** 12, 7)
+        coarse, _ = limit_law._hermite_partial_paths([1, 2], 0.3, 200, 3,
+                                                     2 ** 12, 7)
+        idx = np.arange(201) * 2 ** 12 // 200
+        for k in (1, 2):
+            assert np.array_equal(coarse[k], full[k][:, idx])
+
+    @pytest.mark.parametrize("grid_size", [64, 200])
+    def test_agrees_in_law_with_fbm(self, grid_size):
         # the grid draw against fBm from the Cholesky factor of the brute
         # covariance oracle at the grid points: both are exact, so the
         # two-sample KS distances of Z(1) and of the sup stay below the
         # bound exceeded with probability about 1e-6 under one law, which
         # for two samples of equal size r is sqrt(-log(1e-6 / 2) / r)
         reps = 10000
-        grid = default_grid(64)
-        rank_one = simulate_hermite(1, D_ONE, grid, reps=reps, seed=61)
+        rank_one = simulate_hermite(1, D_ONE, grid_size, reps=reps, seed=61)
+        grid = default_grid(grid_size)
         inner = grid[1:]
         chol = np.linalg.cholesky(fbm_covariance(inner[:, None],
                                                  inner[None, :]))
@@ -276,9 +266,15 @@ class TestRankOneGridDraw:
 
     def test_reps_floor(self):
         with pytest.raises(ParameterError):
-            simulate_hermite(1, 0.4, default_grid(8), reps=0)
+            simulate_hermite(1, 0.4, 8, reps=0)
         with pytest.raises(ParameterError):
-            limit_thm1({(1, 0): 1.0}, 0.4, default_grid(8), reps=0)
+            limit_thm1({(1, 0): 1.0}, 0.4, 8, reps=0)
+
+    def test_grid_size_floor(self):
+        with pytest.raises(ParameterError):
+            simulate_hermite(1, 0.4, 0, reps=1)
+        with pytest.raises(ParameterError):
+            limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, 0, reps=1)
 
 
 class TestCorrectedOrderTwo:
@@ -308,9 +304,9 @@ class TestCorrectedOrderTwo:
         # Z(1) of the corrected law and, from the same (seed, rep) streams,
         # the uncorrected H_2 sums S(1), which a draw of orders 1 and 2
         # leaves as they are
-        grid, reps, seed = np.array([0.0, 1.0]), 2000, 71
-        corrected = simulate_hermite(2, self.D, grid, reps=reps, seed=seed)
-        raw, _ = limit_law._hermite_partial_paths([1, 2], self.D, grid, reps,
+        reps, seed = 2000, 71
+        corrected = simulate_hermite(2, self.D, 1, reps=reps, seed=seed)
+        raw, _ = limit_law._hermite_partial_paths([1, 2], self.D, 1, reps,
                                                   2 ** 12, seed)
         return corrected.descriptor, corrected.paths[:, -1], raw[2][:, -1]
 
@@ -351,8 +347,7 @@ class TestCorrectedOrderTwo:
         # each 800-replication q99 lies in the other N_aux's
         # order-statistic interval
         entries = {(2, 0): 1.0, (0, 2): 1.0}
-        tables = [critical_values(limit_thm1(entries, self.D,
-                                             default_grid(64), reps=800,
+        tables = [critical_values(limit_thm1(entries, self.D, 64, reps=800,
                                              N_aux=n_aux, seed=seed), [0.99])
                   for n_aux, seed in ((2 ** 12, 5), (2 ** 14, 6))]
         for mine, other in (tables, tables[::-1]):
@@ -361,14 +356,14 @@ class TestCorrectedOrderTwo:
 
     def test_mixed_rank_two_warns_of_skewness_gap(self):
         mixed = limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3,
-                           default_grid(8), reps=2, N_aux=2 ** 12, seed=0)
+                           8, reps=2, N_aux=2 ** 12, seed=0)
         (warning,) = mixed.warnings
         assert f"{hermite2_sum_skewness(LrdParams(D=0.3), 2 ** 12):.4f}" \
             in warning
         assert f"{rosenblatt_skewness(0.3):.4f}" in warning
         assert "a" not in mixed.descriptor
-        bump = limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.3, default_grid(8),
-                          reps=2, seed=0)
+        bump = limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.3, 8, reps=2,
+                          seed=0)
         assert bump.warnings == []
 
 
@@ -401,18 +396,10 @@ class TestThm2:
         assert np.allclose(ens.paths, 0.0)
 
     def test_driver_order_mismatch(self, identity_class):
-        driver2 = simulate_hermite(2, 0.3, default_grid(8), reps=5,
-                                   N_aux=2 ** 12, seed=0)
+        driver2 = simulate_hermite(2, 0.3, 8, reps=5, seed=0)
         with pytest.raises(ParameterError):
             limit_thm2(wilcoxon_kernel(), Subordinator.identity(),
                        identity_class, driver2)
-
-    def test_driver_grid_must_reach_one(self, identity_class):
-        driver = simulate_hermite(1, 0.4, np.array([0.0, 0.5]), reps=5,
-                                  N_aux=2 ** 12, seed=0)
-        with pytest.raises(ParameterError):
-            limit_thm2(wilcoxon_kernel(), Subordinator.identity(),
-                       identity_class, driver)
 
 
 class TestCriticalValues:
@@ -427,7 +414,7 @@ class TestCriticalValues:
             table.value_at(0.5)
 
     def test_reps_floor(self):
-        small = simulate_hermite(1, D_ONE, default_grid(8), reps=10, seed=0)
+        small = simulate_hermite(1, D_ONE, 8, reps=10, seed=0)
         with pytest.raises(ParameterError):
             critical_values(small, [0.95])
 
@@ -436,24 +423,23 @@ class TestCriticalValues:
             critical_values(cv_ensemble, [0.95, 1.0])
 
     def test_seed_reproducible(self):
-        a = simulate_hermite(1, D_ONE, default_grid(32), reps=200, seed=44)
-        b = simulate_hermite(1, D_ONE, default_grid(32), reps=200, seed=44)
+        a = simulate_hermite(1, D_ONE, 32, reps=200, seed=44)
+        b = simulate_hermite(1, D_ONE, 32, reps=200, seed=44)
         ta = critical_values(a, [0.95])
         tb = critical_values(b, [0.95])
         assert ta.values == tb.values
 
     def test_grid_refinement_stability(self):
-        # the point 1/256 makes the coarse grid draw at the fine grid's
-        # resolution, so with one seed the same noise feeds both grids:
-        # the coarse sup is dominated by the fine sup, and the 95% quantile
-        # moves by only a small fraction
-        coarse_grid = np.insert(default_grid(64), 1, 1.0 / 256)
-        coarse = simulate_hermite(1, D_ONE, coarse_grid, reps=400, seed=8)
-        fine = simulate_hermite(1, D_ONE, default_grid(256), reps=400, seed=8)
-        assert np.all(coarse.sup_abs() <= fine.sup_abs() + 1e-12)
-        qc = critical_values(coarse, [0.95]).values[0]
-        qf = critical_values(fine, [0.95]).values[0]
-        assert qc <= qf <= 1.05 * qc
+        # refining the grid from 64 to 256 steps moves the 95% quantile of
+        # the sup by less than its Monte Carlo error: each 400-replication
+        # q95 lies in the other grid's order-statistic interval
+        tables = [critical_values(simulate_hermite(1, D_ONE, grid_size,
+                                                   reps=400, seed=seed),
+                                  [0.95])
+                  for grid_size, seed in ((64, 8), (256, 9))]
+        for mine, other in (tables, tables[::-1]):
+            lo, hi = other.intervals[0]
+            assert lo <= mine.values[0] <= hi
 
     def test_json_roundtrip(self, cv_ensemble, tmp_path):
         table = critical_values(cv_ensemble, [0.9, 0.95])
@@ -465,6 +451,7 @@ class TestCriticalValues:
         assert back.levels == table.levels
         assert back.reps == table.reps
         assert back.intervals == table.intervals
+        assert back.grid_size == table.grid_size == 64
 
     @pytest.mark.parametrize("level, reps", [(0.25, 100), (0.5, 200),
                                              (0.9, 200), (0.95, 2000),
@@ -490,8 +477,7 @@ class TestCriticalValues:
         # 50 covers of 60 is a loose floor
         levels = [0.5, 0.9, 0.95]
         exact = [NormalDist().inv_cdf((1.0 + p) / 2.0) for p in levels]
-        ens = simulate_hermite(1, D_ONE, np.array([0.0, 1.0]), reps=4000,
-                               seed=91)
+        ens = simulate_hermite(1, D_ONE, 1, reps=4000, seed=91)
         covers = 0
         for paths in np.split(ens.paths, 20):
             part = limit_law.LimitEnsemble(grid=ens.grid, paths=paths,

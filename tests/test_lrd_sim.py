@@ -150,6 +150,14 @@ class TestEmbeddingLength:
             assert 2 * (n_emb - 1) in smooth
             assert not any(2 * (k - 1) in smooth for k in range(n, n_emb))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_below_two_rejected(self, n):
+        # 2(n - 1) <= 0 has no 5-smooth value to find
+        with pytest.raises(ParameterError):
+            embedding_length(n)
+        with pytest.raises(ParameterError):
+            CirculantEmbedding(LrdParams(D=0.4), n)
+
     @pytest.mark.parametrize("family", [FGN, TWEAKED_POWER_LAW])
     @pytest.mark.parametrize("n", [8, 2000])
     def test_prefix_covariance_is_exact(self, family, n):

@@ -7,7 +7,7 @@ import pytest
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (hermite_eval, hermite_sum_std, kernel_table,
                               scaling)
-from lrdustat.limit_law import default_grid, simulate_hermite
+from lrdustat.limit_law import simulate_hermite
 from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
                               asymptotic_L, replication_rng)
 from lrdustat.verify import (check_reduction, check_variance,
@@ -155,8 +155,7 @@ class TestCheckReduction:
 class TestWeakConvergence:
     def test_identical_samples_have_zero_ks(self):
         params = LrdParams(D=0.4)
-        limit = simulate_hermite(1, params.D, default_grid(32), reps=150,
-                                 seed=5)
+        limit = simulate_hermite(1, params.D, 32, reps=150, seed=5)
         sups = limit.sup_abs()
         # degenerate check: comparing the ensemble against itself
         assert ks_statistic(sups, sups) == 0.0
@@ -178,8 +177,7 @@ class TestWeakConvergence:
 
     def test_wilcoxon_report_fields(self):
         params = LrdParams(D=0.4)
-        limit = simulate_hermite(1, params.D, default_grid(64), reps=300,
-                                 seed=5)
+        limit = simulate_hermite(1, params.D, 64, reps=300, seed=5)
         # scale the fBm by the known rank-one functional factor before use:
         # here we only exercise the harness plumbing on a modest run
         kernel = wilcoxon_kernel()
