@@ -12,10 +12,10 @@ from .limit_law import (CriticalValueTable, LimitEnsemble, critical_values,
 from .lrd_sim import (FGN, TWEAKED_POWER_LAW, LrdParams, Subordinator,
                       asymptotic_L, build_covariance, replication_rng,
                       simulate_gaussian)
-from .ustat import (Kernel, builtin_kernel, changepoint_statistic,
+from .ustat import (Kernel, OddScore, builtin_kernel, changepoint_statistic,
                     cusum_kernel, gaussian_bump_kernel, huber_kernel,
                     normalize, tukey_kernel, ustat_cusum, ustat_factored,
-                    ustat_incremental, ustat_naive, ustat_wilcoxon,
-                    wilcoxon_kernel)
+                    ustat_incremental, ustat_naive, ustat_score,
+                    ustat_wilcoxon, wilcoxon_kernel)
 from .verify import (ExperimentReport, check_reduction, check_variance,
                      check_weak_convergence)

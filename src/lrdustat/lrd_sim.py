@@ -19,10 +19,12 @@ values are returned.  A prefix of an exact stationary draw is exact.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import struct
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -269,18 +271,64 @@ def write_path_csv(values: np.ndarray, path) -> None:
             writer.writerow([repr(float(v))])
 
 
+#: the bytes of a CSV body that numpy's reader parses as the csv module and
+#: ``float`` do: digits, signs, points, exponents, commas and line ends
+_PLAIN_CSV_BYTES = b"0123456789+-.eE,\r\n"
+
+
 def read_path_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["value"]:
-            raise ParameterError(f"unexpected CSV header {header!r}")
+    """The ``value`` column of a CSV path file: a ``value`` header row, then
+    one number in the first field of each row; further fields are ignored.
+
+    A body of plain numbers (``_PLAIN_CSV_BYTES`` only) is parsed by
+    ``np.loadtxt``; anything else (quotes, spaces, blank or comment rows,
+    other text) goes through the csv module.  Both read each value as
+    ``float`` does.  A row the csv route rejects, or bytes that are not
+    UTF-8, raise ParameterError naming the line.
+    """
+    raw = Path(path).read_bytes()
+    for header in (b"value\n", b"value\r\n"):
+        if raw.startswith(header):
+            values = _read_plain_body(raw[len(header):])
+            if values is not None:
+                return values
+    return _read_csv_rows(raw, path)
+
+
+def _read_plain_body(body: bytes):
+    """First fields of a plain-number CSV body, or None if it holds other
+    bytes, a field that is not a number, or a blank row, which np.loadtxt
+    skips and the row count catches."""
+    if body.translate(None, _PLAIN_CSV_BYTES):
+        return None
+    rows = body.count(b"\n") + (not body.endswith(b"\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a body without data
         try:
+            values = np.loadtxt(io.StringIO(body.decode("ascii")),
+                                delimiter=",", usecols=0, comments=None,
+                                ndmin=1)
+        except ValueError:
+            return None
+    return values if values.size == rows else None
+
+
+def _read_csv_rows(raw: bytes, path) -> np.ndarray:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParameterError(f"{path}: line {line}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header == ["value"]:
             return np.array([float(row[0]) for row in reader], dtype=float)
-        except (IndexError, ValueError) as exc:
-            raise ParameterError(
-                f"{path}: line {reader.line_num}: expected one number "
-                f"({exc})") from None
+    except (csv.Error, IndexError, ValueError) as exc:
+        raise ParameterError(
+            f"{path}: line {reader.line_num}: expected one number "
+            f"({exc})") from None
+    raise ParameterError(f"unexpected CSV header {header!r}")
 
 
 def write_path_binary(values: np.ndarray, path) -> None:

@@ -3,8 +3,9 @@
 U(k) = sum_{i <= k} sum_{j > k} h(X_i, X_j) for every split k = 1..n-1,
 with an O(n^3) reference oracle, an O(n^2) incremental path for general
 kernels, an O(R n) prefix-sum path for kernels of finite rank R
-(``Kernel.factors``), and O(n)/O(n log n) special cases for the CUSUM and
-Wilcoxon kernels.
+(``Kernel.factors``), an O(n log n) path for kernels psi(x - y) with an odd
+piecewise-polynomial score (``Kernel.score``: Huber, Tukey), and
+O(n)/O(n log n) special cases for the CUSUM and Wilcoxon kernels.
 """
 
 from __future__ import annotations
@@ -23,6 +24,22 @@ TAG_FAST_WILCOXON = "fast_wilcoxon"
 
 
 @dataclass(frozen=True)
+class OddScore:
+    """An odd, continuous, piecewise-polynomial score psi:
+
+        psi(t) = c q(t / c)      on |t| <= c,
+        psi(t) = sign(t) tail    beyond,
+
+    with q the odd polynomial of ascending coefficients ``poly``.  Continuity
+    at |t| = c means c q(1) = tail.
+    """
+
+    c: float
+    poly: tuple
+    tail: float
+
+
+@dataclass(frozen=True)
 class Kernel:
     """A two-argument kernel h(x, y) with optional metadata.
 
@@ -31,6 +48,8 @@ class Kernel:
     non-empty) is a finite-rank form of the same kernel: (w, f, g) triples
     with h(x, y) = sum w f(x) g(y), where f and g map arrays to arrays;
     :func:`ustat_fast` then takes the prefix-sum path :func:`ustat_factored`.
+    ``score`` (if present) says h(x, y) = score(x - y) for an
+    :class:`OddScore`; :func:`ustat_fast` then takes :func:`ustat_score`.
     """
 
     name: str
@@ -39,6 +58,7 @@ class Kernel:
     tv_bound: float | None = None
     coeff_provider: callable | None = None
     factors: tuple = ()
+    score: OddScore | None = None
 
 
 def cusum_kernel() -> Kernel:
@@ -109,6 +129,7 @@ def huber_kernel(delta: float) -> Kernel:
         name=f"huber_{delta:g}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
         tv_bound=2.0 * delta,
+        score=OddScore(c=delta, poly=(0.0, 1.0), tail=delta),
     )
 
 
@@ -131,6 +152,7 @@ def tukey_kernel(c: float) -> Kernel:
         name=f"tukey_{c:g}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
         tv_bound=4.0 * peak,
+        score=OddScore(c=c, poly=(0.0, 1.0, 0.0, -2.0, 0.0, 1.0), tail=0.0),
     )
 
 
@@ -232,24 +254,20 @@ def ustat_wilcoxon(data) -> np.ndarray:
 
     One stable sort gives every split at once:
 
-        U(k) = sum_{i<=k} (n - L_i) - k(k+1)/2 - sum_{j<=k} e_j,
+        U(k) = sum_{i<=k} (n - pos_i) - k(k+1)/2,
 
-    where n - L_i counts the X_j >= X_i (L_i is the number strictly below
-    X_i), k(k+1)/2 + sum_{j<=k} e_j counts the ordered pairs i, j <= k with
-    X_i <= X_j, and e_j is the number of earlier X_i equal to X_j.  The
-    counts are int64 and become floats only at the end.
+    where pos_i is X_i's position in the stable sort.  n - pos_i counts the
+    X_j >= X_i, less the equal X_j before X_i, which a stable sort places
+    before it; k(k+1)/2 plus those earlier ties over i <= k counts the
+    ordered pairs i, j <= k with X_i <= X_j.  The counts are int64 and
+    become floats only at the end.
     """
     data = _check_data(data)
     n = data.size
-    order = np.argsort(data, kind="stable")
-    ordered = data[order]
-    below = np.searchsorted(ordered, data, side="left")
-    # a stable sort keeps equal values in index order, so an element's offset
-    # inside its run of ties counts the equal elements before it
-    earlier_ties = np.empty(n, dtype=np.int64)
-    earlier_ties[order] = np.arange(n) - below[order]
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.argsort(data, kind="stable")] = np.arange(n)
     k = np.arange(1, n, dtype=np.int64)
-    u = np.cumsum(n - below - earlier_ties)[:-1] - k * (k + 1) // 2
+    u = np.cumsum(n - pos)[:-1] - k * (k + 1) // 2
     return u.astype(float)
 
 
@@ -270,15 +288,78 @@ def ustat_factored(data, factors) -> np.ndarray:
     return u
 
 
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Cumulative sums along axis 0, corrected for the rounding of each
+    step: ``np.cumsum`` adds in sequence, so the error of s_k = s_{k-1} + x_k
+    follows exactly from s_{k-1}, x_k and s_k (Knuth's TwoSum), and the
+    running sum of those errors is added back."""
+    s = np.cumsum(x, axis=0)
+    prev, step, total = s[:-1], x[1:], s[1:]
+    back = total - prev
+    err = (prev - (total - back)) + (step - back)
+    s[1:] += np.cumsum(err, axis=0)
+    return s
+
+
+def ustat_score(data, score: OddScore) -> np.ndarray:
+    """Kernel h(x, y) = psi(x - y) for an :class:`OddScore` psi, in
+    O(n log n).
+
+    h is antisymmetric, so the pairs inside the first k cancel and
+    U(k) = sum_{i<=k} R_i with R_i = sum_j psi(X_i - X_j).  All of R takes
+    one sort of z = (X - M) / c, with M the middle value of the sorted data:
+
+    * the X_j more than c below (above) X_i add +tail (-tail) each, counted
+      from ``searchsorted`` window bounds at z_i -+ 1;
+    * the window sums c q(z_i - z_j) bin by bin: with bin b = floor(z_j),
+      centre m = b + 1/2 and offset d_j = z_j - m in [-1/2, 1/2), Taylor's
+      formula gives sum_j q(e - d_j) = sum_p q^(p)(e) / p! sum_j (-d_j)^p
+      with e = z_i - m, and the sums of (-d_j)^p are differences of
+      compensated prefix sums.
+
+    A window lies in bins floor(z_i) - 1 .. floor(z_i) + 1, so |e| <= 3/2
+    and |d| <= 1/2 whatever the spread of the data: the power sums do not
+    cancel, and the path keeps full relative accuracy on heavy tails and
+    far from the median.
+    """
+    data = _check_data(data)
+    n = data.size
+    order = np.argsort(data)
+    z = data[order]
+    z = (z - z[n // 2]) / score.c
+    bins = np.floor(z)
+    cuts = [np.searchsorted(z, bins + shift) for shift in (-1.0, 0.0, 1.0, 2.0)]
+    lo = np.searchsorted(z, z - 1.0, side="left")
+    # z + 1 may round up onto the bin after the third
+    hi = np.minimum(np.searchsorted(z, z + 1.0, side="right"), cuts[-1])
+    degree = len(score.poly) - 1
+    sums = np.zeros((n + 1, degree + 1))
+    sums[1:] = _compensated_cumsum(np.vander(bins + 0.5 - z, degree + 1,
+                                       increasing=True))
+    derivs = [np.polynomial.Polynomial(score.poly).deriv(p) / math.factorial(p)
+              for p in range(degree + 1)]
+    inside = np.zeros(n)
+    for shift, first, last in zip((-1.0, 0.0, 1.0), cuts, cuts[1:]):
+        window = sums[np.clip(hi, first, last)] - sums[np.clip(lo, first, last)]
+        e = z - bins - (shift + 0.5)
+        for p, deriv in enumerate(derivs):
+            inside += deriv(e) * window[:, p]
+    r = np.empty(n)
+    r[order] = score.tail * (lo - (n - hi)) + score.c * inside
+    return _compensated_cumsum(r)[:-1]
+
+
 def ustat_fast(data, kernel: Kernel) -> np.ndarray:
-    """Dispatch to the fastest exact path the kernel's tags or factors
-    allow."""
+    """Dispatch to the fastest exact path the kernel's tags, factors or
+    score allow."""
     if TAG_FAST_CUSUM in kernel.tags:
         return ustat_cusum(data)
     if TAG_FAST_WILCOXON in kernel.tags:
         return ustat_wilcoxon(data)
     if kernel.factors:
         return ustat_factored(data, kernel.factors)
+    if kernel.score is not None:
+        return ustat_score(data, kernel.score)
     return ustat_incremental(data, kernel)
 
 

@@ -1,6 +1,7 @@
-"""The benchmark's tracer wraps package functions by name; these tests fail
-when a refactor renames one of them, instead of ``bench/run.py --trace 1``
-failing later."""
+"""The benchmark binds package functions by name and checks the outputs of
+its jobs; these tests fail when a refactor renames one of those functions,
+or when a U-statistic path would fail the benchmark's output check, instead
+of ``bench/run.py`` failing later."""
 
 import importlib
 import importlib.util
@@ -8,9 +9,13 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from lrdustat.ustat import builtin_kernel, ustat_fast
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +55,47 @@ def test_traced_functions_take_bound_arguments(mod_name, attr, argument):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert argument in inspect.signature(obj).parameters
+
+
+@pytest.fixture(scope="module")
+def bench_checks():
+    """``bench/inputs.py`` and ``bench/checks.py`` (standard library and
+    numpy only), under the names ``checks.py`` imports them by."""
+    saved = {name: sys.modules.get(name) for name in ("inputs", "checks")}
+    try:
+        for name in ("inputs", "checks"):
+            spec = importlib.util.spec_from_file_location(name,
+                                                          BENCH / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+        yield sys.modules["inputs"], sys.modules["checks"]
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+
+
+def _tukey(c):
+    def h(x, y):
+        t = x - y
+        return np.where(np.abs(t) <= c, t * (1.0 - (t / c) ** 2) ** 2, 0.0)
+    return h
+
+
+@pytest.mark.parametrize("spec", ["huber:1.345", "tukey:4.685"])
+def test_score_paths_pass_the_bench_check(bench_checks, spec):
+    # detect_warm's n = 4000 series at seed 1, against the benchmark's own
+    # pair-matrix path, with the tolerance its detect check applies
+    inputs, checks = bench_checks
+    x, _ = inputs.shifted_series(4000, np.random.default_rng([1, 2]))
+    h = inputs.huber(1.345) if spec.startswith("huber") else _tukey(4.685)
+    ref = inputs.pair_path(x, h)
+    got = ustat_fast(x, builtin_kernel(spec))
+    assert np.max(np.abs(got - ref)) <= checks.STAT_RTOL * np.max(np.abs(ref))
+    _, stat, k_ref = inputs.detector(ref, 0.0, 1)
+    _, value, k_star = inputs.detector(got, 0.0, 1)
+    assert abs(value - stat) <= checks.STAT_RTOL * stat
+    assert k_star == k_ref

@@ -329,8 +329,12 @@ class TestDetect:
         (b"value\n1.0\n2.0\n3.0\n", ["--kernel", "huber:abc"]),
         (lrd_sim.PATH_MAGIC + struct.pack("<q", -1) + bytes(16), []),
         (lrd_sim.PATH_MAGIC + struct.pack("<q", 2 ** 62) + bytes(16), []),
+        (b"value\n1.0\n#c\n2.0\n", []),             # comment row
+        (b"value\n1.0\n\xff\xfe2.0\n", []),         # not UTF-8
+        (np.random.default_rng(0).bytes(300), []),
     ], ids=["blank-row", "non-numeric", "short-header", "bad-kernel-param",
-            "negative-count", "oversized-count"])
+            "negative-count", "oversized-count", "comment-row", "non-utf8",
+            "random-bytes"])
     def test_malformed_input_is_config_error(self, tmp_path, capsys,
                                              content, extra):
         (tmp_path / "data.csv").write_bytes(content)

@@ -1,7 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 from scipy.stats import expon
 
@@ -269,6 +272,63 @@ class TestSerialization:
         out = tmp_path / "p.csv"
         lrd_sim.write_path_csv(values, out)
         assert np.array_equal(lrd_sim.read_path_csv(out), values)
+
+    @pytest.mark.parametrize("body", [
+        b"1.5\n-2e-3\n", b"1.5\r\n-2e-3\r\n", b"1.5\n-2e-3", b"7\n", b"",
+        b'"1.5"\n"-2"\n', b"1.5,abc\n2,3,4\n", b" 1.5\t\n+2.\n",
+        b"1_000\n.5\n", b"inf\n-NaN\n-0\n", "\u0661\u0662\n".encode(),
+        b"1\r2\r", b"1\n\n2\n", b"1\n#c\n2\n", b",1\n", b"1e\n", b"\n",
+        b"1\r\r\n2\n", b"1\n\r\n",
+    ])
+    def test_csv_reader_matches_csv_module(self, tmp_path, body):
+        self._check_against_csv_module(tmp_path / "p.csv", b"value\n" + body)
+
+    @pytest.mark.parametrize("head", [b"value", b"value\r\n", b'"value"\n',
+                                      b"value,x\n", b"Value\n", b""])
+    def test_csv_header_matches_csv_module(self, tmp_path, head):
+        self._check_against_csv_module(tmp_path / "p.csv", head + b"1.0\n")
+
+    @given(st.lists(st.sampled_from(["0", "1", "9", ".", "e", "-", "+", ",",
+                                     "\n", "\r", " ", '"', "#", "_", "1.25",
+                                     "\r\n", "e-7", "nan"]), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_reader_matches_csv_module_on_any_body(self, tmp_path_factory,
+                                                       parts):
+        out = tmp_path_factory.mktemp("csv") / "p.csv"
+        self._check_against_csv_module(out, ("value\n" + "".join(parts)).encode())
+
+    @staticmethod
+    def _check_against_csv_module(out, content):
+        """read_path_csv accepts exactly what a plain csv-module reader
+        accepts, with bit-identical values."""
+        out.write_bytes(content)
+        with open(out, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                if next(reader, None) != ["value"]:
+                    raise ValueError("header")
+                expected = np.array([float(row[0]) for row in reader])
+            except (IndexError, ValueError):
+                expected = None
+        if expected is None:
+            with pytest.raises(ParameterError):
+                lrd_sim.read_path_csv(out)
+        else:
+            got = lrd_sim.read_path_csv(out)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("content, line", [
+        (b"value\n1.0\n\n2.0\n", 3),
+        (b"value\n1.0\n#c\n2.0\n", 3),
+        (b"value\r\n1.0\r\nabc\r\n", 3),
+        (b"value\n1.0\n\xff\xfe2.0\n", 3),
+    ], ids=["blank-row", "comment-row", "crlf-non-numeric", "non-utf8"])
+    def test_csv_error_names_the_line(self, tmp_path, content, line):
+        out = tmp_path / "p.csv"
+        out.write_bytes(content)
+        with pytest.raises(ParameterError, match=f"line {line}:"):
+            lrd_sim.read_path_csv(out)
 
     def test_binary_roundtrip(self, tmp_path):
         values = simulate_gaussian(LrdParams(D=0.4), 64, seed=2)

@@ -8,13 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from lrdustat.errors import ParameterError
 from lrdustat.hermite import scaling
-from lrdustat.lrd_sim import replication_rng
+from lrdustat.lrd_sim import LrdParams, replication_rng, simulate_gaussian
 from lrdustat.ustat import (BUILTIN_KERNELS, builtin_kernel,
                             changepoint_statistic, cusum_kernel,
                             gaussian_bump_kernel, huber_kernel, normalize,
                             tukey_kernel, ustat_cusum, ustat_factored,
                             ustat_fast, ustat_incremental, ustat_naive,
-                            ustat_wilcoxon, wilcoxon_kernel)
+                            ustat_score, ustat_wilcoxon, wilcoxon_kernel)
 
 finite_data = hnp.arrays(
     np.float64,
@@ -83,7 +83,7 @@ class TestOracleEquivalence:
                               ustat_factored(data, bump.factors))
         huber = builtin_kernel("huber:1.345")
         assert np.array_equal(ustat_fast(data, huber),
-                              ustat_incremental(data, huber))
+                              ustat_score(data, huber.score))
 
     def test_factored_bump_matches_naive(self):
         # criterion 4's data and bound for the bump's fast path
@@ -111,11 +111,90 @@ class TestOracleEquivalence:
             expanded = sum(w * f(x) * g(y) for w, f, g in kernel.factors)
             assert np.max(np.abs(expanded - kernel.eval(x, y))) <= 1e-14
 
+    def test_score_reproduces_eval(self):
+        kernels = [make() for make in BUILTIN_KERNELS.values()]
+        kernels += [builtin_kernel("huber:1.345"), builtin_kernel("tukey:4.685")]
+        scored = [k for k in kernels if k.score is not None]
+        assert [k.name for k in scored] == ["huber_1.345", "tukey_4.685"]
+        x, y = np.meshgrid(np.linspace(-8.0, 8.0, 81),
+                           np.linspace(-8.0, 8.0, 81), indexing="ij")
+        for kernel in scored:
+            c, poly, tail = kernel.score.c, kernel.score.poly, kernel.score.tail
+            t = np.concatenate([(x - y).ravel(), [-c, c]])
+            psi = np.where(np.abs(t) <= c,
+                           c * np.polynomial.polynomial.polyval(t / c, poly),
+                           np.sign(t) * tail)
+            assert np.max(np.abs(psi - kernel.eval(t, 0.0))) <= 1e-14
+
     def test_short_data_rejected(self):
         with pytest.raises(ParameterError):
             ustat_cusum([1.0])
         with pytest.raises(ParameterError):
             ustat_naive([np.nan, 1.0], cusum_kernel())
+
+
+SCORE_KERNELS = ["huber:1.345", "tukey:4.685"]
+
+
+def _worst_score_error(kernel, datasets):
+    worst = 0.0
+    for data in datasets:
+        ref = ustat_naive(data, kernel)
+        scale = np.maximum(np.abs(ref), 1.0)
+        worst = max(worst, float(np.max(
+            np.abs(ustat_score(data, kernel.score) - ref) / scale)))
+    return worst
+
+
+class TestScorePath:
+    """The one-sort path for h(x, y) = psi(x - y) (Huber, Tukey) against the
+    oracles, at criterion 4's bound."""
+
+    @pytest.mark.parametrize("spec", SCORE_KERNELS)
+    def test_matches_naive_on_criterion_4_data(self, spec):
+        def datasets():
+            for n in (50, 200):
+                for rep in range(50):
+                    data = replication_rng(1234 + n, rep).standard_normal(n)
+                    yield np.round(data, 1) if rep % 2 else data
+
+        assert _worst_score_error(builtin_kernel(spec), datasets()) <= 1e-9
+
+    @pytest.mark.parametrize("spec", SCORE_KERNELS)
+    @pytest.mark.parametrize("power", [1.0, 2.0, 3.0])
+    def test_matches_naive_on_heavy_tails(self, spec, power):
+        # exp-subordinated LRD data, whose top values lie up to 5, 150 and
+        # 3900 Tukey c above the median: power sums expanded around one
+        # centre lose all accuracy here
+        def datasets():
+            for n in (50, 200):
+                for rep in range(10):
+                    xi = simulate_gaussian(LrdParams(D=0.4), n, seed=9, rep=rep)
+                    yield np.exp(power * xi)
+
+        assert _worst_score_error(builtin_kernel(spec), datasets()) <= 1e-9
+
+    @pytest.mark.parametrize("spec", SCORE_KERNELS)
+    def test_shift_invariance(self, spec):
+        # dyadic data with 20 fraction bits: x + 1e6 is exact, so every
+        # difference x_i - x_j, and the exact path, are unchanged
+        kernel = builtin_kernel(spec)
+        xi = replication_rng(11, 0).standard_normal(300)
+        data = np.round(xi * 2.0 ** 20) / 2.0 ** 20
+        base = ustat_score(data, kernel.score)
+        shifted = ustat_score(data + 1e6, kernel.score)
+        scale = np.maximum(np.abs(base), 1.0)
+        assert np.max(np.abs(shifted - base) / scale) <= 1e-9
+
+    @pytest.mark.parametrize("spec", SCORE_KERNELS)
+    def test_matches_incremental_at_n_4000(self, spec):
+        kernel = builtin_kernel(spec)
+        data = simulate_gaussian(LrdParams(D=0.4), 4000, seed=5).copy()
+        data[1500:] += 1.0
+        ref = ustat_incremental(data, kernel)
+        scale = np.maximum(np.abs(ref), 1.0)
+        assert np.max(np.abs(ustat_score(data, kernel.score) - ref)
+                      / scale) <= 1e-9
 
 
 @pytest.mark.parametrize("path", [
@@ -124,8 +203,10 @@ class TestOracleEquivalence:
     ustat_cusum,
     ustat_wilcoxon,
     lambda x: ustat_factored(x, gaussian_bump_kernel().factors),
+    lambda x: ustat_score(x, huber_kernel(1.0).score),
     lambda x: ustat_fast(x, tukey_kernel(4.685)),
-], ids=["naive", "incremental", "cusum", "wilcoxon", "factored", "fast"])
+], ids=["naive", "incremental", "cusum", "wilcoxon", "factored", "score",
+        "fast"])
 @pytest.mark.parametrize("n", [2, 3, 50])
 def test_path_is_float_vector_of_n_minus_1_splits(path, n):
     u = path(replication_rng(3, n).standard_normal(n))
