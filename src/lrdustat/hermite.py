@@ -105,8 +105,8 @@ def coeffs_2d(kernel, Q: int) -> HermiteCoeffTable:
     1e-8 sqrt(1 + E[h^2]).
 
     ``kernel`` is any object with a vectorized ``eval(x, y)``; a table with
-    a machine-readable warning is returned for kernels tagged discontinuous
-    (tensor quadrature converges slowly across jumps).
+    a machine-readable warning is returned for kernels marked
+    ``discontinuous`` (tensor quadrature converges slowly across jumps).
     """
     if not 1 <= Q < QUAD_ORDER:
         raise ParameterError(f"Q must lie in 1..{QUAD_ORDER - 1}")
@@ -119,14 +119,13 @@ def coeffs_2d(kernel, Q: int) -> HermiteCoeffTable:
     design = hermite_design(Q, x) * w  # row k: H_k(x_i) w_i
     second_moment = float(np.einsum("i,ij,j->", w, hv * hv, w))
     warns = []
-    if "discontinuous" in {t.lower() for t in getattr(kernel, "tags", ())}:
+    if getattr(kernel, "discontinuous", False):
         warns.append("quadrature-on-discontinuous-kernel")
     return HermiteCoeffTable(Q, design @ hv @ design.T, QUADRATURE,
                              1e-8 * math.sqrt(1.0 + second_moment), warns)
 
 
-def coeffs_2d_montecarlo(kernel, Q: int, pairs: int = 10 ** 7,
-                         seed: int = 0):
+def coeffs_2d_montecarlo(kernel, Q: int, pairs: int, seed: int = 0):
     """Monte Carlo coefficients for kernels where quadrature is unreliable,
     drawn in batches of 10^6 pairs, with rank tolerance 1e-8.
 

@@ -259,6 +259,8 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
     Stieltjes integration on the class grid, with
     h-tilde(x) = int h(x, y) dF(y) and F the distribution of G(xi)
     (integrals over F by the Gauss-Hermite rule of QUAD_ORDER nodes).
+    ``z_ensemble`` must be a :func:`simulate_hermite` ensemble of order
+    ``cls.rank``.
 
     A TV probe is run on the class grid; violations of the kernel's declared
     bound (or an unbounded kernel) attach warnings instead of refusing the
@@ -268,10 +270,10 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
     m = cls.rank
     warns = []
     desc = z_ensemble.descriptor
-    z_order = desc.get("m", 1) if desc.get("process") == "hermite" else 1
-    if z_order != m:
+    if desc.get("process") != "hermite" or desc.get("m") != m:
         raise ParameterError(
-            f"driving process order {z_order} does not match class rank {m}")
+            f"driver must be the Hermite process of the class rank {m}, "
+            f"got {desc.get('process')} of order {desc.get('m')}")
     tv = probe_tv(kernel, grid)
     if kernel.tv_bound is None:
         warns.append(f"kernel has no declared TV bound (probe: {tv:.3g})")

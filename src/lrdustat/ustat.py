@@ -2,25 +2,23 @@
 
 U(k) = sum_{i <= k} sum_{j > k} h(X_i, X_j) for every split k = 1..n-1,
 with an O(n^3) reference oracle, an O(n^2) incremental path for general
-kernels, an O(R n) prefix-sum path for kernels of finite rank R
-(``Kernel.factors``), an O(n log n) path for kernels psi(x - y) with an odd
-piecewise-polynomial score (``Kernel.score``: Huber, Tukey), and
-O(n)/O(n log n) special cases for the CUSUM and Wilcoxon kernels.
+kernels, an O(R n) prefix-sum path for kernels of finite rank R (the
+Gaussian bump), an O(n log n) path for kernels psi(x - y) with an odd
+piecewise-polynomial score (Huber, Tukey), and O(n)/O(n log n) special
+cases for the CUSUM and Wilcoxon kernels.  Each built-in kernel names its
+fast path in ``Kernel.path``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ParameterError
 from .hermite import ScalingConstants, wilcoxon_coeff_closed_form
-
-TAG_DISCONTINUOUS = "discontinuous"
-TAG_FAST_CUSUM = "fast_cusum"
-TAG_FAST_WILCOXON = "fast_wilcoxon"
 
 
 @dataclass(frozen=True)
@@ -43,22 +41,20 @@ class OddScore:
 class Kernel:
     """A two-argument kernel h(x, y) with optional metadata.
 
-    ``eval`` must accept numpy arrays.  ``coeff_provider`` (if present) maps
-    (k, l) to the closed-form Hermite coefficient a_{kl}.  ``factors`` (if
-    non-empty) is a finite-rank form of the same kernel: (w, f, g) triples
-    with h(x, y) = sum w f(x) g(y), where f and g map arrays to arrays;
-    :func:`ustat_fast` then takes the prefix-sum path :func:`ustat_factored`.
-    ``score`` (if present) says h(x, y) = score(x - y) for an
-    :class:`OddScore`; :func:`ustat_fast` then takes :func:`ustat_score`.
+    ``eval`` must accept numpy arrays.  ``path`` (if present) maps the data
+    to the exact U(1..n-1) faster than :func:`ustat_incremental`;
+    :func:`ustat_fast` takes it.  ``tv_bound`` bounds the total variation of
+    h in each argument.  ``coeff_provider`` (if present) maps (k, l) to the
+    closed-form Hermite coefficient a_{kl}.  ``discontinuous`` marks a
+    kernel with jumps, on which tensor quadrature converges slowly.
     """
 
     name: str
     eval: callable
-    tags: frozenset = frozenset()
+    path: callable | None = None
     tv_bound: float | None = None
     coeff_provider: callable | None = None
-    factors: tuple = ()
-    score: OddScore | None = None
+    discontinuous: bool = False
 
 
 def cusum_kernel() -> Kernel:
@@ -71,7 +67,7 @@ def cusum_kernel() -> Kernel:
     return Kernel(
         name="cusum",
         eval=lambda x, y: np.asarray(x, dtype=float) - y,
-        tags=frozenset({TAG_FAST_CUSUM}),
+        path=ustat_cusum,
         coeff_provider=provider,
     )
 
@@ -81,9 +77,10 @@ def wilcoxon_kernel() -> Kernel:
     return Kernel(
         name="wilcoxon",
         eval=lambda x, y: (np.asarray(x, dtype=float) <= y).astype(float),
-        tags=frozenset({TAG_FAST_WILCOXON, TAG_DISCONTINUOUS}),
+        path=ustat_wilcoxon,
         tv_bound=1.0,
         coeff_provider=wilcoxon_coeff_closed_form,
+        discontinuous=True,
     )
 
 
@@ -96,8 +93,8 @@ def gaussian_bump_kernel() -> Kernel:
 
         h(x, y) = b(x) b(y) + c b(x) + c b(y),
 
-    the rank-3 form in ``factors``; its prefix sums of b cancel less than
-    those of exp(-x^2) exp(-y^2) - 1/3 would.
+    the rank-3 form its ``path`` hands to :func:`ustat_factored`; its prefix
+    sums of b cancel less than those of exp(-x^2) exp(-y^2) - 1/3 would.
     """
     c = 1.0 / math.sqrt(3.0)
 
@@ -110,7 +107,8 @@ def gaussian_bump_kernel() -> Kernel:
     return Kernel(
         name="gaussian_bump",
         eval=lambda x, y: np.exp(-np.asarray(x, dtype=float) ** 2 - np.asarray(y, dtype=float) ** 2) - 1.0 / 3.0,
-        factors=((1.0, bump, bump), (c, bump, one), (c, one, bump)),
+        path=partial(ustat_factored, factors=((1.0, bump, bump),
+                                              (c, bump, one), (c, one, bump))),
     )
 
 
@@ -129,7 +127,8 @@ def huber_kernel(delta: float) -> Kernel:
         name=f"huber_{delta:g}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
         tv_bound=2.0 * delta,
-        score=OddScore(c=delta, poly=(0.0, 1.0), tail=delta),
+        path=partial(ustat_score,
+                     score=OddScore(c=delta, poly=(0.0, 1.0), tail=delta)),
     )
 
 
@@ -152,7 +151,8 @@ def tukey_kernel(c: float) -> Kernel:
         name=f"tukey_{c:g}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
         tv_bound=4.0 * peak,
-        score=OddScore(c=c, poly=(0.0, 1.0, 0.0, -2.0, 0.0, 1.0), tail=0.0),
+        path=partial(ustat_score, score=OddScore(
+            c=c, poly=(0.0, 1.0, 0.0, -2.0, 0.0, 1.0), tail=0.0)),
     )
 
 
@@ -312,15 +312,16 @@ def ustat_score(data, score: OddScore) -> np.ndarray:
     * the X_j more than c below (above) X_i add +tail (-tail) each, counted
       from ``searchsorted`` window bounds at z_i -+ 1;
     * the window sums c q(z_i - z_j) bin by bin: with bin b = floor(z_j),
-      centre m = b + 1/2 and offset d_j = z_j - m in [-1/2, 1/2), Taylor's
-      formula gives sum_j q(e - d_j) = sum_p q^(p)(e) / p! sum_j (-d_j)^p
-      with e = z_i - m, and the sums of (-d_j)^p are differences of
-      compensated prefix sums.
+      centred at its smallest point m and offset d_j = z_j - m in [0, 1),
+      Taylor's formula gives sum_j q(e - d_j) = sum_p q^(p)(e) / p!
+      sum_j (-d_j)^p with e = z_i - m, and the sums of (-d_j)^p are
+      differences of compensated prefix sums.
 
-    A window lies in bins floor(z_i) - 1 .. floor(z_i) + 1, so |e| <= 3/2
-    and |d| <= 1/2 whatever the spread of the data: the power sums do not
-    cancel, and the path keeps full relative accuracy on heavy tails and
-    far from the median.
+    A window lies in bins floor(z_i) - 1 .. floor(z_i) + 1, so |e| < 2 and
+    |d| < 1: the power sums do not cancel on heavy tails or far from the
+    median.  Centring on a data point rather than at b + 1/2 also keeps e
+    and d within the spread of the data, so a spread small against c is
+    not lost in the cancelling of terms of size 1/2.
     """
     data = _check_data(data)
     n = data.size
@@ -334,14 +335,14 @@ def ustat_score(data, score: OddScore) -> np.ndarray:
     hi = np.minimum(np.searchsorted(z, z + 1.0, side="right"), cuts[-1])
     degree = len(score.poly) - 1
     sums = np.zeros((n + 1, degree + 1))
-    sums[1:] = _compensated_cumsum(np.vander(bins + 0.5 - z, degree + 1,
-                                       increasing=True))
+    sums[1:] = _compensated_cumsum(np.vander(z[cuts[1]] - z, degree + 1,
+                                             increasing=True))
     derivs = [np.polynomial.Polynomial(score.poly).deriv(p) / math.factorial(p)
               for p in range(degree + 1)]
     inside = np.zeros(n)
-    for shift, first, last in zip((-1.0, 0.0, 1.0), cuts, cuts[1:]):
+    for first, last in zip(cuts, cuts[1:]):
         window = sums[np.clip(hi, first, last)] - sums[np.clip(lo, first, last)]
-        e = z - bins - (shift + 0.5)
+        e = z - z[np.minimum(first, n - 1)]  # an empty bin's e is unused
         for p, deriv in enumerate(derivs):
             inside += deriv(e) * window[:, p]
     r = np.empty(n)
@@ -350,16 +351,10 @@ def ustat_score(data, score: OddScore) -> np.ndarray:
 
 
 def ustat_fast(data, kernel: Kernel) -> np.ndarray:
-    """Dispatch to the fastest exact path the kernel's tags, factors or
-    score allow."""
-    if TAG_FAST_CUSUM in kernel.tags:
-        return ustat_cusum(data)
-    if TAG_FAST_WILCOXON in kernel.tags:
-        return ustat_wilcoxon(data)
-    if kernel.factors:
-        return ustat_factored(data, kernel.factors)
-    if kernel.score is not None:
-        return ustat_score(data, kernel.score)
+    """The kernel's own exact ``path`` if it has one, else the O(n^2)
+    :func:`ustat_incremental`."""
+    if kernel.path is not None:
+        return kernel.path(data)
     return ustat_incremental(data, kernel)
 
 

@@ -57,6 +57,22 @@ def test_traced_functions_take_bound_arguments(mod_name, attr, argument):
     assert argument in inspect.signature(obj).parameters
 
 
+def test_tracer_sees_the_builtin_paths(tracing):
+    # a kernel reads its path from the module when it is built, so a tracer
+    # installed first records the call; a kernel built at import time would
+    # hold the untraced function
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        x = np.linspace(-1.0, 1.0, 50)
+        for spec in ("wilcoxon", "cusum"):
+            ustat_fast(x, builtin_kernel(spec))
+    finally:
+        tracer.uninstall()
+    assert [span.name for span in tracer.spans] == ["ustat.wilcoxon",
+                                                    "ustat.cusum"]
+
+
 @pytest.fixture(scope="module")
 def bench_checks():
     """``bench/inputs.py`` and ``bench/checks.py`` (standard library and

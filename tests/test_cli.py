@@ -356,6 +356,17 @@ class TestDetect:
         assert report["statistic"] == pytest.approx(np.max(path), rel=1e-12)
         assert report["k_star"] == int(np.argmax(path)) + 1
 
+    def test_huber_with_huge_c_is_cusum(self, tmp_path, capsys):
+        # psi(t) = t on every difference: the Huber path is the CUSUM one
+        assert cli.main(["simulate", "--D", "0.4", "--n", "300", "--seed",
+                         "1", "-o", str(tmp_path / "data.csv")]) == 0
+        stats = []
+        for kernel in ("cusum", "huber:1e300"):
+            rc, report = self._run(tmp_path, ["--kernel", kernel], capsys)
+            assert rc == 0
+            stats.append(report["statistic"])
+        assert stats[1] == pytest.approx(stats[0], rel=1e-9)
+
     def test_binary_input(self, tmp_path, capsys):
         from lrdustat.lrd_sim import LrdParams, simulate_gaussian
 

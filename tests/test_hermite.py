@@ -61,8 +61,6 @@ class TestCoeffs2d:
 
     def test_hermite_product_orthogonality(self):
         class HK:
-            tags = ()
-
             @staticmethod
             def eval(x, y):
                 return hermite_eval(2, x) * hermite_eval(1, y)
@@ -88,8 +86,6 @@ class TestCoeffs2d:
 
     def test_nonfinite_kernel_rejected(self):
         class Bad:
-            tags = ()
-
             @staticmethod
             def eval(x, y):
                 return np.where(np.asarray(x) > 0, np.inf, 0.0)
@@ -183,8 +179,6 @@ class TestRank:
 
     def test_h1h1_rank_two(self):
         class HK:
-            tags = ()
-
             @staticmethod
             def eval(x, y):
                 return np.asarray(x, dtype=float) * y
@@ -199,8 +193,6 @@ class TestRank:
     @pytest.mark.parametrize("c", [1e-6, 0.5, 3.0, 1e4])
     def test_rank_invariant_under_scaling(self, c):
         class Scaled:
-            tags = ()
-
             @staticmethod
             def eval(x, y):
                 return c * (np.asarray(x, dtype=float) * y)

@@ -397,9 +397,13 @@ class TestThm2:
 
     def test_driver_order_mismatch(self, identity_class):
         driver2 = simulate_hermite(2, 0.3, 8, reps=5, seed=0)
-        with pytest.raises(ParameterError):
-            limit_thm2(wilcoxon_kernel(), Subordinator.identity(),
-                       identity_class, driver2)
+        # a rank-2 functional is no Hermite process of any order
+        functional2 = limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.3, 8, reps=5,
+                                 seed=0)
+        for driver in (driver2, functional2):
+            with pytest.raises(ParameterError):
+                limit_thm2(wilcoxon_kernel(), Subordinator.identity(),
+                           identity_class, driver)
 
 
 class TestCriticalValues:

@@ -12,9 +12,9 @@ from lrdustat.lrd_sim import LrdParams, replication_rng, simulate_gaussian
 from lrdustat.ustat import (BUILTIN_KERNELS, builtin_kernel,
                             changepoint_statistic, cusum_kernel,
                             gaussian_bump_kernel, huber_kernel, normalize,
-                            tukey_kernel, ustat_cusum, ustat_factored,
-                            ustat_fast, ustat_incremental, ustat_naive,
-                            ustat_score, ustat_wilcoxon, wilcoxon_kernel)
+                            tukey_kernel, ustat_cusum, ustat_fast,
+                            ustat_incremental, ustat_naive, ustat_wilcoxon,
+                            wilcoxon_kernel)
 
 finite_data = hnp.arrays(
     np.float64,
@@ -22,6 +22,11 @@ finite_data = hnp.arrays(
     elements=st.floats(min_value=-1e6, max_value=1e6,
                        allow_nan=False, allow_infinity=False),
 )
+
+
+def _builtin_kernels():
+    return [make() for make in BUILTIN_KERNELS.values()] + [
+        builtin_kernel("huber:1.345"), builtin_kernel("tukey:4.685")]
 
 
 class TestHandExamples:
@@ -74,16 +79,9 @@ class TestOracleEquivalence:
 
     def test_fast_dispatch(self):
         data = np.array([0.3, -1.0, 2.0, 0.1])
-        assert np.array_equal(ustat_fast(data, cusum_kernel()),
-                              ustat_cusum(data))
-        assert np.array_equal(ustat_fast(data, wilcoxon_kernel()),
-                              ustat_wilcoxon(data))
-        bump = gaussian_bump_kernel()
-        assert np.array_equal(ustat_fast(data, bump),
-                              ustat_factored(data, bump.factors))
-        huber = builtin_kernel("huber:1.345")
-        assert np.array_equal(ustat_fast(data, huber),
-                              ustat_score(data, huber.score))
+        for kernel in _builtin_kernels():
+            assert kernel.path is not None
+            assert np.array_equal(ustat_fast(data, kernel), kernel.path(data))
 
     def test_factored_bump_matches_naive(self):
         # criterion 4's data and bound for the bump's fast path
@@ -97,34 +95,20 @@ class TestOracleEquivalence:
                 ref = ustat_naive(data, bump)
                 scale = np.maximum(np.abs(ref), 1.0)
                 worst = max(worst, float(np.max(
-                    np.abs(ustat_factored(data, bump.factors) - ref) / scale)))
+                    np.abs(bump.path(data) - ref) / scale)))
         assert worst <= 1e-9
 
-    def test_factors_reproduce_eval(self):
-        kernels = [make() for make in BUILTIN_KERNELS.values()]
-        kernels += [builtin_kernel("huber:1.345"), builtin_kernel("tukey:4.685")]
-        factored = [k for k in kernels if k.factors]
-        assert [k.name for k in factored] == ["gaussian_bump"]
-        x, y = np.meshgrid(np.linspace(-4.0, 4.0, 41),
-                           np.linspace(-4.0, 4.0, 41), indexing="ij")
-        for kernel in factored:
-            expanded = sum(w * f(x) * g(y) for w, f, g in kernel.factors)
-            assert np.max(np.abs(expanded - kernel.eval(x, y))) <= 1e-14
-
-    def test_score_reproduces_eval(self):
-        kernels = [make() for make in BUILTIN_KERNELS.values()]
-        kernels += [builtin_kernel("huber:1.345"), builtin_kernel("tukey:4.685")]
-        scored = [k for k in kernels if k.score is not None]
-        assert [k.name for k in scored] == ["huber_1.345", "tukey_4.685"]
-        x, y = np.meshgrid(np.linspace(-8.0, 8.0, 81),
-                           np.linspace(-8.0, 8.0, 81), indexing="ij")
-        for kernel in scored:
-            c, poly, tail = kernel.score.c, kernel.score.poly, kernel.score.tail
-            t = np.concatenate([(x - y).ravel(), [-c, c]])
-            psi = np.where(np.abs(t) <= c,
-                           c * np.polynomial.polynomial.polyval(t / c, poly),
-                           np.sign(t) * tail)
-            assert np.max(np.abs(psi - kernel.eval(t, 0.0))) <= 1e-14
+    def test_path_reproduces_eval(self):
+        # a two-point path is U(1) = h(x, y); the points include the Huber
+        # and Tukey corners at +-c
+        points = np.concatenate([np.linspace(-8.0, 8.0, 41),
+                                 [-4.685, -1.345, 1.345, 4.685]])
+        for kernel in _builtin_kernels():
+            for x in points:
+                for y in points:
+                    assert abs(kernel.path([x, y])[0]
+                               - kernel.eval(x, y)) <= 1e-13, (kernel.name,
+                                                               x, y)
 
     def test_short_data_rejected(self):
         with pytest.raises(ParameterError):
@@ -142,7 +126,7 @@ def _worst_score_error(kernel, datasets):
         ref = ustat_naive(data, kernel)
         scale = np.maximum(np.abs(ref), 1.0)
         worst = max(worst, float(np.max(
-            np.abs(ustat_score(data, kernel.score) - ref) / scale)))
+            np.abs(kernel.path(data) - ref) / scale)))
     return worst
 
 
@@ -181,8 +165,8 @@ class TestScorePath:
         kernel = builtin_kernel(spec)
         xi = replication_rng(11, 0).standard_normal(300)
         data = np.round(xi * 2.0 ** 20) / 2.0 ** 20
-        base = ustat_score(data, kernel.score)
-        shifted = ustat_score(data + 1e6, kernel.score)
+        base = kernel.path(data)
+        shifted = kernel.path(data + 1e6)
         scale = np.maximum(np.abs(base), 1.0)
         assert np.max(np.abs(shifted - base) / scale) <= 1e-9
 
@@ -193,8 +177,20 @@ class TestScorePath:
         data[1500:] += 1.0
         ref = ustat_incremental(data, kernel)
         scale = np.maximum(np.abs(ref), 1.0)
-        assert np.max(np.abs(ustat_score(data, kernel.score) - ref)
-                      / scale) <= 1e-9
+        assert np.max(np.abs(kernel.path(data) - ref) / scale) <= 1e-9
+
+    @pytest.mark.parametrize("spec, factor", [
+        *((spec, factor) for spec in SCORE_KERNELS for factor in (1e-6, 1e-9)),
+        *((f"{family}:{c!r}", 1.0) for family in ("huber", "tukey")
+          for c in (1e6, 1e12, 1e300))])
+    def test_matches_naive_on_small_spread_against_c(self, spec, factor):
+        # the data span a small part of one bin of width c, where psi(t) = t
+        # almost or exactly
+        data = simulate_gaussian(LrdParams(D=0.4), 400, seed=1) * factor
+        kernel = builtin_kernel(spec)
+        ref = ustat_naive(data, kernel)
+        assert np.max(np.abs(kernel.path(data) - ref)) \
+            <= 1e-9 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("path", [
@@ -202,8 +198,8 @@ class TestScorePath:
     lambda x: ustat_incremental(x, huber_kernel(1.0)),
     ustat_cusum,
     ustat_wilcoxon,
-    lambda x: ustat_factored(x, gaussian_bump_kernel().factors),
-    lambda x: ustat_score(x, huber_kernel(1.0).score),
+    gaussian_bump_kernel().path,
+    huber_kernel(1.0).path,
     lambda x: ustat_fast(x, tukey_kernel(4.685)),
 ], ids=["naive", "incremental", "cusum", "wilcoxon", "factored", "score",
         "fast"])
