@@ -12,9 +12,9 @@ from lrdustat.lrd_sim import LrdParams, replication_rng, simulate_gaussian
 from lrdustat.ustat import (BUILTIN_KERNELS, builtin_kernel,
                             changepoint_statistic, cusum_kernel,
                             gaussian_bump_kernel, huber_kernel, normalize,
-                            tukey_kernel, ustat_cusum, ustat_fast,
-                            ustat_incremental, ustat_naive, ustat_wilcoxon,
-                            wilcoxon_kernel)
+                            tukey_kernel, ustat_cusum, ustat_factored,
+                            ustat_fast, ustat_incremental, ustat_naive,
+                            ustat_score, ustat_wilcoxon, wilcoxon_kernel)
 
 finite_data = hnp.arrays(
     np.float64,
@@ -97,6 +97,34 @@ class TestOracleEquivalence:
                 worst = max(worst, float(np.max(
                     np.abs(bump.path(data) - ref) / scale)))
         assert worst <= 1e-9
+
+    def test_factors_reproduce_eval(self):
+        # the bump's path is ustat_factored over a sum of separable terms
+        factored = [k for k in _builtin_kernels()
+                    if getattr(k.path, "func", None) is ustat_factored]
+        assert [k.name for k in factored] == ["gaussian_bump"]
+        x, y = np.meshgrid(np.linspace(-4.0, 4.0, 41),
+                           np.linspace(-4.0, 4.0, 41), indexing="ij")
+        for kernel in factored:
+            expanded = sum(w * f(x) * g(y)
+                           for w, f, g in kernel.path.keywords["factors"])
+            assert np.max(np.abs(expanded - kernel.eval(x, y))) <= 1e-14
+
+    def test_score_reproduces_eval(self):
+        # the Huber and Tukey paths are ustat_score over an odd score psi
+        scored = [k for k in _builtin_kernels()
+                  if getattr(k.path, "func", None) is ustat_score]
+        assert [k.name for k in scored] == ["huber_1.345", "tukey_4.685"]
+        x, y = np.meshgrid(np.linspace(-8.0, 8.0, 81),
+                           np.linspace(-8.0, 8.0, 81), indexing="ij")
+        for kernel in scored:
+            score = kernel.path.keywords["score"]
+            c, poly, tail = score.c, score.poly, score.tail
+            t = np.concatenate([(x - y).ravel(), [-c, c]])
+            psi = np.where(np.abs(t) <= c,
+                           c * np.polynomial.polynomial.polyval(t / c, poly),
+                           np.sign(t) * tail)
+            assert np.max(np.abs(psi - kernel.eval(t, 0.0))) <= 1e-14
 
     def test_path_reproduces_eval(self):
         # a two-point path is U(1) = h(x, y); the points include the Huber
