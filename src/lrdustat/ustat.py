@@ -318,10 +318,8 @@ def ustat_score(data, score: OddScore) -> np.ndarray:
       differences of compensated prefix sums.
 
     A window lies in bins floor(z_i) - 1 .. floor(z_i) + 1, so |e| < 2 and
-    |d| < 1: the power sums do not cancel on heavy tails or far from the
-    median.  Centring on a data point rather than at b + 1/2 also keeps e
-    and d within the spread of the data, so a spread small against c is
-    not lost in the cancelling of terms of size 1/2.
+    |d| < 1, both within the spread of the data: the power sums cancel
+    neither on heavy tails nor on a spread small against c.
     """
     data = _check_data(data)
     n = data.size
@@ -331,8 +329,10 @@ def ustat_score(data, score: OddScore) -> np.ndarray:
     bins = np.floor(z)
     cuts = [np.searchsorted(z, bins + shift) for shift in (-1.0, 0.0, 1.0, 2.0)]
     lo = np.searchsorted(z, z - 1.0, side="left")
-    # z + 1 may round up onto the bin after the third
+    # z + 1 may round up onto the bin after the third, or at |z| >= 2^53
+    # down onto z, where the ties of z_i (psi(0) = 0) must stay in the window
     hi = np.minimum(np.searchsorted(z, z + 1.0, side="right"), cuts[-1])
+    hi = np.maximum(hi, np.searchsorted(z, z, side="right"))
     degree = len(score.poly) - 1
     sums = np.zeros((n + 1, degree + 1))
     sums[1:] = _compensated_cumsum(np.vander(z[cuts[1]] - z, degree + 1,
@@ -342,7 +342,8 @@ def ustat_score(data, score: OddScore) -> np.ndarray:
     inside = np.zeros(n)
     for first, last in zip(cuts, cuts[1:]):
         window = sums[np.clip(hi, first, last)] - sums[np.clip(lo, first, last)]
-        e = z - z[np.minimum(first, n - 1)]  # an empty bin's e is unused
+        # 0 for an empty bin, whose next point may lie where q(e) overflows
+        e = np.where(last > first, z - z[np.minimum(first, n - 1)], 0.0)
         for p, deriv in enumerate(derivs):
             inside += deriv(e) * window[:, p]
     r = np.empty(n)

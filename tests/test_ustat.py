@@ -220,6 +220,25 @@ class TestScorePath:
         assert np.max(np.abs(kernel.path(data) - ref)) \
             <= 1e-9 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("spec, outliers", [
+        *((spec, outliers) for spec in SCORE_KERNELS
+          for outliers in ({200: 1e100}, {7: -1e100}, {10: 1e100, 20: 1e100})),
+        *((f"{family}:{c!r}", {}) for family in ("huber", "tukey")
+          for c in (1e-70, 1e-300))])
+    def test_matches_naive_on_spread_large_against_c(self, spec, outliers):
+        # points 2^53 or more c from the median: z +- 1 rounds to z, the
+        # bins next to a point are empty, and the next data point lies far
+        # beyond them, where Tukey's q overflows
+        data = simulate_gaussian(LrdParams(D=0.4), 400, seed=1).copy()
+        for i, x in outliers.items():
+            data[i] = x
+        kernel = builtin_kernel(spec)
+        with np.errstate(over="ignore"):  # eval's Tukey branch off |t| <= c
+            ref = ustat_naive(data, kernel)
+        got = kernel.path(data)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
 
 @pytest.mark.parametrize("path", [
     lambda x: ustat_naive(x, huber_kernel(1.0)),
