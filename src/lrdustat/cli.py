@@ -44,6 +44,17 @@ def _write_sidecar(args) -> None:
         json.dump(config, fh, indent=2, sort_keys=True)
 
 
+def to_json(result) -> str:
+    """The one serialiser of command results and cache files: indented JSON
+    and a newline.  A NaN or an infinity raises FloatingPointError, so a
+    non-finite number exits 1 and never reaches stdout or a file."""
+    try:
+        return json.dumps(result, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError("numeric failure: the result holds NaN or "
+                                 "an infinity") from None
+
+
 def levels_list(text: str) -> list:
     """``--levels`` value: comma-separated probabilities in (0, 1).  A
     ValueError here makes argparse report the bad value and exit with
@@ -115,15 +126,20 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
         # write a temp file, then rename: readers never see a partial table
         fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
         os.close(fd)
-        cv_table.dump(tmp)
-        os.replace(tmp, cache_file)
+        try:
+            Path(tmp).write_text(to_json(cv_table.to_json_dict()))
+            os.replace(tmp, cache_file)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return cv_table
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its JSON result, or None when its output is a
+# file of its own, and main prints and writes the result
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
     values = lrd_sim.simulate_gaussian(params, args.n, args.seed)
     if args.transform == "exp":
@@ -134,10 +150,9 @@ def cmd_simulate(args) -> int:
         lrd_sim.write_path_binary(values, args.out)
     else:
         lrd_sim.write_path_csv(values, args.out)
-    return 0
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args) -> dict:
     kernel = ustat.builtin_kernel(args.kernel)
     if args.source == "montecarlo":
         # resolved here, so the sidecar records the values that ran
@@ -151,30 +166,18 @@ def cmd_coeffs(args) -> int:
         table = hermite.closed_form_table(kernel.coeff_provider, args.Q)
     else:
         table = hermite.coeffs_2d(kernel, args.Q)
-    payload = table.to_json_dict()
-    payload["kernel"] = kernel.name
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
+    return {**table.to_json_dict(), "kernel": kernel.name}
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args) -> dict:
     kernel = ustat.builtin_kernel(args.kernel)
     table = limit_table(kernel, hermite.kernel_table(kernel), args.D,
                         args.reps, args.grid_size, args.seed, args.levels,
                         use_cache=not args.no_cache)
-    text = json.dumps(table.to_json_dict(), indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
+    return table.to_json_dict()
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> dict:
     if args.D is None:
         raise ParameterError(
             "D must be supplied with --D: the detector normalizes with the "
@@ -196,20 +199,15 @@ def cmd_detect(args) -> int:
                             "interval": table.interval_at(lv),
                             "reject": stat > table.value_at(lv)}
                  for lv in args.levels}
-    report = {"subcommand": "detect", "input": args.input,
-              "kernel": kernel.name, "D": args.D, "family": args.family,
-              "n": int(n), "statistic": stat, "k_star": k_star,
-              "k_star_fraction": k_star / n, "levels": decisions,
-              "table_reps": table.reps, "seed": args.seed,
-              "law": table.descriptor, "warnings": table.warnings}
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    return 0
+    return {"subcommand": "detect", "input": args.input,
+            "kernel": kernel.name, "D": args.D, "family": args.family,
+            "n": int(n), "statistic": stat, "k_star": k_star,
+            "k_star_fraction": k_star / n, "levels": decisions,
+            "table_reps": table.reps, "seed": args.seed,
+            "law": table.descriptor, "warnings": table.warnings}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
     if args.experiment == "variance":
         report = verify.check_variance(args.k, params, args.n,
@@ -226,10 +224,7 @@ def cmd_verify(args) -> int:
             reps=args.limit_reps, seed=args.seed + 1)
         report = verify.check_weak_convergence(kernel, table, params, args.n,
                                                args.reps, ensemble, args.seed)
-    print(report.summary_text())
-    if args.out:
-        report.dump(args.out)
-    return 0
+    return report.to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--D", type=float, required=True)
     add_family(shared)
     shared.add_argument("-o", "--out")
-    # reduction and weak draw samples, which need n >= 2 and reps >= 1;
-    # variance --reps 0 runs the exact quadratic form only
+    # reduction and weak draw samples, which need n >= 2 and reps >= 1
+    # (reduction's standard error needs reps >= 2); variance --reps 0 runs
+    # the exact quadratic form only
     e = experiments.add_parser("variance", parents=[shared])
     add_reps(e)
     e.add_argument("--n", type=int_at_least(1), action="append", required=True)
     e.add_argument("--k", type=int, default=1, help="Hermite degree")
     e = experiments.add_parser("reduction", parents=[shared])
-    add_reps(e, 1)
+    add_reps(e, 2)
     e.add_argument("--n", type=int_at_least(2), action="append", required=True)
     e.add_argument("--kernel", default="cusum")
     e = experiments.add_parser("weak", parents=[shared])
@@ -342,10 +338,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        result = args.func(args)
+        if result is not None:
+            text = to_json(result)
+            if args.out:
+                Path(args.out).write_text(text)
+            sys.stdout.write(text)
         if args.out:
             _write_sidecar(args)
-        return status
+        return 0
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

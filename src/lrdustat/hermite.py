@@ -127,7 +127,8 @@ def coeffs_2d(kernel, Q: int) -> HermiteCoeffTable:
 
 def coeffs_2d_montecarlo(kernel, Q: int, pairs: int, seed: int = 0):
     """Monte Carlo coefficients for kernels where quadrature is unreliable,
-    drawn in batches of 10^6 pairs, with rank tolerance 1e-8.
+    drawn in batches of 10^6 pairs, with rank tolerance 1e-8.  A total
+    degree whose mean overflows float64 raises ParameterError.
 
     Returns (table, standard_errors) with matching shapes.
     """
@@ -152,6 +153,12 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int, seed: int = 0):
         sq_sums += (hx ** 2) @ ((hy ** 2) * (hv ** 2)).T
         total += size
     mean = sums / total
+    k, l = np.nonzero(_triangle(Q) & ~np.isfinite(mean))
+    if k.size:
+        s = int(np.min(k + l))
+        raise ParameterError(
+            f"Monte Carlo coefficients of total degree {s} overflow float64; "
+            f"use Q < {s}")
     var = np.maximum(sq_sums / total - mean ** 2, 0.0)
     table = HermiteCoeffTable(Q, mean, MONTE_CARLO, 1e-8)
     return table, np.where(_triangle(Q), np.sqrt(var / total), np.nan)

@@ -21,7 +21,6 @@ more cheaply than that:
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -353,10 +352,6 @@ class CriticalValueTable:
                               "coverage": CV_COVERAGE},
                 "reps": self.reps, "grid_size": self.grid_size,
                 "warnings": self.warnings}
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CriticalValueTable":

@@ -124,7 +124,7 @@ def huber_kernel(delta: float) -> Kernel:
     _check_scale("Huber delta", delta)
     psi = lambda t: np.clip(np.asarray(t, dtype=float), -delta, delta)
     return Kernel(
-        name=f"huber_{delta:g}",
+        name=f"huber_{float(delta)!r}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
         tv_bound=2.0 * delta,
         path=partial(ustat_score,
@@ -148,7 +148,7 @@ def tukey_kernel(c: float) -> Kernel:
 
     peak = (c / math.sqrt(5.0)) * (1.0 - 0.2) ** 2
     return Kernel(
-        name=f"tukey_{c:g}",
+        name=f"tukey_{float(c)!r}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
         tv_bound=4.0 * peak,
         path=partial(ustat_score, score=OddScore(

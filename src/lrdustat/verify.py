@@ -9,7 +9,6 @@ simulated limit distribution.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -34,30 +33,13 @@ class ExperimentReport:
     name: str
     params: dict
     per_n: dict
-    passed: bool | None
     seed: int
     wall_clock: float
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "params": self.params,
-                "per_n": self.per_n, "passed": self.passed,
-                "seed": self.seed, "wall_clock": self.wall_clock}
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-
-    def summary_text(self) -> str:
-        lines = [f"experiment: {self.name}",
-                 f"params: {self.params}",
-                 f"seed: {self.seed}"]
-        for n, row in sorted(self.per_n.items()):
-            lines.append(f"  n={n}: " + ", ".join(
-                f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in row.items()))
-        lines.append(f"passed: {self.passed}")
-        lines.append(f"wall clock: {self.wall_clock:.2f}s")
-        return "\n".join(lines)
+                "per_n": self.per_n, "seed": self.seed,
+                "wall_clock": self.wall_clock}
 
 
 def _srd_series_constant(k: int, params: LrdParams, tail: int = 10 ** 6) -> float:
@@ -82,6 +64,8 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
                              "(use reps=0 for exact-only)")
     start = time.perf_counter()
     lrd = params.D * k < 1.0
+    # the SRD slope k! sum_d gamma(d)^k does not depend on n
+    slope = None if lrd else math.factorial(k) * _srd_series_constant(k, params)
     per_n = {}
     for n in n_list:
         n = int(n)
@@ -94,9 +78,8 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
             row["asymptote"] = asym
             row["ratio"] = exact / asym
         else:
-            c_series = _srd_series_constant(k, params)
             row["var_over_n"] = exact / n
-            row["asymptote_slope"] = math.factorial(k) * c_series
+            row["asymptote_slope"] = slope
         if reps:
             emb = CirculantEmbedding(params, n)
             sums = np.empty(reps)
@@ -112,7 +95,7 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
         name="variance_asymptotics",
         params={"k": k, "D": params.D, "family": params.family,
                 "branch": "lrd" if lrd else "srd", "reps": reps},
-        per_n=per_n, passed=None, seed=seed,
+        per_n=per_n, seed=seed,
         wall_clock=time.perf_counter() - start)
 
 
@@ -142,8 +125,8 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
     The theory predicts this discrepancy vanishes; the report tracks its
     decay over n_list.
     """
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
+    if reps < 2:
+        raise ParameterError("reps must be >= 2 for a standard error")
     start = time.perf_counter()
     table = kernel_table(kernel)
     m = table.rank
@@ -167,7 +150,7 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
         name="reduction_principle",
         params={"kernel": kernel.name, "D": params.D, "family": params.family,
                 "m": m, "reps": reps},
-        per_n=per_n, passed=None, seed=seed,
+        per_n=per_n, seed=seed,
         wall_clock=time.perf_counter() - start)
 
 
@@ -219,5 +202,5 @@ def check_weak_convergence(kernel: Kernel, table: HermiteCoeffTable,
         params={"kernel": kernel.name, "D": params.D, "family": params.family,
                 "n": n, "reps": reps,
                 "limit_descriptor": limit.descriptor},
-        per_n=per_n, passed=None, seed=seed,
+        per_n=per_n, seed=seed,
         wall_clock=time.perf_counter() - start)

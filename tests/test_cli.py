@@ -226,6 +226,23 @@ class TestLimit:
         assert json.loads(capsys.readouterr().out)["descriptor"]["N_aux"] \
             == 2 ** 13
 
+    def test_kernel_scales_differing_in_the_7th_digit_get_two_tables(
+            self, isolated_cache, capsys):
+        for spec in ("huber:1.345", "huber:1.3450001"):
+            assert cli.main(["limit", "--kernel", spec, "--D", "0.4",
+                             "--reps", "100", "--grid-size", "8"]) == 0
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 2
+
+    def test_failed_cache_write_leaves_no_temp_file(self, isolated_cache,
+                                                    capsys, monkeypatch):
+        def refuse(result):
+            raise FloatingPointError("numeric failure")
+
+        monkeypatch.setattr(cli, "to_json", refuse)
+        assert cli.main(self.ARGS) == 1
+        assert list(isolated_cache.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
     def test_sidecar_records_parsed_levels(self, tmp_path, capsys):
         out = tmp_path / "cv.json"
         assert cli.main(self.ARGS + ["-o", str(out)]) == 0
@@ -367,6 +384,22 @@ class TestDetect:
             stats.append(report["statistic"])
         assert stats[1] == pytest.approx(stats[0], rel=1e-9)
 
+    def test_non_finite_statistic_exits_1(self, tmp_path, capsys):
+        # the CUSUM path of a series near the float64 limit overflows
+        data = tmp_path / "data.csv"
+        assert cli.main(["simulate", "--D", "0.4", "--n", "300", "--seed",
+                         "1", "-o", str(data)]) == 0
+        lrd_sim.write_path_csv(lrd_sim.read_path_csv(data) * 1e306, data)
+        out = tmp_path / "report.json"
+        rc = cli.main(["detect", "--input", str(data), "--D", "0.4",
+                       "--kernel", "cusum", "--reps", "100", "--grid-size",
+                       "8", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "NaN or an infinity" in captured.err
+        assert not out.exists()
+
     def test_binary_input(self, tmp_path, capsys):
         from lrdustat.lrd_sim import LrdParams, simulate_gaussian
 
@@ -402,6 +435,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
      "--pairs", "0"],
     ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
      "--pairs", "-3"],
+    ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
+     "--Q", "340", "--pairs", "1000"],
     ["verify", "variance", "--levels", "0.9", *VARIANCE],
     ["verify", "variance", "--kernel", "nope", *VARIANCE],
     ["verify", "variance", "--limit-reps", "3", *VARIANCE],
@@ -430,6 +465,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["verify", "weak", "--limit-reps", "-1", *WEAK],
     ["verify", "weak", "--limit-reps", "0", *WEAK],
     ["verify", "reduction", "--reps", "0", *REDUCTION],
+    ["verify", "reduction", "--reps", "1", *REDUCTION],
     ["verify", "weak", "--reps", "0", *WEAK],
     ["verify", "variance", "--n", "0", *VARIANCE],
     ["verify", "reduction", "--n", "1", *REDUCTION],
@@ -441,7 +477,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "coeffs-wilcoxon-Q-400",
         "coeffs-pairs-seed-closed-form",
         "coeffs-seed-quadrature", "coeffs-montecarlo-zero-pairs",
-        "coeffs-montecarlo-negative-pairs", "verify-levels",
+        "coeffs-montecarlo-negative-pairs", "coeffs-montecarlo-overflow",
+        "verify-levels",
         "verify-variance-kernel", "verify-variance-limit-reps",
         "verify-variance-grid-size", "verify-reduction-k",
         "verify-reduction-limit-reps", "verify-reduction-grid-size",
@@ -453,6 +490,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "limit-reps-negative", "detect-reps-negative", "limit-reps-50",
         "detect-reps-99", "verify-weak-limit-reps-negative",
         "verify-weak-limit-reps-0", "verify-reduction-reps-0",
+        "verify-reduction-reps-1",
         "verify-weak-reps-0", "verify-variance-n-0",
         "verify-reduction-n-1", "verify-weak-n-1", "detect-bad-family",
         "verify-weak-bad-family"])
@@ -476,6 +514,34 @@ def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
     assert rc == 2
     assert "internal error" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--kernel", "wilcoxon", "--Q", "3"],
+    TestLimit.ARGS,
+    ["detect", "--input", "data.csv", "--D", "0.4", "--reps", "100",
+     "--grid-size", "8"],
+    ["verify", "variance", *VARIANCE],
+    ["verify", "reduction", *REDUCTION],
+    ["verify", "weak", *WEAK],
+], ids=["coeffs", "limit", "detect", "verify-variance", "verify-reduction",
+        "verify-weak"])
+def test_result_is_strict_json_and_out_file_holds_its_bytes(argv, tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # every command prints one strict JSON result; -o writes the same bytes
+    monkeypatch.chdir(tmp_path)
+    lrd_sim.write_path_csv(np.linspace(-1.0, 1.0, 50) ** 3, "data.csv")
+    assert cli.main(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert cli.main([*argv, "-o", "result.json"]) == 0
+    printed = capsys.readouterr().out
+    json.loads(printed, parse_constant=_reject_constant)
+    assert (tmp_path / "result.json").read_text() == printed
 
 
 def _leaf_options(parser, path=()):
@@ -547,9 +613,10 @@ class TestVerify:
         rc = cli.main(["verify", "variance", "--k", "1", "--D", "0.5",
                        "--family", "tweaked", "--n", "3", "--reps", "0"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "6.98313" in out
-        assert "passed" in out
+        report = json.loads(capsys.readouterr().out)
+        assert report["per_n"]["3"]["exact_var"] == pytest.approx(6.98313,
+                                                                  abs=5e-6)
+        assert "passed" not in report
 
     def test_reduction_runs(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import binom, ks_2samp
 
 from lrdustat import limit_law
+from lrdustat.cli import to_json
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (c_constant, class_coeffs, cycle_traces,
                               hermite2_sum_skewness, hermite_sum_std,
@@ -445,12 +446,10 @@ class TestCriticalValues:
             lo, hi = other.intervals[0]
             assert lo <= mine.values[0] <= hi
 
-    def test_json_roundtrip(self, cv_ensemble, tmp_path):
+    def test_json_roundtrip(self, cv_ensemble):
         table = critical_values(cv_ensemble, [0.9, 0.95])
-        out = tmp_path / "cv.json"
-        table.dump(out)
         back = CriticalValueTable.from_json_dict(
-            json.loads(out.read_text()))
+            json.loads(to_json(table.to_json_dict())))
         assert back.values == table.values
         assert back.levels == table.levels
         assert back.reps == table.reps

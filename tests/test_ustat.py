@@ -436,6 +436,14 @@ class TestBuiltinLookup:
             with pytest.raises(ParameterError):
                 builtin_kernel(spec)
 
+    @pytest.mark.parametrize("spec, name", [
+        ("huber:1.345", "huber_1.345"), ("huber:1.3450001", "huber_1.3450001"),
+        ("huber:2", "huber_2.0"), ("tukey:4.685", "tukey_4.685"),
+        ("tukey:4.6850000001", "tukey_4.6850000001")])
+    def test_scale_names_keep_every_digit(self, spec, name):
+        # the name keys the critical-value cache: two scales, two names
+        assert builtin_kernel(spec).name == name
+
     def test_tukey_tv_bound(self):
         c = 4.685
         k = tukey_kernel(c)

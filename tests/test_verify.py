@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lrdustat.cli import to_json
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (hermite_eval, hermite_sum_std, kernel_table,
                               scaling)
@@ -77,14 +78,12 @@ class TestCheckVariance:
         with pytest.raises(ParameterError):
             check_variance(1, LrdParams(D=0.4), [64], reps=10)
 
-    def test_report_roundtrip(self, tmp_path):
+    def test_report_roundtrip(self):
         report = check_variance(1, LrdParams(D=0.4), [64])
-        out = tmp_path / "r.json"
-        report.dump(out)
-        back = json.loads(out.read_text())
+        back = json.loads(to_json(report.to_json_dict()))
         assert back["name"] == "variance_asymptotics"
-        assert "64" in back["per_n"] or 64 in back["per_n"]
-        assert "n=64" in report.summary_text()
+        assert back["per_n"] == {"64": report.per_n[64]}
+        assert back["params"] == report.params
 
     def test_reproducible(self):
         a = check_variance(1, LrdParams(D=0.4), [256], reps=120, seed=9)
@@ -150,6 +149,11 @@ class TestCheckReduction:
     def test_zero_reps_rejected(self):
         with pytest.raises(ParameterError):
             check_reduction(cusum_kernel(), LrdParams(D=0.4), [64], reps=0)
+
+    def test_one_rep_rejected(self):
+        # a standard error needs two replications
+        with pytest.raises(ParameterError, match="reps must be >= 2"):
+            check_reduction(cusum_kernel(), LrdParams(D=0.4), [64], reps=1)
 
 
 class TestWeakConvergence:
