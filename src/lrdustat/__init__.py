@@ -14,7 +14,7 @@ from .lrd_sim import (FGN, TWEAKED_POWER_LAW, LrdParams, Subordinator,
                       simulate_gaussian)
 from .ustat import (Kernel, OddScore, builtin_kernel, changepoint_statistic,
                     cusum_kernel, gaussian_bump_kernel, huber_kernel,
-                    normalize, tukey_kernel, ustat_cusum, ustat_factored,
+                    tukey_kernel, ustat_cusum, ustat_factored,
                     ustat_incremental, ustat_naive, ustat_score,
                     ustat_wilcoxon, wilcoxon_kernel)
 from .verify import (ExperimentReport, check_reduction, check_variance,

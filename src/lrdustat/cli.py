@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, hermite, limit_law, lrd_sim, ustat, verify
-from .errors import ParameterError
+from .errors import NonEmbeddableError, ParameterError
 
 CACHE_ENV = "LRDUSTAT_CACHE"
 
@@ -183,16 +183,12 @@ def cmd_detect(args) -> dict:
             "D must be supplied with --D: the detector normalizes with the "
             "LRD exponent and estimating D from data is out of scope")
     data = _load_data(args.input)
-    if data.size < 2:
-        raise ParameterError("need at least 2 observations (no admissible split)")
     kernel = ustat.builtin_kernel(args.kernel)
     coeffs = hermite.kernel_table(kernel)
     n = data.size
-    sc = hermite.scaling(args.D, coeffs.rank, n,
-                         lrd_sim.asymptotic_L(
-                             lrd_sim.LrdParams(D=args.D, family=args.family), n))
     stat, k_star = ustat.changepoint_statistic(
-        ustat.normalize(ustat.ustat_fast(data, kernel), sc, coeffs.a00))
+        ustat.ustat_fast(data, kernel), coeffs,
+        lrd_sim.LrdParams(D=args.D, family=args.family))
     table = limit_table(kernel, coeffs, args.D, args.reps, args.grid_size,
                         args.seed, args.levels, use_cache=not args.no_cache)
     decisions = {repr(lv): {"critical_value": table.value_at(lv),
@@ -347,13 +343,13 @@ def main(argv=None) -> int:
         if args.out:
             _write_sidecar(args)
         return 0
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (FloatingPointError, NonEmbeddableError) as exc:  # numeric failure
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numeric/internal failure
+        return 1
+    except Exception as exc:  # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

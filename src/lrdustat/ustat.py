@@ -6,7 +6,8 @@ kernels, an O(R n) prefix-sum path for kernels of finite rank R (the
 Gaussian bump), an O(n log n) path for kernels psi(x - y) with an odd
 piecewise-polynomial score (Huber, Tukey), and O(n)/O(n log n) special
 cases for the CUSUM and Wilcoxon kernels.  Each built-in kernel names its
-fast path in ``Kernel.path``.
+fast path in ``Kernel.path``.  ``changepoint_statistic`` turns a path into
+the test statistic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ParameterError
-from .hermite import ScalingConstants, wilcoxon_coeff_closed_form
+from .hermite import HermiteCoeffTable, scaling, wilcoxon_coeff_closed_form
+from .lrd_sim import LrdParams, asymptotic_L
 
 
 @dataclass(frozen=True)
@@ -359,27 +361,20 @@ def ustat_fast(data, kernel: Kernel) -> np.ndarray:
     return ustat_incremental(data, kernel)
 
 
-def normalize(raw: np.ndarray, sc: ScalingConstants, a00: float) -> np.ndarray:
-    """Centred rank-diagonal normalization of a path U(1..n-1):
+def changepoint_statistic(u: np.ndarray, table: HermiteCoeffTable,
+                          params: LrdParams):
+    """The change-point statistic of a raw path U(1..n-1):
 
-        (U(k) - k (n-k) a00) / (n d'_n),
+        sup_k |U(k) - k (n-k) a00| / (n d'_n),
 
-    where a00 = E[h(xi, eta)] is the kernel's per-pair mean and d'_n comes
-    from the scaling constants for the kernel's Hermite rank.
+    with the rank m and per-pair mean a00 = E[h(xi, eta)] from the kernel's
+    ``table`` and d'_n from m, D and L(n) of ``params``.
+
+    Returns (statistic, k_star), k_star in 1..n-1 the first maximising split.
     """
-    n = raw.size + 1
-    if sc.n != n:
-        raise ParameterError("scaling constants computed for a different n")
+    n = u.size + 1
+    sc = scaling(params.D, table.rank, n, asymptotic_L(params, n))
     k = np.arange(1, n, dtype=float)
-    return (raw - k * (n - k) * a00) / (n * sc.d_n_prime)
-
-
-def changepoint_statistic(values: np.ndarray):
-    """sup_k |values[k-1]| of a normalized path with the argmax split (first
-    index on ties).
-
-    Returns (statistic, k_star) with k_star in 1..n-1.
-    """
-    absvals = np.abs(values)
+    absvals = np.abs((u - k * (n - k) * table.a00) / (n * sc.d_n_prime))
     k_star = int(np.argmax(absvals)) + 1
     return float(absvals[k_star - 1]), k_star

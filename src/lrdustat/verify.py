@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import ParameterError, RegimeError
 from .hermite import (HermiteCoeffTable, c_constant, hermite_eval,
-                      hermite_sum_std, kernel_table, scaling)
+                      hermite_sum_std, kernel_table)
 from .limit_law import LimitEnsemble
 from .lrd_sim import CirculantEmbedding, LrdParams, asymptotic_L, \
     build_covariance, replication_rng
-from .ustat import (Kernel, changepoint_statistic, normalize, ustat_factored,
-                    ustat_fast)
+from .ustat import Kernel, changepoint_statistic, ustat_factored, ustat_fast
 
 
 @dataclass
@@ -136,14 +135,12 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
     for n in n_list:
         n = int(n)
         emb = CirculantEmbedding(params, n)
-        sc = scaling(params.D, m, n, asymptotic_L(params, n))
         sups = np.empty(reps)
         for r in range(reps):
             xi = emb.sample(replication_rng(seed, r))
             u = ustat_fast(xi, kernel)
             proj = rank_projection_path(xi, table)
-            sups[r] = changepoint_statistic(
-                normalize(u - proj, sc, table.a00))[0]
+            sups[r] = changepoint_statistic(u - proj, table, params)[0]
         per_n[n] = {"mean_sup_discrepancy": float(np.mean(sups)),
                     "stderr": float(np.std(sups, ddof=1) / math.sqrt(reps))}
     return ExperimentReport(
@@ -160,12 +157,11 @@ def normalized_sup_statistics(kernel: Kernel, table: HermiteCoeffTable,
     """Sup-statistics of the U-statistic process, centred and normalized by
     the kernel's ``table``, for ``reps`` independent simulated datasets."""
     emb = CirculantEmbedding(params, n)
-    sc = scaling(params.D, table.rank, n, asymptotic_L(params, n))
     sups = np.empty(reps)
     for r in range(reps):
         xi = emb.sample(replication_rng(seed, r))
-        u = ustat_fast(xi, kernel)
-        sups[r] = changepoint_statistic(normalize(u, sc, table.a00))[0]
+        sups[r] = changepoint_statistic(ustat_fast(xi, kernel), table,
+                                        params)[0]
     return sups
 
 

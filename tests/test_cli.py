@@ -15,6 +15,8 @@ from lrdustat import cli, lrd_sim
 from lrdustat.hermite import scaling
 from lrdustat.ustat import gaussian_bump_kernel, ustat_naive
 
+from test_lrd_sim import non_embeddable_cov
+
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
@@ -70,6 +72,17 @@ class TestSimulate:
                        "-o", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_embeddable_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lrd_sim, "build_covariance", non_embeddable_cov)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["simulate", "--family", "tweaked", "--D", "0.5",
+                       "--n", "3", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "internal error" not in err
+        assert not out.exists()
 
 
 class TestCoeffs:
@@ -398,6 +411,7 @@ class TestDetect:
         assert rc == 1
         assert captured.out == ""
         assert "NaN or an infinity" in captured.err
+        assert "internal error" not in captured.err
         assert not out.exists()
 
     def test_binary_input(self, tmp_path, capsys):

@@ -21,6 +21,15 @@ from lrdustat.lrd_sim import (FGN, TWEAKED_POWER_LAW, CirculantEmbedding,
 FGN_D04_GAMMA1 = 0.5157165665103982
 
 
+def non_embeddable_cov(params, max_lag):
+    """A covariance whose circulant embedding has a negative eigenvalue at
+    n = 3: gamma = (1, 0.9, 0, ...)."""
+    gamma = np.zeros(max_lag + 1)
+    gamma[0] = 1.0
+    gamma[1] = 0.9
+    return gamma
+
+
 class TestBuildCovariance:
     def test_tweaked_lag3(self):
         gamma = build_covariance(LrdParams(D=0.5, family=TWEAKED_POWER_LAW), 3)
@@ -225,13 +234,7 @@ class TestSimulateGaussian:
         assert 0.9 < np.var(x) < 1.1
 
     def test_non_embeddable_raises(self, monkeypatch):
-        def fake_cov(params, max_lag):
-            gamma = np.zeros(max_lag + 1)
-            gamma[0] = 1.0
-            gamma[1] = 0.9
-            return gamma
-
-        monkeypatch.setattr(lrd_sim, "build_covariance", fake_cov)
+        monkeypatch.setattr(lrd_sim, "build_covariance", non_embeddable_cov)
         with pytest.raises(NonEmbeddableError):
             CirculantEmbedding(LrdParams(D=0.5, family=TWEAKED_POWER_LAW), 3)
 

@@ -1,0 +1,12 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    # the python block under "## Library example", run as written
+    text = README.read_text()
+    section = text[text.index("## Library example"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lrdustat.errors import ParameterError
-from lrdustat.hermite import scaling
-from lrdustat.lrd_sim import LrdParams, replication_rng, simulate_gaussian
+from lrdustat.hermite import kernel_table, scaling
+from lrdustat.lrd_sim import (LrdParams, asymptotic_L, replication_rng,
+                              simulate_gaussian)
 from lrdustat.ustat import (BUILTIN_KERNELS, builtin_kernel,
                             changepoint_statistic, cusum_kernel,
-                            gaussian_bump_kernel, huber_kernel, normalize,
+                            gaussian_bump_kernel, huber_kernel,
                             tukey_kernel, ustat_cusum, ustat_factored,
                             ustat_fast, ustat_incremental, ustat_naive,
                             ustat_score, ustat_wilcoxon, wilcoxon_kernel)
@@ -376,54 +377,74 @@ def _strict_greater_kernel():
                   .astype(float))
 
 
+PARAMS = LrdParams(D=0.4)
+
+
+def _d_n_prime(n, m=1):
+    return scaling(PARAMS.D, m, n, asymptotic_L(PARAMS, n)).d_n_prime
+
+
 class TestChangepoint:
-    def _normalized(self, data, D=0.4):
-        from lrdustat.lrd_sim import LrdParams, asymptotic_L
-        n = len(data)
-        params = LrdParams(D=D)
-        sc = scaling(D, 1, n, asymptotic_L(params, n))
-        return normalize(ustat_cusum(np.asarray(data, dtype=float)), sc,
-                         0.0)
+    def _statistic(self, data):
+        return changepoint_statistic(
+            ustat_cusum(np.asarray(data, dtype=float)),
+            kernel_table(cusum_kernel()), PARAMS)
 
     def test_constant_data_statistic_zero(self):
-        stat, _ = changepoint_statistic(self._normalized([2.0] * 10))
+        stat, _ = self._statistic([2.0] * 10)
         assert stat == 0.0
 
     def test_shift_argmax_at_break(self):
         data = [0.0] * 10 + [5.0] * 10
-        stat, k_star = changepoint_statistic(self._normalized(data))
+        stat, k_star = self._statistic(data)
         assert k_star == 10
         assert stat > 0
 
     def test_tie_break_first_index(self):
-        values = self._normalized([0.0, 1.0, 0.0, 1.0, 0.0])
-        absvals = np.abs(values)
-        _, k_star = changepoint_statistic(values)
-        assert k_star == int(np.argmax(absvals)) + 1
-        assert absvals[k_star - 1] == np.max(absvals)
+        # U = [-2, 1, -1, 2]: |U| ties at the first and the last split
+        data = [0.0, 1.0, 0.0, 1.0, 0.0]
+        assert np.array_equal(ustat_cusum(data), [-2.0, 1.0, -1.0, 2.0])
+        stat, k_star = self._statistic(data)
+        assert k_star == 1
+        assert stat == pytest.approx(2.0 / (5 * _d_n_prime(5)))
+
+    @pytest.mark.parametrize("n", [2, 2000])
+    @pytest.mark.parametrize("kernel", _builtin_kernels(),
+                             ids=lambda k: k.name)
+    def test_matches_direct_formula(self, kernel, n):
+        # reference: centre, divide, then abs and the first argmax; dividing
+        # after the max could split ties differently
+        data = simulate_gaussian(PARAMS, n, seed=7)
+        u = ustat_fast(data, kernel)
+        table = kernel_table(kernel)
+        k = np.arange(1, n, dtype=float)
+        absvals = np.abs((u - k * (n - k) * table.a00)
+                         / (n * _d_n_prime(n, table.rank)))
+        k_star = int(np.argmax(absvals)) + 1
+        assert changepoint_statistic(u, table, PARAMS) == (
+            float(absvals[k_star - 1]), k_star)
 
 
 class TestNormalize:
-    def test_wrong_n_rejected(self):
-        sc = scaling(0.4, 1, 5, 1.0)
-        with pytest.raises(ParameterError):
-            normalize(ustat_cusum([1.0, 2.0, 3.0]), sc, 0.0)
-
     def test_thm1_scale(self):
-        sc = scaling(0.4, 1, 3, 1.0)
         path = ustat_cusum([1.0, 2.0, 3.0])
-        values = normalize(path, sc, 0.0)
-        assert np.allclose(values, np.array([-3.0, -3.0]) / (sc.d_n_prime * 3))
+        stat, k_star = changepoint_statistic(
+            path, kernel_table(cusum_kernel()), PARAMS)
+        assert stat == pytest.approx(3.0 / (_d_n_prime(3) * 3))
+        assert k_star == 1
         assert np.array_equal(path, [-3.0, -3.0])
 
     def test_thm2_centering(self):
         # sorted Wilcoxon path [3, 4, 3] centered by a00 = 1/2:
         # k(n-k)/2 = [1.5, 2, 1.5]
-        sc = scaling(0.4, 1, 4, 1.0)
-        values = normalize(ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]), sc, 0.5)
+        table = kernel_table(wilcoxon_kernel())
+        assert table.a00 == pytest.approx(0.5)
+        stat, k_star = changepoint_statistic(
+            ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]), table, PARAMS)
         expected = (np.array([3.0, 4.0, 3.0])
-                    - np.array([1.5, 2.0, 1.5])) / (4 * sc.d_n_prime)
-        assert np.allclose(values, expected)
+                    - np.array([1.5, 2.0, 1.5])) / (4 * _d_n_prime(4))
+        assert stat == pytest.approx(np.max(np.abs(expected)))
+        assert k_star == 2
 
 
 class TestBuiltinLookup:
