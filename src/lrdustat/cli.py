@@ -57,13 +57,11 @@ def to_json(result) -> str:
 
 def levels_list(text: str) -> list:
     """``--levels`` value: comma-separated probabilities in (0, 1).  A
-    ValueError here makes argparse report the bad value and exit with
-    status 2, before any simulation runs."""
-    levels = [float(x) for x in text.split(",") if x]
+    ValueError here (a ParameterError is one) makes argparse report the bad
+    value and exit with status 2, before any simulation runs."""
+    levels = [limit_law.check_level(x) for x in text.split(",") if x]
     if not levels:
         raise ValueError("no level given")
-    if not all(0.0 < lv < 1.0 for lv in levels):  # NaN fails too
-        raise ValueError("levels must lie in (0, 1)")
     return levels
 
 
@@ -90,23 +88,22 @@ def _load_data(path: str) -> np.ndarray:
 
 
 def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
-                d_exp: float, reps: int, grid_size: int, seed: int, levels,
+                d_exp: float, reps: int, grid_size: int, seed: int,
                 use_cache: bool = True):
     """Critical-value table for the limit functional of the kernel's
     coefficient ``table`` (from :func:`hermite.kernel_table`), cached on disk
-    keyed by (kernel, D, m, reps, grid, seed, levels) and by what produced
+    keyed by (kernel, D, m, reps, grid, seed) and by what produced
     it: the sampler's stream version, the N_aux the diagonal's law draws at
     (None for a rank-1 law, which draws none) and the package version.  The
     limit law depends on D and the rank-m diagonal only, not on the
-    covariance family.  A cache file that does not parse is recomputed and
-    overwritten."""
+    covariance family.  A cache file that does not parse, or whose sample
+    is not ``reps`` finite sorted values, is recomputed and overwritten."""
     m = table.rank
     diagonal = table.diagonal(m)
     n_aux = limit_law.resolve_n_aux(limit_law.hermite_orders(diagonal))
     key_src = json.dumps({
         "kernel": kernel.name, "D": d_exp, "m": m,
         "reps": reps, "grid_size": grid_size, "seed": seed,
-        "levels": sorted(levels),
         "stream_version": lrd_sim.STREAM_VERSION,
         "n_aux": n_aux, "package_version": __version__,
     }, sort_keys=True)
@@ -114,13 +111,15 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
     cache_file = _cache_dir() / f"cv_{key}.json"
     if use_cache and cache_file.exists():
         try:
-            with open(cache_file) as fh:
-                return limit_law.CriticalValueTable.from_json_dict(json.load(fh))
+            cached = limit_law.CriticalValueTable.from_json_dict(
+                json.loads(cache_file.read_text()))
+            if cached.sups.shape == (reps,):
+                return cached
         except (ValueError, KeyError, TypeError):
             pass  # corrupt cache file: recompute below
     ensemble = limit_law.limit_thm1(diagonal, d_exp, grid_size=grid_size,
                                     reps=reps, N_aux=n_aux, seed=seed)
-    cv_table = limit_law.critical_values(ensemble, sorted(levels))
+    cv_table = limit_law.critical_values(ensemble)
     if use_cache:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
         # write a temp file, then rename: readers never see a partial table
@@ -172,9 +171,16 @@ def cmd_coeffs(args) -> dict:
 def cmd_limit(args) -> dict:
     kernel = ustat.builtin_kernel(args.kernel)
     table = limit_table(kernel, hermite.kernel_table(kernel), args.D,
-                        args.reps, args.grid_size, args.seed, args.levels,
+                        args.reps, args.grid_size, args.seed,
                         use_cache=not args.no_cache)
-    return table.to_json_dict()
+    levels = sorted(args.levels)
+    return {"descriptor": table.descriptor,
+            "quantiles": {"levels": levels,
+                          "values": [*map(table.value_at, levels)],
+                          "intervals": [*map(table.interval_at, levels)],
+                          "coverage": limit_law.CV_COVERAGE},
+            "reps": table.reps, "grid_size": table.grid_size,
+            "warnings": table.warnings}
 
 
 def cmd_detect(args) -> dict:
@@ -190,10 +196,10 @@ def cmd_detect(args) -> dict:
         ustat.ustat_fast(data, kernel), coeffs,
         lrd_sim.LrdParams(D=args.D, family=args.family))
     table = limit_table(kernel, coeffs, args.D, args.reps, args.grid_size,
-                        args.seed, args.levels, use_cache=not args.no_cache)
-    decisions = {repr(lv): {"critical_value": table.value_at(lv),
+                        args.seed, use_cache=not args.no_cache)
+    decisions = {repr(lv): {"critical_value": (cv := table.value_at(lv)),
                             "interval": table.interval_at(lv),
-                            "reject": stat > table.value_at(lv)}
+                            "reject": stat > cv}
                  for lv in args.levels}
     return {"subcommand": "detect", "input": args.input,
             "kernel": kernel.name, "D": args.D, "family": args.family,

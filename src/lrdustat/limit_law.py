@@ -58,9 +58,11 @@ class LimitEnsemble:
     grid: np.ndarray
     paths: np.ndarray  # shape (reps, len(grid))
     descriptor: dict
-    seed: int
-    reps: int
     warnings: list = field(default_factory=list)
+
+    @property
+    def reps(self) -> int:
+        return self.paths.shape[0]
 
     def sup_abs(self) -> np.ndarray:
         """sup over the grid of |path|, one value per replication."""
@@ -176,8 +178,7 @@ def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
                                         resolve_n_aux([m]), seed)
     return LimitEnsemble(grid=default_grid(grid_size), paths=paths[m],
                          descriptor={"process": "hermite", "m": m, "D": D,
-                                     **law},
-                         seed=seed, reps=reps)
+                                     **law})
 
 
 def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
@@ -226,7 +227,7 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
                                      "D": D, **law,
                                      "entries": sorted(
                                          [k, l, a] for (k, l), a in entries.items())},
-                         seed=seed, reps=reps, warnings=warns)
+                         warnings=warns)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +312,6 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
                                      "kernel": kernel.name, "m": m,
                                      "A": a_int, "B": b_int,
                                      "driver": desc},
-                         seed=z_ensemble.seed, reps=z_ensemble.reps,
                          warnings=warns)
 
 
@@ -320,46 +320,48 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
 
 @dataclass
 class CriticalValueTable:
-    """Empirical quantiles of the sup-statistic of a limit ensemble, each
-    with its order-statistic interval [lo, hi] for the limit law's quantile
-    (a side no order statistic bounds is None), and the ensemble's
-    warnings."""
+    """The sorted sup-statistic sample of a limit ensemble, which gives the
+    empirical quantile at any level with its order-statistic interval
+    [lo, hi] for the limit law's quantile (None for a side no order
+    statistic bounds), and the ensemble's grid size and warnings."""
 
     descriptor: dict
-    levels: list
-    values: list
-    intervals: list
-    reps: int
+    sups: np.ndarray
     grid_size: int
     warnings: list = field(default_factory=list)
 
+    @property
+    def reps(self) -> int:
+        return self.sups.size
+
     def value_at(self, level: float) -> float:
-        return self.values[self._index(level)]
+        return float(np.quantile(self.sups, check_level(level)))
 
     def interval_at(self, level: float) -> list:
-        return self.intervals[self._index(level)]
-
-    def _index(self, level: float) -> int:
-        for i, lv in enumerate(self.levels):
-            if abs(lv - level) < 1e-12:
-                return i
-        raise ParameterError(f"level {level} not in table")
+        ranks = order_statistic_ranks(check_level(level), self.reps)
+        return [None if j is None else float(self.sups[j - 1]) for j in ranks]
 
     def to_json_dict(self) -> dict:
-        return {"descriptor": self.descriptor,
-                "quantiles": {"levels": self.levels, "values": self.values,
-                              "intervals": self.intervals,
-                              "coverage": CV_COVERAGE},
-                "reps": self.reps, "grid_size": self.grid_size,
-                "warnings": self.warnings}
+        return {"descriptor": self.descriptor, "sups": self.sups.tolist(),
+                "grid_size": self.grid_size, "warnings": self.warnings}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CriticalValueTable":
-        q = d["quantiles"]
-        return cls(descriptor=d["descriptor"], levels=list(q["levels"]),
-                   values=list(q["values"]), intervals=list(q["intervals"]),
-                   reps=int(d["reps"]), grid_size=int(d["grid_size"]),
+        """Inverse of :meth:`to_json_dict`; ValueError unless the sample is
+        finite and sorted, as the quantiles and intervals assume."""
+        sups = np.asarray(d["sups"], dtype=float)
+        if not (np.all(np.isfinite(sups)) and np.all(np.diff(sups) >= 0.0)):
+            raise ValueError("sup sample is not finite and sorted")
+        return cls(descriptor=d["descriptor"], sups=sups,
+                   grid_size=int(d["grid_size"]),
                    warnings=list(d["warnings"]))
+
+
+def check_level(level) -> float:
+    """``level`` as a float; ParameterError unless it lies in (0, 1)."""
+    if not 0.0 < float(level) < 1.0:  # NaN fails too
+        raise ParameterError(f"level {level} does not lie in (0, 1)")
+    return float(level)
 
 
 def order_statistic_ranks(level: float, reps: int) -> tuple:
@@ -385,22 +387,12 @@ def order_statistic_ranks(level: float, reps: int) -> tuple:
     return (lo if lo >= 1 else None), (hi if hi <= reps else None)
 
 
-def critical_values(ensemble: LimitEnsemble, levels) -> CriticalValueTable:
-    """Empirical quantiles of sup |path| per replication, with their
-    order-statistic intervals."""
-    levels = [float(lv) for lv in levels]
-    if any(not 0.0 < lv < 1.0 for lv in levels):
-        raise ParameterError("levels must lie in (0, 1)")
+def critical_values(ensemble: LimitEnsemble) -> CriticalValueTable:
+    """Table of the sorted sup |path| per replication of ``ensemble``."""
     if ensemble.reps < MIN_TABLE_REPS:
         raise ParameterError(
             f"need at least {MIN_TABLE_REPS} replications for quantiles")
-    sups = np.sort(ensemble.sup_abs())
-    values = [float(np.quantile(sups, lv)) for lv in levels]
-    intervals = [[None if j is None else float(sups[j - 1])
-                  for j in order_statistic_ranks(lv, ensemble.reps)]
-                 for lv in levels]
-    return CriticalValueTable(descriptor=ensemble.descriptor, levels=levels,
-                              values=values, intervals=intervals,
-                              reps=ensemble.reps,
+    return CriticalValueTable(descriptor=ensemble.descriptor,
+                              sups=np.sort(ensemble.sup_abs()),
                               grid_size=ensemble.grid.size - 1,
                               warnings=list(ensemble.warnings))

@@ -191,6 +191,10 @@ def test_criterion_6_weak_convergence(wilcoxon_limit, wilcoxon_data_sups):
            f"ks={ks:.4f} (<=0.1) control_ks={ks_control:.4f} (>0.2)")
 
 
+# only the KS statistic is read; scipy warns that its exact p-value, which
+# is not, gives up at 1000 against 1000 draws
+@pytest.mark.filterwarnings(
+    "ignore:ks_2samp. Exact calculation unsuccessful:RuntimeWarning")
 def test_criterion_7_route_consistency():
     """The rank-diagonal and empirical-process limit routes give the same
     CUSUM functional after rescaling by sqrt(c_1)."""

@@ -18,6 +18,16 @@ from lrdustat.ustat import gaussian_bump_kernel, ustat_naive
 from test_lrd_sim import non_embeddable_cov
 
 
+# numpy warns as the Monte Carlo coefficient sums overflow, before the
+# ParameterError: CHANGES.md, "FOUND: `hermite.coeffs_2d_montecarlo`'s
+# standard errors overflow long before its means"
+MONTECARLO_OVERFLOW = [
+    pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+    pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning"),
+]
+
+
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
@@ -149,11 +159,53 @@ class TestLimit:
         assert cli.main(self.ARGS) == 0
         first = json.loads(capsys.readouterr().out)
         (cached,) = isolated_cache.glob("cv_*.json")
-        cached.write_text(cached.read_text()[:40])
+        table_json = cached.read_text()
+        cached.write_text(table_json[:40])
         assert cli.main(self.ARGS) == 0
         assert json.loads(capsys.readouterr().out) == first
-        assert json.loads(cached.read_text()) == first
+        assert cached.read_text() == table_json
         assert list(isolated_cache.iterdir()) == [cached]
+
+    # each file parses, but its sample is not 150 finite sorted values
+    @pytest.mark.parametrize("spoil", [
+        lambda sups: sups[::-1],
+        lambda sups: sups[:-1],
+        lambda sups: sups[:-1] + [float("nan")],
+    ], ids=["reversed", "short", "nan"])
+    def test_cache_with_a_bad_sample_is_recomputed(self, spoil,
+                                                   isolated_cache, capsys,
+                                                   monkeypatch):
+        assert cli.main(self.ARGS + ["--no-cache"]) == 0
+        fresh = capsys.readouterr().out
+        assert cli.main(self.ARGS) == 0
+        (cached,) = isolated_cache.glob("cv_*.json")
+        table_json = cached.read_text()
+        saved = json.loads(table_json)
+        saved["sups"] = spoil(saved["sups"])
+        cached.write_text(json.dumps(saved))
+        capsys.readouterr()
+        calls = self.spy_limit_thm1(monkeypatch)
+        assert cli.main(self.ARGS) == 0
+        assert calls == [1]
+        assert capsys.readouterr().out == fresh
+        assert cached.read_text() == table_json
+
+    def test_one_table_serves_every_level(self, tmp_path, isolated_cache,
+                                          capsys, monkeypatch):
+        # limit and detect at other levels, in another order, share a table
+        calls = self.spy_limit_thm1(monkeypatch)
+        law = ["--kernel", "cusum", "--D", "0.4", "--reps", "150",
+               "--grid-size", "16", "--seed", "3"]
+        assert cli.main(["limit", *law, "--levels", "0.5,0.9,0.95,0.99"]) \
+            == 0
+        data = tmp_path / "data.csv"
+        lrd_sim.write_path_csv(
+            lrd_sim.simulate_gaussian(lrd_sim.LrdParams(D=0.4), 200, seed=1),
+            data)
+        assert cli.main(["detect", "--input", str(data), *law,
+                         "--levels", "0.99,0.9,0.25"]) == 0
+        assert calls == [1]
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 1
 
     def test_stream_version_is_in_cache_key(self, isolated_cache, capsys,
                                             monkeypatch):
@@ -397,6 +449,9 @@ class TestDetect:
             stats.append(report["statistic"])
         assert stats[1] == pytest.approx(stats[0], rel=1e-9)
 
+    # numpy warns as the CUSUM path overflows, before the non-finite result
+    # exits 1: CHANGES.md, "FOUND: `ustat.ustat_cusum` warns"
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_statistic_exits_1(self, tmp_path, capsys):
         # the CUSUM path of a series near the float64 limit overflows
         data = tmp_path / "data.csv"
@@ -449,8 +504,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
      "--pairs", "0"],
     ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
      "--pairs", "-3"],
-    ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
-     "--Q", "340", "--pairs", "1000"],
+    pytest.param(["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
+                  "--Q", "340", "--pairs", "1000"], marks=MONTECARLO_OVERFLOW),
     ["verify", "variance", "--levels", "0.9", *VARIANCE],
     ["verify", "variance", "--kernel", "nope", *VARIANCE],
     ["verify", "variance", "--limit-reps", "3", *VARIANCE],

@@ -11,13 +11,14 @@ from lrdustat.cli import to_json
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (c_constant, class_coeffs, cycle_traces,
                               hermite2_sum_skewness, hermite_sum_std,
-                              rosenblatt_skewness)
+                              kernel_table, rosenblatt_skewness)
 from lrdustat.limit_law import (CriticalValueTable, critical_values,
                                 default_grid, limit_thm1, limit_thm2,
                                 order_statistic_ranks, simulate_hermite)
 from lrdustat.lrd_sim import (CirculantEmbedding, LrdParams, Subordinator,
                               build_covariance)
-from lrdustat.ustat import Kernel, cusum_kernel, wilcoxon_kernel
+from lrdustat.ustat import (Kernel, cusum_kernel, gaussian_bump_kernel,
+                            wilcoxon_kernel)
 
 H = 0.8  # fBm index of the rank-one limit at D = 2(1 - H) = 0.4
 D_ONE = 2.0 * (1.0 - H)
@@ -47,6 +48,12 @@ def driver():
 @pytest.fixture(scope="module")
 def cv_ensemble():
     return simulate_hermite(1, D_ONE, 64, reps=500, seed=33)
+
+
+@pytest.fixture(scope="module")
+def bump_ensemble():
+    table = kernel_table(gaussian_bump_kernel())
+    return limit_thm1(table.diagonal(table.rank), 0.4, 32, reps=200, seed=35)
 
 
 class TestFbm:
@@ -259,7 +266,7 @@ class TestRankOneGridDraw:
         fbm = limit_law.LimitEnsemble(
             grid=grid, paths=np.hstack([np.zeros((reps, 1)),
                                         normals @ chol.T]),
-            descriptor={}, seed=62, reps=reps)
+            descriptor={})
         bound = math.sqrt(-math.log(1e-6 / 2.0) / reps)
         assert ks_2samp(rank_one.paths[:, -1],
                         fbm.paths[:, -1]).statistic < bound
@@ -349,11 +356,11 @@ class TestCorrectedOrderTwo:
         # order-statistic interval
         entries = {(2, 0): 1.0, (0, 2): 1.0}
         tables = [critical_values(limit_thm1(entries, self.D, 64, reps=800,
-                                             N_aux=n_aux, seed=seed), [0.99])
+                                             N_aux=n_aux, seed=seed))
                   for n_aux, seed in ((2 ** 12, 5), (2 ** 14, 6))]
         for mine, other in (tables, tables[::-1]):
-            lo, hi = other.intervals[0]
-            assert lo <= mine.values[0] <= hi
+            lo, hi = other.interval_at(0.99)
+            assert lo <= mine.value_at(0.99) <= hi
 
     def test_mixed_rank_two_warns_of_skewness_gap(self):
         mixed = limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3,
@@ -409,52 +416,66 @@ class TestThm2:
 
 class TestCriticalValues:
     def test_monotone_in_level(self, cv_ensemble):
-        table = critical_values(cv_ensemble, [0.8, 0.9, 0.95, 0.99])
-        assert all(a < b for a, b in zip(table.values, table.values[1:]))
+        table = critical_values(cv_ensemble)
+        values = [table.value_at(lv) for lv in (0.8, 0.9, 0.95, 0.99)]
+        assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_value_at(self, cv_ensemble):
-        table = critical_values(cv_ensemble, [0.9, 0.95])
-        assert table.value_at(0.95) == table.values[1]
-        with pytest.raises(ParameterError):
-            table.value_at(0.5)
+    @pytest.mark.parametrize("fixture", ["cv_ensemble", "bump_ensemble"])
+    def test_value_and_interval_at_any_level(self, fixture, request):
+        # at any level, np.quantile of the sorted sup sample and its order
+        # statistics, bit for bit
+        ens = request.getfixturevalue(fixture)
+        table = critical_values(ens)
+        sups = np.sort(ens.sup_abs())
+        assert np.array_equal(table.sups, sups)
+        assert table.reps == ens.reps == sups.size
+        for level in (0.25, 0.5, 0.8, 0.9, 0.95, 0.99):
+            assert table.value_at(level) == float(np.quantile(sups, level))
+            assert table.interval_at(level) == [
+                None if j is None else float(sups[j - 1])
+                for j in order_statistic_ranks(level, sups.size)]
+
+    def test_levels_validated(self, cv_ensemble):
+        table = critical_values(cv_ensemble)
+        for level in (0.0, 1.0, float("nan")):
+            with pytest.raises(ParameterError):
+                table.value_at(level)
+            with pytest.raises(ParameterError):
+                table.interval_at(level)
 
     def test_reps_floor(self):
         small = simulate_hermite(1, D_ONE, 8, reps=10, seed=0)
         with pytest.raises(ParameterError):
-            critical_values(small, [0.95])
-
-    def test_levels_validated(self, cv_ensemble):
-        with pytest.raises(ParameterError):
-            critical_values(cv_ensemble, [0.95, 1.0])
+            critical_values(small)
 
     def test_seed_reproducible(self):
         a = simulate_hermite(1, D_ONE, 32, reps=200, seed=44)
         b = simulate_hermite(1, D_ONE, 32, reps=200, seed=44)
-        ta = critical_values(a, [0.95])
-        tb = critical_values(b, [0.95])
-        assert ta.values == tb.values
+        assert np.array_equal(critical_values(a).sups,
+                              critical_values(b).sups)
 
     def test_grid_refinement_stability(self):
         # refining the grid from 64 to 256 steps moves the 95% quantile of
         # the sup by less than its Monte Carlo error: each 400-replication
         # q95 lies in the other grid's order-statistic interval
         tables = [critical_values(simulate_hermite(1, D_ONE, grid_size,
-                                                   reps=400, seed=seed),
-                                  [0.95])
+                                                   reps=400, seed=seed))
                   for grid_size, seed in ((64, 8), (256, 9))]
         for mine, other in (tables, tables[::-1]):
-            lo, hi = other.intervals[0]
-            assert lo <= mine.values[0] <= hi
+            lo, hi = other.interval_at(0.95)
+            assert lo <= mine.value_at(0.95) <= hi
 
     def test_json_roundtrip(self, cv_ensemble):
-        table = critical_values(cv_ensemble, [0.9, 0.95])
-        back = CriticalValueTable.from_json_dict(
-            json.loads(to_json(table.to_json_dict())))
-        assert back.values == table.values
-        assert back.levels == table.levels
-        assert back.reps == table.reps
-        assert back.intervals == table.intervals
+        table = critical_values(cv_ensemble)
+        saved = json.loads(to_json(table.to_json_dict()))
+        back = CriticalValueTable.from_json_dict(saved)
+        assert np.array_equal(back.sups, table.sups)
+        assert back.reps == table.reps == 500
         assert back.grid_size == table.grid_size == 64
+        assert back.descriptor == table.descriptor
+        saved["sups"].reverse()  # an unsorted sample is no table
+        with pytest.raises(ValueError):
+            CriticalValueTable.from_json_dict(saved)
 
     @pytest.mark.parametrize("level, reps", [(0.25, 100), (0.5, 200),
                                              (0.9, 200), (0.95, 2000),
@@ -484,14 +505,14 @@ class TestCriticalValues:
         covers = 0
         for paths in np.split(ens.paths, 20):
             part = limit_law.LimitEnsemble(grid=ens.grid, paths=paths,
-                                           descriptor={}, seed=91, reps=200)
-            table = critical_values(part, levels)
-            covers += sum(lo <= q <= hi
-                          for (lo, hi), q in zip(table.intervals, exact))
+                                           descriptor={})
+            table = critical_values(part)
+            covers += sum(lo <= q <= hi for (lo, hi), q in
+                          zip(map(table.interval_at, levels), exact))
         assert covers >= 50
 
     def test_interval_brackets_the_value(self, cv_ensemble):
-        table = critical_values(cv_ensemble, [0.5, 0.9, 0.99])
-        for value, (lo, hi) in zip(table.values, table.intervals):
-            assert lo <= value <= hi
-        assert table.interval_at(0.9) == table.intervals[1]
+        table = critical_values(cv_ensemble)
+        for level in (0.5, 0.9, 0.99):
+            lo, hi = table.interval_at(level)
+            assert lo <= table.value_at(level) <= hi
