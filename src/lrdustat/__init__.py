@@ -17,5 +17,4 @@ from .ustat import (Kernel, OddScore, builtin_kernel, changepoint_statistic,
                     tukey_kernel, ustat_cusum, ustat_factored,
                     ustat_incremental, ustat_naive, ustat_score,
                     ustat_wilcoxon, wilcoxon_kernel)
-from .verify import (ExperimentReport, check_reduction, check_variance,
-                     check_weak_convergence)
+from .verify import check_reduction, check_variance, check_weak_convergence

@@ -242,13 +242,15 @@ def ustat_cusum(data) -> np.ndarray:
 
     U(k) is unchanged by a shift of the data, so the prefix sums run over
     the centred data: uncentred sums of a large common level cancel
-    catastrophically in the difference.
+    catastrophically in the difference.  Data near the float64 limit give
+    a non-finite path without a warning; the caller decides what that means.
     """
     data = _check_data(data)
     n = data.size
-    s = np.cumsum(data - data.mean())
     k = np.arange(1, n, dtype=float)
-    return (n - k) * s[:-1] - k * (s[-1] - s[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.cumsum(data - data.mean())
+        return (n - k) * s[:-1] - k * (s[-1] - s[:-1])
 
 
 def ustat_wilcoxon(data) -> np.ndarray:

@@ -10,8 +10,6 @@ simulated limit distribution.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -19,26 +17,10 @@ import numpy as np
 from .errors import ParameterError, RegimeError
 from .hermite import (HermiteCoeffTable, c_constant, hermite_eval,
                       hermite_sum_std, kernel_table)
-from .limit_law import LimitEnsemble
+from .limit_law import limit_thm1
 from .lrd_sim import CirculantEmbedding, LrdParams, asymptotic_L, \
     build_covariance, replication_rng
 from .ustat import Kernel, changepoint_statistic, ustat_factored, ustat_fast
-
-
-@dataclass
-class ExperimentReport:
-    """Summary of one verification experiment; reproducible from its seeds."""
-
-    name: str
-    params: dict
-    per_n: dict
-    seed: int
-    wall_clock: float
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "params": self.params,
-                "per_n": self.per_n, "seed": self.seed,
-                "wall_clock": self.wall_clock}
 
 
 def _srd_series_constant(k: int, params: LrdParams, tail: int = 10 ** 6) -> float:
@@ -47,8 +29,13 @@ def _srd_series_constant(k: int, params: LrdParams, tail: int = 10 ** 6) -> floa
     return 1.0 + 2.0 * float(np.sum(gamma[1:] ** k))
 
 
+#: largest Hermite degree of the variance check: its constants hold k!,
+#: and 170! < 1.8e308 < 171!
+MAX_VARIANCE_DEGREE = 170
+
+
 def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
-                   seed: int = 0) -> ExperimentReport:
+                   seed: int = 0) -> dict:
     """Exact (and optionally Monte Carlo) partial-sum variance vs asymptote.
 
     In the LRD branch (Dk < 1) the asymptote is c_k n^(2-Dk) L(n)^k; in the
@@ -58,10 +45,12 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
+    if k > MAX_VARIANCE_DEGREE:
+        raise ParameterError(f"k! overflows float64 at k = {k}; the largest "
+                             f"supported degree is {MAX_VARIANCE_DEGREE}")
     if reps != 0 and reps < 100:
         raise ParameterError("Monte Carlo cross-check needs reps >= 100 "
                              "(use reps=0 for exact-only)")
-    start = time.perf_counter()
     lrd = params.D * k < 1.0
     # the SRD slope k! sum_d gamma(d)^k does not depend on n
     slope = None if lrd else math.factorial(k) * _srd_series_constant(k, params)
@@ -90,12 +79,10 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
             # variance of the sample variance for approximately normal sums
             row["mc_stderr"] = mc * math.sqrt(2.0 / (reps - 1))
         per_n[n] = row
-    return ExperimentReport(
-        name="variance_asymptotics",
-        params={"k": k, "D": params.D, "family": params.family,
-                "branch": "lrd" if lrd else "srd", "reps": reps},
-        per_n=per_n, seed=seed,
-        wall_clock=time.perf_counter() - start)
+    return {"name": "variance_asymptotics",
+            "params": {"k": k, "D": params.D, "family": params.family,
+                       "branch": "lrd" if lrd else "srd", "reps": reps},
+            "per_n": per_n, "seed": seed}
 
 
 def rank_projection_path(data_xi: np.ndarray, table: HermiteCoeffTable) -> np.ndarray:
@@ -117,7 +104,7 @@ def rank_projection_path(data_xi: np.ndarray, table: HermiteCoeffTable) -> np.nd
 
 
 def check_reduction(kernel: Kernel, params: LrdParams, n_list,
-                    reps: int, seed: int = 0) -> ExperimentReport:
+                    reps: int, seed: int = 0) -> dict:
     """E[sup_lambda |U_n - k(n-k) a00 - rank-m projection| / (d'_n n)]
     across n.
 
@@ -126,7 +113,6 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
     """
     if reps < 2:
         raise ParameterError("reps must be >= 2 for a standard error")
-    start = time.perf_counter()
     table = kernel_table(kernel)
     m = table.rank
     if m * params.D >= 1.0:
@@ -143,12 +129,10 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
             sups[r] = changepoint_statistic(u - proj, table, params)[0]
         per_n[n] = {"mean_sup_discrepancy": float(np.mean(sups)),
                     "stderr": float(np.std(sups, ddof=1) / math.sqrt(reps))}
-    return ExperimentReport(
-        name="reduction_principle",
-        params={"kernel": kernel.name, "D": params.D, "family": params.family,
-                "m": m, "reps": reps},
-        per_n=per_n, seed=seed,
-        wall_clock=time.perf_counter() - start)
+    return {"name": "reduction_principle",
+            "params": {"kernel": kernel.name, "D": params.D,
+                       "family": params.family, "m": m, "reps": reps},
+            "per_n": per_n, "seed": seed}
 
 
 def normalized_sup_statistics(kernel: Kernel, table: HermiteCoeffTable,
@@ -176,15 +160,17 @@ def ks_statistic(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def check_weak_convergence(kernel: Kernel, table: HermiteCoeffTable,
-                           params: LrdParams, n: int, reps: int,
-                           limit: LimitEnsemble,
-                           seed: int = 0) -> ExperimentReport:
-    """Two-sample KS distance between sup-statistics normalized by the
-    kernel's ``table`` and the limit ensemble's sup-statistic distribution."""
+def check_weak_convergence(kernel: Kernel, params: LrdParams, n: int,
+                           reps: int, limit_reps: int, grid_size: int,
+                           seed: int = 0) -> dict:
+    """Two-sample KS distance between ``reps`` normalized sup-statistics at
+    sample size ``n`` and ``limit_reps`` sups of the kernel's Theorem-1 limit
+    law on a grid of ``grid_size`` points, drawn from ``seed + 1``."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
-    start = time.perf_counter()
+    table = kernel_table(kernel)
+    limit = limit_thm1(table.diagonal(table.rank), params.D,
+                       grid_size=grid_size, reps=limit_reps, seed=seed + 1)
     sups = normalized_sup_statistics(kernel, table, params, n, reps, seed)
     limit_sups = limit.sup_abs()
     ks = ks_statistic(sups, limit_sups)
@@ -193,10 +179,8 @@ def check_weak_convergence(kernel: Kernel, table: HermiteCoeffTable,
                  "limit_reps": int(limit_sups.size),
                  "mean_sup_data": float(np.mean(sups)),
                  "mean_sup_limit": float(np.mean(limit_sups))}}
-    return ExperimentReport(
-        name="weak_convergence",
-        params={"kernel": kernel.name, "D": params.D, "family": params.family,
-                "n": n, "reps": reps,
-                "limit_descriptor": limit.descriptor},
-        per_n=per_n, seed=seed,
-        wall_clock=time.perf_counter() - start)
+    return {"name": "weak_convergence",
+            "params": {"kernel": kernel.name, "D": params.D,
+                       "family": params.family, "n": n, "reps": reps,
+                       "limit_descriptor": limit.descriptor},
+            "per_n": per_n, "seed": seed}

@@ -101,12 +101,12 @@ def test_criterion_3_variance_asymptotics():
     ok = True
     for k, d in [(1, 0.4), (2, 0.3)]:
         rep = check_variance(k, LrdParams(D=d), [2 ** 14])
-        ratio = rep.per_n[2 ** 14]["ratio"]
+        ratio = rep["per_n"][2 ** 14]["ratio"]
         ok = ok and 0.9 < ratio < 1.1
         details.append(f"lrd(k={k},D={d})ratio={ratio:.4f}")
     srd = check_variance(3, LrdParams(D=0.5), [2 ** 13, 2 ** 14])
-    s1 = srd.per_n[2 ** 13]["var_over_n"]
-    s2 = srd.per_n[2 ** 14]["var_over_n"]
+    s1 = srd["per_n"][2 ** 13]["var_over_n"]
+    s2 = srd["per_n"][2 ** 14]["var_over_n"]
     ok = ok and abs(s2 - s1) / s1 < 0.05
     details.append(f"srd_slopes=({s1:.3f},{s2:.3f})")
     _check("criterion-3 variance", ok, " ".join(details))
@@ -158,7 +158,7 @@ def test_criterion_5_reduction_principle():
     """
     rep = check_reduction(gaussian_bump_kernel(), PARAMS,
                           [500, 1000, 2000, 4000], reps=200, seed=31)
-    means = [rep.per_n[n]["mean_sup_discrepancy"]
+    means = [rep["per_n"][n]["mean_sup_discrepancy"]
              for n in (500, 1000, 2000, 4000)]
     monotone = all(a > b for a, b in zip(means, means[1:]))
     ok = monotone and means[-1] <= 0.85 * means[0]

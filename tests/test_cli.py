@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import lrdustat
-from lrdustat import cli, lrd_sim
+from lrdustat import cli, lrd_sim, verify
 from lrdustat.hermite import scaling
-from lrdustat.ustat import gaussian_bump_kernel, ustat_naive
+from lrdustat.ustat import gaussian_bump_kernel, ustat_naive, wilcoxon_kernel
 
 from test_lrd_sim import non_embeddable_cov
 
@@ -449,9 +449,6 @@ class TestDetect:
             stats.append(report["statistic"])
         assert stats[1] == pytest.approx(stats[0], rel=1e-9)
 
-    # numpy warns as the CUSUM path overflows, before the non-finite result
-    # exits 1: CHANGES.md, "FOUND: `ustat.ustat_cusum` warns"
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_statistic_exits_1(self, tmp_path, capsys):
         # the CUSUM path of a series near the float64 limit overflows
         data = tmp_path / "data.csv"
@@ -541,6 +538,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["verify", "weak", "--n", "1", *WEAK],
     ["detect", "--input", "x.csv", "--D", "0.4", "--family", "bogus"],
     ["verify", "weak", "--family", "bogus", *WEAK],
+    ["verify", "variance", "--k", "171", *VARIANCE],
 ], ids=["simulate-reps", "simulate-levels", "simulate-n-1", "coeffs-reps",
         "coeffs-levels", "coeffs-quad-order", "coeffs-negative-Q",
         "coeffs-wilcoxon-Q-400",
@@ -562,7 +560,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "verify-reduction-reps-1",
         "verify-weak-reps-0", "verify-variance-n-0",
         "verify-reduction-n-1", "verify-weak-n-1", "detect-bad-family",
-        "verify-weak-bad-family"])
+        "verify-weak-bad-family", "verify-variance-k-171"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
     # argparse exits 2 through SystemExit; a ParameterError returns 2.
@@ -576,6 +574,7 @@ def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
         raise AssertionError("limit_thm1 called")
 
     monkeypatch.setattr(cli.limit_law, "limit_thm1", no_simulation)
+    monkeypatch.setattr(cli.verify, "limit_thm1", no_simulation)
     try:
         rc = cli.main(argv)
     except SystemExit as exc:
@@ -706,6 +705,21 @@ class TestVerify:
                        "--grid-size", "16"])
         assert rc == 0
         assert "ks_distance" in capsys.readouterr().out
+
+    def test_weak_prints_the_library_result(self, capsys):
+        # the CLI adds only the timing, as the last key
+        rc = cli.main(["verify", "weak", "--kernel", "wilcoxon", "--D", "0.4",
+                       "--family", "tweaked", "--n", "200", "--reps", "20",
+                       "--limit-reps", "30", "--grid-size", "16",
+                       "--seed", "4"])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert list(printed)[-1] == "wall_clock"
+        del printed["wall_clock"]
+        report = verify.check_weak_convergence(
+            wilcoxon_kernel(), lrd_sim.LrdParams(D=0.4, family="tweaked"),
+            200, 20, 30, 16, seed=4)
+        assert cli.to_json(printed) == cli.to_json(report)
 
 
 # Run in a fresh interpreter: the CLI's start-up, detect and verify

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -407,6 +408,17 @@ class TestChangepoint:
         stat, k_star = self._statistic(data)
         assert k_star == 1
         assert stat == pytest.approx(2.0 / (5 * _d_n_prime(5)))
+
+    def test_overflowing_cusum_path_is_non_finite_without_warning(self):
+        # positive values near the float64 limit overflow the prefix sums;
+        # the path says so with inf or NaN, and neither step warns
+        data = 1e306 * (1.0 + np.random.default_rng(9).random(300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = ustat_cusum(data)
+            stat, _ = self._statistic(data)
+        assert not np.all(np.isfinite(path))
+        assert not math.isfinite(stat)
 
     @pytest.mark.parametrize("n", [2, 2000])
     @pytest.mark.parametrize("kernel", _builtin_kernels(),

@@ -8,7 +8,7 @@ from lrdustat.cli import to_json
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (hermite_eval, hermite_sum_std, kernel_table,
                               scaling)
-from lrdustat.limit_law import simulate_hermite
+from lrdustat.limit_law import limit_thm1, simulate_hermite
 from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
                               asymptotic_L, replication_rng)
 from lrdustat.verify import (check_reduction, check_variance,
@@ -58,20 +58,20 @@ class TestExactVariance:
 class TestCheckVariance:
     def test_lrd_ratio_near_one(self):
         report = check_variance(1, LrdParams(D=0.4), [2 ** 12, 2 ** 14])
-        for n, row in report.per_n.items():
+        for n, row in report["per_n"].items():
             assert 0.9 < row["ratio"] < 1.1
-        assert report.params["branch"] == "lrd"
+        assert report["params"]["branch"] == "lrd"
 
     def test_srd_branch_slope(self):
         report = check_variance(3, LrdParams(D=0.5), [2 ** 10])
-        row = report.per_n[2 ** 10]
+        row = report["per_n"][2 ** 10]
         assert row["var_over_n"] == pytest.approx(row["asymptote_slope"],
                                                   rel=0.1)
-        assert report.params["branch"] == "srd"
+        assert report["params"]["branch"] == "srd"
 
     def test_mc_within_4_sigma(self):
         report = check_variance(1, LrdParams(D=0.4), [512], reps=200, seed=3)
-        row = report.per_n[512]
+        row = report["per_n"][512]
         assert abs(row["mc_var"] - row["exact_var"]) < 4 * row["mc_stderr"]
 
     def test_small_reps_rejected(self):
@@ -80,15 +80,22 @@ class TestCheckVariance:
 
     def test_report_roundtrip(self):
         report = check_variance(1, LrdParams(D=0.4), [64])
-        back = json.loads(to_json(report.to_json_dict()))
+        assert list(report) == ["name", "params", "per_n", "seed"]
+        back = json.loads(to_json(report))
         assert back["name"] == "variance_asymptotics"
-        assert back["per_n"] == {"64": report.per_n[64]}
-        assert back["params"] == report.params
+        assert back["per_n"] == {"64": report["per_n"][64]}
+        assert back["params"] == report["params"]
 
     def test_reproducible(self):
         a = check_variance(1, LrdParams(D=0.4), [256], reps=120, seed=9)
         b = check_variance(1, LrdParams(D=0.4), [256], reps=120, seed=9)
-        assert a.per_n == b.per_n
+        assert a == b
+
+    @pytest.mark.parametrize("D", [0.4, 0.005])
+    def test_degree_above_170_rejected(self, D):
+        # 171! overflows float64, in both the SRD and the LRD branch
+        with pytest.raises(ParameterError, match="170"):
+            check_variance(171, LrdParams(D=D), [2])
 
 
 class TestRankProjectionPath:
@@ -116,14 +123,14 @@ class TestCheckReduction:
         # discrepancy is pure floating-point noise at any n
         report = check_reduction(cusum_kernel(), LrdParams(D=0.4),
                                  [64, 256], reps=5, seed=1)
-        for row in report.per_n.values():
+        for row in report["per_n"].values():
             assert row["mean_sup_discrepancy"] < 1e-10
 
     def test_bump_discrepancy_decays(self):
         report = check_reduction(gaussian_bump_kernel(), LrdParams(D=0.4),
                                  [100, 400], reps=20, seed=2)
-        d_small = report.per_n[100]["mean_sup_discrepancy"]
-        d_large = report.per_n[400]["mean_sup_discrepancy"]
+        d_small = report["per_n"][100]["mean_sup_discrepancy"]
+        d_large = report["per_n"][400]["mean_sup_discrepancy"]
         assert d_large < d_small
 
     def test_wilcoxon_centered_discrepancy_decays(self):
@@ -131,7 +138,7 @@ class TestCheckReduction:
         # discrepancy would grow with n
         report = check_reduction(wilcoxon_kernel(), LrdParams(D=0.4),
                                  [250, 500, 1000, 2000], reps=20, seed=3)
-        means = [report.per_n[n]["mean_sup_discrepancy"]
+        means = [report["per_n"][n]["mean_sup_discrepancy"]
                  for n in (250, 500, 1000, 2000)]
         assert all(a > b for a, b in zip(means, means[1:])), means
 
@@ -154,6 +161,14 @@ class TestCheckReduction:
         # a standard error needs two replications
         with pytest.raises(ParameterError, match="reps must be >= 2"):
             check_reduction(cusum_kernel(), LrdParams(D=0.4), [64], reps=1)
+
+    def test_reproducible(self):
+        a = check_reduction(gaussian_bump_kernel(), LrdParams(D=0.4),
+                            [64, 96], reps=3, seed=5)
+        b = check_reduction(gaussian_bump_kernel(), LrdParams(D=0.4),
+                            [64, 96], reps=3, seed=5)
+        assert list(a) == ["name", "params", "per_n", "seed"]
+        assert a == b
 
 
 class TestWeakConvergence:
@@ -180,17 +195,33 @@ class TestWeakConvergence:
         assert worst <= 1e-15
 
     def test_wilcoxon_report_fields(self):
-        params = LrdParams(D=0.4)
-        limit = simulate_hermite(1, params.D, 64, reps=300, seed=5)
-        # scale the fBm by the known rank-one functional factor before use:
-        # here we only exercise the harness plumbing on a modest run
         kernel = wilcoxon_kernel()
-        report = check_weak_convergence(kernel, kernel_table(kernel), params,
-                                        n=256, reps=60, limit=limit, seed=6)
-        row = report.per_n[256]
+        report = check_weak_convergence(kernel, LrdParams(D=0.4), n=256,
+                                        reps=60, limit_reps=300,
+                                        grid_size=64, seed=6)
+        assert list(report) == ["name", "params", "per_n", "seed"]
+        row = report["per_n"][256]
         assert 0.0 <= row["ks_distance"] <= 1.0
         assert row["data_reps"] == 60
         assert row["limit_reps"] == 300
+        assert report["params"]["limit_descriptor"]["m"] == 1
+
+    def test_limit_law_drawn_from_the_next_seed(self):
+        # the limit ensemble is limit_thm1 of the kernel's rank diagonal at
+        # seed + 1, and the data sups are the harness's at seed
+        params = LrdParams(D=0.4)
+        kernel = cusum_kernel()
+        table = kernel_table(kernel)
+        limit = limit_thm1(table.diagonal(table.rank), params.D,
+                           grid_size=16, reps=40, seed=8)
+        sups = normalized_sup_statistics(kernel, table, params, 128, reps=10,
+                                         seed=7)
+        report = check_weak_convergence(kernel, params, 128, 10, 40, 16,
+                                        seed=7)
+        row = report["per_n"][128]
+        assert row["ks_distance"] == ks_statistic(sups, limit.sup_abs())
+        assert row["mean_sup_limit"] == float(np.mean(limit.sup_abs()))
+        assert report["params"]["limit_descriptor"] == limit.descriptor
 
     def test_normalized_sups_center_defaults_to_a00(self):
         params = LrdParams(D=0.4)
@@ -220,3 +251,10 @@ class TestWeakConvergence:
         b = normalized_sup_statistics(kernel, table, params, 128, reps=8,
                                       seed=11)
         assert np.array_equal(a, b)
+
+    def test_report_reproducible(self):
+        a = check_weak_convergence(cusum_kernel(), LrdParams(D=0.4), 128, 8,
+                                   50, 16, seed=11)
+        b = check_weak_convergence(cusum_kernel(), LrdParams(D=0.4), 128, 8,
+                                   50, 16, seed=11)
+        assert a == b
