@@ -359,5 +359,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry of the ``lrdustat`` command and ``python -m
+    lrdustat.cli``: run :func:`main`, flush the result, and end the process
+    with ``os._exit``, skipping interpreter teardown (numpy's module
+    clean-up), which is paid after the result is out.  That is safe because
+    every file ``main`` writes is closed when it returns and nothing
+    registers an ``atexit`` hook.  A flush that fails, as on a stdout pipe
+    the reader closed, exits 2 like any other OSError.  argparse's
+    SystemExit (usage errors, ``--help``) leaves the normal way."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = code or 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -404,7 +404,9 @@ def hermite_sum_std(params, m: int, n: int) -> float:
     Var = m! * sum_{i,j} gamma(|i-j|)^m."""
     gamma = build_covariance(params, n - 1)
     lags = np.arange(1, n, dtype=float)
-    var = math.factorial(m) * (n + 2.0 * np.dot(n - lags, gamma[1:] ** m))
+    # near m = 170 the product overflows to inf, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = math.factorial(m) * (n + 2.0 * np.dot(n - lags, gamma[1:] ** m))
     return math.sqrt(var)
 
 

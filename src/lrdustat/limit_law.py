@@ -335,7 +335,16 @@ class CriticalValueTable:
         return self.sups.size
 
     def value_at(self, level: float) -> float:
-        return float(np.quantile(self.sups, check_level(level)))
+        """np.quantile's default ("linear") quantile of the sorted sample,
+        with numpy's rounding rule, bit for bit.  Read straight from the
+        sample: np.quantile would partition it again and, on numpy 2,
+        import numpy.ma on its first call."""
+        h = (self.reps - 1) * check_level(level)
+        lo = math.floor(h)
+        t = h - lo
+        a = float(self.sups[lo])
+        b = float(self.sups[min(lo + 1, self.reps - 1)])
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
     def interval_at(self, level: float) -> list:
         ranks = order_statistic_ranks(check_level(level), self.reps)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import NonEmbeddableError, ParameterError
 
@@ -208,6 +207,10 @@ QUAD_ORDER = 200
 
 def gauss_hermite_prob(order: int):
     """Nodes and weights so that E[f(xi)] ~ sum w_i f(x_i), xi ~ N(0,1)."""
+    # imported here: numpy.polynomial costs every process a few ms, and
+    # closed-form kernels never build a quadrature rule
+    from numpy.polynomial.hermite import hermgauss
+
     x, w = hermgauss(order)
     return x * np.sqrt(2.0), w / np.sqrt(np.pi)
 

@@ -74,7 +74,10 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
             for r in range(reps):
                 xi = emb.sample(replication_rng(seed, r))
                 sums[r] = np.sum(hermite_eval(k, xi))
-            mc = float(np.var(sums, ddof=1))
+            # squares of sums near k = 170 overflow to inf, reported as
+            # a non-finite result
+            with np.errstate(over="ignore", invalid="ignore"):
+                mc = float(np.var(sums, ddof=1))
             row["mc_var"] = mc
             # variance of the sample variance for approximately normal sums
             row["mc_stderr"] = mc * math.sqrt(2.0 / (reps - 1))

@@ -686,6 +686,21 @@ class TestVerify:
                                                                   abs=5e-6)
         assert "passed" not in report
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2"],
+        ["--n", "30", "--reps", "0"],
+    ], ids=["monte-carlo-var", "exact-var"])
+    def test_variance_overflow_exits_1_without_numpy_warnings(self, argv,
+                                                              capsys):
+        # at degree 170 np.var of the sums and k! * sum gamma^k overflow
+        rc = cli.main(["verify", "variance", "--k", "170", "--D", "0.4",
+                       *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: numeric failure: the result holds "
+                                "NaN or an infinity\n")
+
     def test_reduction_runs(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         rc = cli.main(["verify", "reduction", "--kernel", "cusum",
@@ -725,7 +740,9 @@ class TestVerify:
 # Run in a fresh interpreter: the CLI's start-up, detect and verify
 # reduction/weak paths, and the empirical-process route (class_coeffs,
 # limit_thm2) must not import scipy (about a second per process); the
-# subcommands that need it import it lazily and must still run.
+# subcommands that need it import it lazily and must still run.  numpy.ma
+# (15 ms, pulled in by np.quantile) stays out of every CLI stage, and
+# numpy.polynomial (4 ms) out of start-up and the closed-form kernels.
 IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     import json, sys
     import numpy as np
@@ -735,10 +752,13 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     from lrdustat.lrd_sim import Subordinator
     from lrdustat.ustat import cusum_kernel
 
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    def watched_modules():
+        return {"scipy": sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy"),
+                **{m: m in sys.modules
+                   for m in ("numpy.ma", "numpy.polynomial")}}
 
-    seen = {"import": scipy_modules()}
+    seen = {"import": watched_modules()}
     data, out = sys.argv[1], sys.argv[2]
     rc = {"simulate": cli.main(["simulate", "--D", "0.4", "--n", "400",
                                 "--seed", "5", "-o", data])}
@@ -746,40 +766,119 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
         rc[kernel] = cli.main(["detect", "--input", data, "--D", "0.4",
                                "--kernel", kernel, "--reps", "100",
                                "--grid-size", "32", "--no-cache"])
-        seen[kernel] = scipy_modules()
+        seen[kernel] = watched_modules()
     rc["verify_weak"] = cli.main(["verify", "weak", "--kernel", "wilcoxon",
                                   "--D", "0.4", "--n", "64", "--reps", "10",
                                   "--limit-reps", "20", "--grid-size", "8"])
-    seen["verify_weak"] = scipy_modules()
+    seen["verify_weak"] = watched_modules()
     rc["verify_reduction"] = cli.main(["verify", "reduction", "--kernel",
                                        "gaussian_bump", "--D", "0.4",
                                        "--n", "64", "--reps", "2"])
-    seen["verify_reduction"] = scipy_modules()
+    seen["verify_reduction"] = watched_modules()
     identity = Subordinator.identity()
     cls = class_coeffs(identity, 1, np.linspace(-8.0, 8.0, 201))
     z = simulate_hermite(1, 0.4, 16, reps=10)
     limit_thm2(cusum_kernel(), identity, cls, z)
-    seen["limit_thm2"] = scipy_modules()
+    seen["limit_thm2"] = watched_modules()
     rc["simulate_exp"] = cli.main(["simulate", "--D", "0.4", "--n", "64",
                                    "--transform", "exp", "-o", out])
     print(json.dumps({"rc": rc, "seen": seen}))
 """)
 
 
-def test_cli_and_detect_import_no_scipy(tmp_path):
+def _child_env(cache: Path) -> dict:
+    """Environment for a child interpreter that imports this checkout's
+    package and caches tables under ``cache``."""
     src = str(Path(lrdustat.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env[cli.CACHE_ENV] = str(tmp_path / "cache")
+    env[cli.CACHE_ENV] = str(cache)
+    return env
+
+
+def test_cli_and_detect_import_no_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_BUDGET_SCRIPT,
          str(tmp_path / "data.csv"), str(tmp_path / "exp.csv")],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=_child_env(tmp_path / "cache"),
+        timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert all(rc == 0 for rc in result["rc"].values()), result["rc"]
-    assert result["seen"] == {stage: [] for stage in
-                              ("import", "wilcoxon", "cusum", "gaussian_bump",
-                               "verify_weak", "verify_reduction",
-                               "limit_thm2")}
+    seen = result["seen"]
+    stages = ("import", "wilcoxon", "cusum", "gaussian_bump", "verify_weak",
+              "verify_reduction", "limit_thm2")
+    assert {stage: seen[stage]["scipy"] for stage in seen} == {
+        stage: [] for stage in stages}
+    assert not any(seen[stage]["numpy.ma"] for stage in stages[:-1])
+    assert not any(seen[stage]["numpy.polynomial"]
+                   for stage in ("import", "wilcoxon", "cusum"))
+
+
+class TestProcessEntry:
+    """``python -m lrdustat.cli`` ends in ``cli.run``, which flushes and
+    exits without interpreter teardown: the bytes and exit codes must be
+    those of ``cli.main``."""
+
+    DETECT = ["--D", "0.4", "--reps", "100", "--grid-size", "8"]
+
+    @staticmethod
+    def _child(isolated_cache, *argv, **kwargs):
+        kwargs.setdefault("capture_output", True)
+        return subprocess.run([sys.executable, "-m", "lrdustat.cli", *argv],
+                              env=_child_env(isolated_cache), timeout=120,
+                              **kwargs)
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        assert cli.main(["simulate", "--D", "0.4", "--n", "300", "--seed",
+                         "1", "-o", str(path)]) == 0
+        return path
+
+    def test_piped_stdout_holds_the_result(self, data, tmp_path,
+                                           isolated_cache, capsys,
+                                           monkeypatch):
+        # buffered, the result reaches the pipe only through run()'s flush
+        monkeypatch.setenv("PYTHONUNBUFFERED", "")
+        argv = ["detect", "--input", str(data), *self.DETECT]
+        out = tmp_path / "report.json"
+        proc = self._child(isolated_cache, *argv, "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+        assert (tmp_path / "report.json.json").exists()
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == proc.stdout
+
+    def test_exit_codes_pass_through(self, data, tmp_path, isolated_cache):
+        missing = self._child(isolated_cache, "detect", "--input",
+                              str(tmp_path / "absent.csv"), *self.DETECT)
+        assert missing.returncode == 2
+        huge = tmp_path / "huge.csv"
+        lrd_sim.write_path_csv(lrd_sim.read_path_csv(data) * 1e306, huge)
+        overflow = self._child(isolated_cache, "detect", "--input", str(huge),
+                               "--kernel", "cusum", *self.DETECT)
+        assert (overflow.returncode, overflow.stdout) == (1, b"")
+        usage = self._child(isolated_cache, "detect", "--input", str(data),
+                            "--bogus")
+        assert usage.returncode == 2
+        assert b"unrecognized arguments" in usage.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_2(self, data, isolated_cache,
+                                        monkeypatch, unbuffered):
+        # buffered, the write fails at run()'s flush; unbuffered (an empty
+        # PYTHONUNBUFFERED counts as unset), in main
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the result is out
+        try:
+            proc = self._child(isolated_cache, "detect", "--input", str(data),
+                               *self.DETECT, stdout=write_end,
+                               stderr=subprocess.PIPE, capture_output=False)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr

@@ -423,13 +423,17 @@ class TestCriticalValues:
     @pytest.mark.parametrize("fixture", ["cv_ensemble", "bump_ensemble"])
     def test_value_and_interval_at_any_level(self, fixture, request):
         # at any level, np.quantile of the sorted sup sample and its order
-        # statistics, bit for bit
+        # statistics, bit for bit: on and between order statistics, at
+        # interpolation weights on both sides of 1/2, and next to 0 and 1
         ens = request.getfixturevalue(fixture)
         table = critical_values(ens)
         sups = np.sort(ens.sup_abs())
         assert np.array_equal(table.sups, sups)
         assert table.reps == ens.reps == sups.size
-        for level in (0.25, 0.5, 0.8, 0.9, 0.95, 0.99):
+        on_ranks = [j / (sups.size - 1) for j in (1, 7, sups.size - 2)]
+        for level in (1e-12, 0.25, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999,
+                      *np.linspace(0.013, 0.987, 31).tolist(), *on_ranks,
+                      float(np.nextafter(1.0, 0.0))):
             assert table.value_at(level) == float(np.quantile(sups, level))
             assert table.interval_at(level) == [
                 None if j is None else float(sups[j - 1])
