@@ -101,7 +101,8 @@ def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
     is not ``reps`` finite sorted values, is recomputed and overwritten."""
     m = table.rank
     diagonal = table.diagonal(m)
-    n_aux = limit_law.resolve_n_aux(limit_law.hermite_orders(diagonal))
+    n_aux = limit_law.resolve_n_aux(limit_law.hermite_orders(diagonal),
+                                    grid_size)
     key_src = json.dumps({
         "kernel": kernel.name, "D": d_exp, "m": m,
         "reps": reps, "grid_size": grid_size, "seed": seed,
@@ -204,7 +205,8 @@ def cmd_detect(args) -> dict:
                  for lv in args.levels}
     return {"subcommand": "detect", "input": args.input,
             "kernel": kernel.name, "D": args.D, "family": args.family,
-            "n": int(n), "statistic": stat, "k_star": k_star,
+            "n": int(n), "statistic": stat,
+            "p_value": table.p_value(stat), "k_star": k_star,
             "k_star_fraction": k_star / n, "levels": decisions,
             "table_reps": table.reps, "seed": args.seed,
             "law": table.descriptor, "warnings": table.warnings}

@@ -24,10 +24,13 @@ CLOSED_FORM = "closed_form"
 MONTE_CARLO = "monte_carlo"
 
 
-def hermite_design(max_degree: int, x) -> np.ndarray:
+def hermite_design(max_degree: int, x, normalized: bool = False) -> np.ndarray:
     """H_0..H_max_degree at x by the three-term recurrence
     H_0 = 1, H_1 = x, H_{k+1}(x) = x H_k(x) - k H_{k-1}(x);
-    shape (max_degree + 1,) + x.shape."""
+    shape (max_degree + 1,) + x.shape.  ``normalized`` gives
+    h_k = H_k / sqrt(k!) instead, by h_{k+1} = (x h_k - sqrt(k) h_{k-1}) /
+    sqrt(k + 1), which stays below 1.09 e^{x^2/4} (Cramer's bound) where
+    H_k overflows."""
     x = np.asarray(x, dtype=float)
     out = np.empty((max_degree + 1,) + x.shape)
     out[0] = 1.0
@@ -36,7 +39,11 @@ def hermite_design(max_degree: int, x) -> np.ndarray:
     for j in range(1, max_degree):
         row = out[j + 1, ...]  # a view, 0-d for scalar x
         np.multiply(x, out[j], out=row)
-        row -= j * out[j - 1]
+        if normalized:
+            row -= math.sqrt(j) * out[j - 1]
+            row /= math.sqrt(j + 1)
+        else:
+            row -= j * out[j - 1]
     return out
 
 
@@ -130,6 +137,10 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int, seed: int = 0):
     drawn in batches of 10^6 pairs, with rank tolerance 1e-8.  A total
     degree whose mean overflows float64 raises ParameterError.
 
+    The sums run over the normalized h_k = H_k / sqrt(k!), which stay finite
+    where H_k overflows; each mean and standard error is scaled by
+    sqrt(k! l!) in log space at the end, on k + l <= Q only.
+
     Returns (table, standard_errors) with matching shapes.
     """
     if Q < 1:
@@ -145,23 +156,34 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int, seed: int = 0):
         xi = rng.standard_normal(size)
         eta = rng.standard_normal(size)
         hv = np.asarray(kernel.eval(xi, eta), dtype=float)
-        hx = hermite_design(Q, xi)
-        hy = hermite_design(Q, eta)
-        # term_{kls} = H_k(xi_s) H_l(eta_s) h_s, accumulated without
+        hx = hermite_design(Q, xi, normalized=True)
+        hy = hermite_design(Q, eta, normalized=True)
+        # term_{kls} = h_k(xi_s) h_l(eta_s) h_s, accumulated without
         # materializing the (Q+1, Q+1, batch) cube
         sums += hx @ (hy * hv).T
         sq_sums += (hx ** 2) @ ((hy ** 2) * (hv ** 2)).T
         total += size
-    mean = sums / total
-    k, l = np.nonzero(_triangle(Q) & ~np.isfinite(mean))
+    inside = _triangle(Q)
+    mean = sums[inside] / total
+    stderr = np.sqrt(np.maximum(sq_sums[inside] / total - mean ** 2, 0.0)
+                     / total)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(Q + 1)])
+    log_scale = 0.5 * np.add.outer(log_fact, log_fact)[inside]
+    # |x| sqrt(k! l!) = exp(log|x| + log sqrt(k! l!)): inf, unwarned, where
+    # it overflows, and 0 for x = 0
+    entries = np.full((Q + 1, Q + 1), np.nan)
+    errors = np.full((Q + 1, Q + 1), np.nan)
+    with np.errstate(over="ignore", divide="ignore"):
+        entries[inside] = np.sign(mean) * np.exp(np.log(np.abs(mean))
+                                                 + log_scale)
+        errors[inside] = np.exp(np.log(stderr) + log_scale)
+    k, l = np.nonzero(inside & ~np.isfinite(entries))
     if k.size:
         s = int(np.min(k + l))
         raise ParameterError(
             f"Monte Carlo coefficients of total degree {s} overflow float64; "
             f"use Q < {s}")
-    var = np.maximum(sq_sums / total - mean ** 2, 0.0)
-    table = HermiteCoeffTable(Q, mean, MONTE_CARLO, 1e-8)
-    return table, np.where(_triangle(Q), np.sqrt(var / total), np.nan)
+    return HermiteCoeffTable(Q, entries, MONTE_CARLO, 1e-8), errors
 
 
 #: largest total degree k+l of the Wilcoxon closed form: Gamma(s/2)

@@ -11,11 +11,12 @@ more cheaply than that:
 * Order 1 alone is fBm.  By self-similarity the partial sums of fGn of
   length G, read at j, are fBm exactly in distribution at j/G, so it draws
   no auxiliary path.
-* Order 2 alone, the Rosenblatt process, is drawn at N_aux = 2^12 as
-  a S + b B: S the H_2 partial-sum path and B an independent fBm with
-  H = 1 - D, drawn at the grid like order 1.  The weights keep the
-  covariance and make the third cumulant of Z_2(1) the limit's exactly
-  (:func:`rosenblatt_mix`).
+* Order 2 alone, the Rosenblatt process, is drawn as a S + b B: S the
+  H_2 partial-sum path and B an independent fBm with H = 1 - D, drawn at
+  the grid like order 1.  The weights keep the covariance and make the
+  third cumulant of Z_2(1) the limit's exactly (:func:`rosenblatt_mix`),
+  so S needs no long path: it is drawn at the smallest multiple of G that
+  is at least CORRECTED_MIN_N_AUX = 2^8, and read at the grid points.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .ustat import Kernel
 DEFAULT_GRID_SIZE = 256
 #: auxiliary path length of every law but the corrected order-2 one
 DEFAULT_N_AUX = 2 ** 15
-#: auxiliary path length of the third-cumulant-corrected order-2 law
-CORRECTED_N_AUX = 2 ** 12
+#: fewest auxiliary points of the third-cumulant-corrected order-2 law,
+#: which draws at the smallest multiple of the grid size G at or above it
+CORRECTED_MIN_N_AUX = 2 ** 8
 DEFAULT_REPS = 2000
 #: fewest replications a critical-value table is computed from
 MIN_TABLE_REPS = 100
@@ -74,10 +76,12 @@ def hermite_orders(entries) -> list:
     return sorted({k for kl in entries for k in kl if k >= 1})
 
 
-def resolve_n_aux(orders, N_aux=None):
-    """Auxiliary path length of the law of the given Hermite orders: None
-    for order 1 alone, which draws none, else ``N_aux`` when given,
-    CORRECTED_N_AUX for order 2 alone and DEFAULT_N_AUX otherwise."""
+def resolve_n_aux(orders, grid_size: int, N_aux=None):
+    """Auxiliary path length of the law of the given Hermite orders on the
+    grid j/G, G = ``grid_size``: None for order 1 alone, which draws none,
+    else ``N_aux`` when given, for order 2 alone the smallest multiple of G
+    that is at least CORRECTED_MIN_N_AUX, so that the indices j N_aux // G
+    are the grid points exactly, and DEFAULT_N_AUX otherwise."""
     orders = list(orders)
     if orders == [1]:
         if N_aux is not None:
@@ -86,7 +90,9 @@ def resolve_n_aux(orders, N_aux=None):
         return None
     if N_aux is not None:
         return int(N_aux)
-    return CORRECTED_N_AUX if orders == [2] else DEFAULT_N_AUX
+    if orders == [2]:
+        return grid_size * -(-CORRECTED_MIN_N_AUX // grid_size)
+    return DEFAULT_N_AUX
 
 
 def rosenblatt_mix(D: float, N_aux: int) -> tuple:
@@ -130,11 +136,13 @@ def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
     """Normalized partial-sum paths of H_k on the grid j/G, G =
     ``grid_size``, for every requested order k, all orders driven by the
     same auxiliary path per replication, and the law's description: its
-    N_aux, plus a, b and g1_N when order 2 alone is corrected."""
+    N_aux (:func:`resolve_n_aux`'s when None), plus a, b and g1_N when
+    order 2 alone is corrected."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     if grid_size < 1:
         raise ParameterError("grid_size must be >= 1")
+    N_aux = resolve_n_aux(orders, grid_size, N_aux)
     # fBm parts: fGn partial sums at j are exact fBm at j/G by
     # self-similarity; G = 1 draws 2 points, read at 0 and 2
     fbm_size = max(grid_size, 2)
@@ -174,8 +182,8 @@ def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
         raise ParameterError("m must be >= 1")
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
-    paths, law = _hermite_partial_paths([m], D, grid_size, reps,
-                                        resolve_n_aux([m]), seed)
+    paths, law = _hermite_partial_paths([m], D, grid_size, reps, None,
+                                        seed)
     return LimitEnsemble(grid=default_grid(grid_size), paths=paths[m],
                          descriptor={"process": "hermite", "m": m, "D": D,
                                      **law})
@@ -206,13 +214,13 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
     orders = hermite_orders(entries)
-    N_aux = resolve_n_aux(orders, N_aux)
     z, law = _hermite_partial_paths(orders, D, grid_size, reps, N_aux, seed)
     warns = []
     if m == 2 and orders != [2]:
+        n_aux = law["N_aux"]
         warns.append(
-            f"Z_2 drawn uncorrected at N_aux = {N_aux}: skewness of Z_2(1) "
-            f"{hermite2_sum_skewness(LrdParams(D=D, family=FGN), N_aux):.4f}"
+            f"Z_2 drawn uncorrected at N_aux = {n_aux}: skewness of Z_2(1) "
+            f"{hermite2_sum_skewness(LrdParams(D=D, family=FGN), n_aux):.4f}"
             f" against the limit's {rosenblatt_skewness(D):.4f}")
     grid = default_grid(grid_size)
     z1 = {k: z[k][:, -1:] for k in z}
@@ -349,6 +357,11 @@ class CriticalValueTable:
     def interval_at(self, level: float) -> list:
         ranks = order_statistic_ranks(check_level(level), self.reps)
         return [None if j is None else float(self.sups[j - 1]) for j in ranks]
+
+    def p_value(self, statistic: float) -> float:
+        """Monte Carlo p-value (1 + #{sup >= statistic}) / (reps + 1)."""
+        exceed = self.reps - int(np.searchsorted(self.sups, statistic))
+        return (1 + exceed) / (self.reps + 1)
 
     def to_json_dict(self) -> dict:
         return {"descriptor": self.descriptor, "sups": self.sups.tolist(),

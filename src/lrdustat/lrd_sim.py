@@ -43,7 +43,7 @@ PATH_MAGIC = b"LRDUSTAT-PATH\x00\x00\x00"
 #: identity of the random streams: which draws a (seed, rep) pair yields.
 #: Bump it whenever a change alters them, so that caches of simulated
 #: results keyed on it are not served stale.
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 _MASK64 = (1 << 64) - 1
 

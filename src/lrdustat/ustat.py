@@ -305,6 +305,24 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     return s
 
 
+def _horner(coeffs, x):
+    """The polynomial of ascending ``coeffs`` at x by Horner's rule, in the
+    order of operations of numpy's ``polyval``."""
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
+
+
+def _taylor_terms(poly) -> list:
+    """The Taylor terms q^(p) / p!, p = 0..deg q, of the polynomial q of
+    ascending coefficients ``poly``, as functions: the ascending
+    coefficients of q^(p) / p! are binom(j, p) c_j, j >= p."""
+    return [partial(_horner, [math.comb(j, p) * c
+                              for j, c in enumerate(poly)][p:])
+            for p in range(len(poly))]
+
+
 def ustat_score(data, score: OddScore) -> np.ndarray:
     """Kernel h(x, y) = psi(x - y) for an :class:`OddScore` psi, in
     O(n log n).
@@ -341,8 +359,7 @@ def ustat_score(data, score: OddScore) -> np.ndarray:
     sums = np.zeros((n + 1, degree + 1))
     sums[1:] = _compensated_cumsum(np.vander(z[cuts[1]] - z, degree + 1,
                                              increasing=True))
-    derivs = [np.polynomial.Polynomial(score.poly).deriv(p) / math.factorial(p)
-              for p in range(degree + 1)]
+    derivs = _taylor_terms(score.poly)
     inside = np.zeros(n)
     for first, last in zip(cuts, cuts[1:]):
         window = sums[np.clip(hi, first, last)] - sums[np.clip(lo, first, last)]

@@ -18,16 +18,6 @@ from lrdustat.ustat import gaussian_bump_kernel, ustat_naive, wilcoxon_kernel
 from test_lrd_sim import non_embeddable_cov
 
 
-# numpy warns as the Monte Carlo coefficient sums overflow, before the
-# ParameterError: CHANGES.md, "FOUND: `hermite.coeffs_2d_montecarlo`'s
-# standard errors overflow long before its means"
-MONTECARLO_OVERFLOW = [
-    pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-    pytest.mark.filterwarnings(
-        "ignore:invalid value encountered:RuntimeWarning"),
-]
-
-
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
@@ -237,7 +227,7 @@ class TestLimit:
             m.setattr(lrd_sim, "STREAM_VERSION", version)
             assert cli.main(args) == 0
         calls = self.spy_limit_thm1(monkeypatch)
-        assert lrd_sim.STREAM_VERSION == 5
+        assert lrd_sim.STREAM_VERSION == 6
         assert cli.main(args) == 0
         assert calls == [1]
         assert len(list(isolated_cache.glob("cv_*.json"))) == 2
@@ -263,11 +253,20 @@ class TestLimit:
                 "--reps", "100", "--grid-size", "200"]
         self.assert_old_version_misses(4, args, isolated_cache, monkeypatch)
 
+    def test_stream_version_5_cache_is_a_miss(self, isolated_cache, capsys,
+                                              monkeypatch):
+        # bump tables cached before the order-2 law drew at the grid's
+        # scale are not served: at G = 200 they read a 2^12-point S at
+        # floor(j 2^12 / 200) / 2^12
+        args = ["limit", "--kernel", "gaussian_bump", "--D", "0.4",
+                "--reps", "100", "--grid-size", "200"]
+        self.assert_old_version_misses(5, args, isolated_cache, monkeypatch)
+
     # a rank-1 law (wilcoxon) draws no auxiliary path: its N_aux is null
     # and neither default N_aux is in its key
     @pytest.mark.parametrize("kernel, own, other, drawn", [
-        ("gaussian_bump", "CORRECTED_N_AUX", "DEFAULT_N_AUX", 2 ** 12),
-        ("wilcoxon", "DEFAULT_N_AUX", "CORRECTED_N_AUX", None),
+        ("gaussian_bump", "CORRECTED_MIN_N_AUX", "DEFAULT_N_AUX", 256),
+        ("wilcoxon", "DEFAULT_N_AUX", "CORRECTED_MIN_N_AUX", None),
     ])
     def test_cache_key_records_n_aux_drawn(self, kernel, own, other, drawn,
                                            isolated_cache, capsys,
@@ -357,7 +356,7 @@ class TestDetect:
         assert rc == 0
         law = report["law"]
         assert (law["process"], law["m"], law["D"], law["N_aux"]) == \
-            ("thm1_functional", 2, 0.4, 2 ** 12)
+            ("thm1_functional", 2, 0.4, 256)
         assert 0.0 < law["b"] < law["a"] < 1.0 < law["g1_N"]
         assert report["warnings"] == []
         for row in report["levels"].values():
@@ -366,6 +365,20 @@ class TestDetect:
         rc, report = self._run(tmp_path, [], capsys)  # wilcoxon, rank 1
         assert report["law"]["N_aux"] is None  # no auxiliary path
         assert not {"a", "b", "g1_N"} & set(report["law"])
+
+    def test_reports_p_value(self, tmp_path, isolated_cache, capsys):
+        # (1 + #{sup >= statistic}) / (reps + 1) over the table's sup
+        # sample; a planted shift lies above every sup
+        for shift in (0.0, 3.0):
+            self._write_data(tmp_path, shift)
+            rc, report = self._run(tmp_path, [], capsys)
+            assert rc == 0
+            (cached,) = isolated_cache.glob("cv_*.json")
+            sups = np.array(json.loads(cached.read_text())["sups"])
+            assert report["p_value"] == \
+                (1 + np.sum(sups >= report["statistic"])) / 201
+            assert 1 / 201 <= report["p_value"] <= 1.0
+        assert report["p_value"] == 1 / 201
 
     def test_families_share_one_limit_table(self, tmp_path, isolated_cache,
                                             capsys, monkeypatch):
@@ -501,8 +514,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
      "--pairs", "0"],
     ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
      "--pairs", "-3"],
-    pytest.param(["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
-                  "--Q", "340", "--pairs", "1000"], marks=MONTECARLO_OVERFLOW),
+    ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
+     "--Q", "340", "--pairs", "1000"],
     ["verify", "variance", "--levels", "0.9", *VARIANCE],
     ["verify", "variance", "--kernel", "nope", *VARIANCE],
     ["verify", "variance", "--limit-reps", "3", *VARIANCE],

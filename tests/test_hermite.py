@@ -127,24 +127,20 @@ class TestCoeffs2d:
         assert abs(table.get(1, 0) + a) < 3 * err[1, 0]
         assert abs(table.get(0, 1) - a) < 3 * err[0, 1]
 
-    # numpy warns as the sums overflow, before the ParameterError:
-    # CHANGES.md, "FOUND: `hermite.coeffs_2d_montecarlo`'s standard errors
-    # overflow long before its means"
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings(
-        "ignore:invalid value encountered:RuntimeWarning")
     def test_montecarlo_overflow_names_the_degree(self):
-        # H_k(x) overflows float64 near k = 300, where sqrt(k!) ~ 1e308:
-        # the error names the first total degree with a non-finite mean,
-        # and every degree below it is finite
+        # the Monte Carlo a_kl ~ sqrt(k! l!) overflows float64 near
+        # k + l = 300: the error names the first total degree with a
+        # non-finite mean, and every mean and standard error below it is
+        # finite, with no numpy warning on the way
         with pytest.raises(ParameterError, match="overflow") as info:
             coeffs_2d_montecarlo(wilcoxon_kernel(), 340, pairs=1000, seed=1)
         s = int(re.search(r"total degree (\d+)", str(info.value)).group(1))
         assert 250 < s <= 340
-        with np.errstate(over="ignore", invalid="ignore"):
-            table, _ = coeffs_2d_montecarlo(wilcoxon_kernel(), s - 1,
-                                            pairs=1000, seed=1)
-        assert np.all(np.isfinite(table.entries[hermite._triangle(s - 1)]))
+        table, err = coeffs_2d_montecarlo(wilcoxon_kernel(), s - 1,
+                                          pairs=1000, seed=1)
+        inside = hermite._triangle(s - 1)
+        assert np.all(np.isfinite(table.entries[inside]))
+        assert np.all(np.isfinite(err[inside]))
 
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_montecarlo_needs_a_pair(self, pairs):

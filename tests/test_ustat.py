@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lrdustat import ustat
 from lrdustat.errors import ParameterError
 from lrdustat.hermite import kernel_table, scaling
 from lrdustat.lrd_sim import (LrdParams, asymptotic_L, replication_rng,
@@ -187,6 +188,26 @@ class TestScorePath:
                     yield np.exp(power * xi)
 
         assert _worst_score_error(builtin_kernel(spec), datasets()) <= 1e-9
+
+    @pytest.mark.parametrize("spec", SCORE_KERNELS)
+    def test_taylor_terms_match_polynomial_deriv(self, spec, monkeypatch):
+        # binom(j, p) c_j by Horner's rule gives numpy.polynomial's
+        # q^(p) / p! bit for bit on small integer coefficients, so the path
+        # is unchanged on the criterion-4 and heavy-tailed data
+        kernel = builtin_kernel(spec)
+        datasets = [replication_rng(1234 + n, rep).standard_normal(n)
+                    for n in (50, 200) for rep in range(50)]
+        datasets += [np.exp(power * simulate_gaussian(LrdParams(D=0.4), 200,
+                                                      seed=9, rep=rep))
+                     for power in (1.0, 2.0, 3.0) for rep in range(10)]
+        datasets = [np.round(x, 1) if i % 2 else x
+                    for i, x in enumerate(datasets)]
+        paths = [kernel.path(x) for x in datasets]
+        monkeypatch.setattr(ustat, "_taylor_terms", lambda poly: [
+            np.polynomial.Polynomial(poly).deriv(p) / math.factorial(p)
+            for p in range(len(poly))])
+        for x, path in zip(datasets, paths):
+            assert np.array_equal(kernel.path(x), path)
 
     @pytest.mark.parametrize("spec", SCORE_KERNELS)
     def test_shift_invariance(self, spec):
