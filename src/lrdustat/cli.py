@@ -88,23 +88,25 @@ def _load_data(path: str) -> np.ndarray:
     return lrd_sim.read_path_csv(path)
 
 
-def limit_table(kernel: ustat.Kernel, table: hermite.HermiteCoeffTable,
-                d_exp: float, reps: int, grid_size: int, seed: int,
-                use_cache: bool = True):
-    """Critical-value table for the limit functional of the kernel's
+def limit_table(table: hermite.HermiteCoeffTable, d_exp: float, reps: int,
+                grid_size: int, seed: int, use_cache: bool = True):
+    """Critical-value table for the limit functional of a kernel's
     coefficient ``table`` (from :func:`hermite.kernel_table`), cached on disk
-    keyed by (kernel, D, m, reps, grid, seed) and by what produced
-    it: the sampler's stream version, the N_aux the diagonal's law draws at
-    (None for a rank-1 law, which draws none) and the package version.  The
-    limit law depends on D and the rank-m diagonal only, not on the
-    covariance family.  A cache file that does not parse, or whose sample
-    is not ``reps`` finite sorted values, is recomputed and overwritten."""
+    keyed by the law: the rank-m diagonal's sorted [k, l, a] triples, D,
+    reps, grid and seed, and what produced it: the sampler's stream
+    version, the N_aux the diagonal's law draws at (None for a rank-1 law,
+    which draws none) and the package version.  The limit law depends on D
+    and the diagonal only, not on the kernel's name or the covariance
+    family, so kernels with one diagonal share a file.  A cache file that
+    does not parse, or whose sample is not ``reps`` finite sorted values,
+    is recomputed and overwritten."""
     m = table.rank
     diagonal = table.diagonal(m)
     n_aux = limit_law.resolve_n_aux(limit_law.hermite_orders(diagonal),
                                     grid_size)
     key_src = json.dumps({
-        "kernel": kernel.name, "D": d_exp, "m": m,
+        "entries": sorted([k, l, a] for (k, l), a in diagonal.items()),
+        "D": d_exp, "m": m,
         "reps": reps, "grid_size": grid_size, "seed": seed,
         "stream_version": lrd_sim.STREAM_VERSION,
         "n_aux": n_aux, "package_version": __version__,
@@ -172,8 +174,8 @@ def cmd_coeffs(args) -> dict:
 
 def cmd_limit(args) -> dict:
     kernel = ustat.builtin_kernel(args.kernel)
-    table = limit_table(kernel, hermite.kernel_table(kernel), args.D,
-                        args.reps, args.grid_size, args.seed,
+    table = limit_table(hermite.kernel_table(kernel), args.D, args.reps,
+                        args.grid_size, args.seed,
                         use_cache=not args.no_cache)
     levels = sorted(args.levels)
     return {"descriptor": table.descriptor,
@@ -197,7 +199,7 @@ def cmd_detect(args) -> dict:
     stat, k_star = ustat.changepoint_statistic(
         ustat.ustat_fast(data, kernel), coeffs,
         lrd_sim.LrdParams(D=args.D, family=args.family))
-    table = limit_table(kernel, coeffs, args.D, args.reps, args.grid_size,
+    table = limit_table(coeffs, args.D, args.reps, args.grid_size,
                         args.seed, use_cache=not args.no_cache)
     decisions = {repr(lv): {"critical_value": (cv := table.value_at(lv)),
                             "interval": table.interval_at(lv),

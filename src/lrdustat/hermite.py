@@ -1,7 +1,8 @@
 """Hermite-expansion machinery.
 
 Probabilists' Hermite polynomials, bivariate Hermite coefficients
-a_{kl} = E[h(xi, eta) H_k(xi) H_l(eta)] and their rank, the class
+a_{kl} = E[h(xi, eta) H_k(xi) H_l(eta)] (closed forms for the built-in
+kernels, tensor quadrature and Monte Carlo otherwise) and their rank, the class
 coefficients J_k(x) driving the empirical-process limit, summability
 diagnostics for sum |a_{kl}| / sqrt(k! l!), the scaling constants
 c_m, d_n, d'_n and H, and the skewness of H_2 partial sums, exact at
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,6 +192,24 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int, seed: int = 0):
 #: overflows float64 from s = 345 on (Gamma(172.5) > 1.8e308)
 WILCOXON_MAX_DEGREE = 344
 
+#: largest total degree k+l of the Gaussian-bump closed form: a_{s0} =
+#: s!/(s/2)! / 3^(s/2+1) overflows float64 from s = 326 on (degree 325 is
+#: all zeros)
+BUMP_MAX_DEGREE = 325
+
+
+def _total_degree(kernel: str, k: int, l: int, max_degree: int) -> int:
+    """k + l, or ParameterError for a negative degree or a total degree
+    above the closed form's ``max_degree``."""
+    if k < 0 or l < 0:
+        raise ParameterError("degrees must be >= 0")
+    s = k + l
+    if s > max_degree:
+        raise ParameterError(
+            f"{kernel} coefficients of total degree {s} overflow float64; "
+            f"the largest supported total degree is {max_degree}")
+    return s
+
 
 def wilcoxon_coeff_closed_form(k: int, l: int) -> float:
     """Closed-form Hermite coefficients of the kernel 1{x <= y}.
@@ -198,19 +218,110 @@ def wilcoxon_coeff_closed_form(k: int, l: int) -> float:
     0 for k+l even and positive, and 1/2 for k = l = 0.  Total degrees
     above WILCOXON_MAX_DEGREE raise ParameterError.
     """
-    if k < 0 or l < 0:
-        raise ParameterError("degrees must be >= 0")
-    s = k + l
-    if s > WILCOXON_MAX_DEGREE:
-        raise ParameterError(
-            f"Wilcoxon coefficients of total degree {s} overflow float64; "
-            f"the largest supported total degree is {WILCOXON_MAX_DEGREE}")
+    s = _total_degree("Wilcoxon", k, l, WILCOXON_MAX_DEGREE)
     if s == 0:
         return 0.5
     if s % 2 == 0:
         return 0.0
     sign = -1.0 if ((l + 3 * k - 1) // 2) % 2 else 1.0
     return sign * math.gamma(s / 2.0) / (2.0 * math.pi)
+
+
+def gaussian_bump_coeff_closed_form(k: int, l: int) -> float:
+    """Closed-form Hermite coefficients of the kernel exp(-x^2 - y^2) - 1/3.
+
+    The kernel factorises, and E[exp(-xi^2) exp(t xi - t^2/2)] =
+    exp(-t^2/3) / sqrt(3) gives E[exp(-xi^2) H_k(xi)] = g_k / sqrt(3), with
+    g_k = k!/(k/2)! (-1/3)^(k/2) for even k and 0 for odd k.  So
+    a_{kl} = g_k g_l / 3 except a_00 = 0, rounded once from the exact
+    rational.  Total degrees above BUMP_MAX_DEGREE raise ParameterError.
+    """
+    k, l = int(k), int(l)  # exact integers, also for numpy indices
+    s = _total_degree("Gaussian-bump", k, l, BUMP_MAX_DEGREE)
+    if s == 0 or k % 2 or l % 2:
+        return 0.0
+    f = math.factorial
+    num = f(k) // f(k // 2) * (f(l) // f(l // 2))
+    return (-num if (s // 2) % 2 else num) / 3 ** (s // 2 + 1)
+
+
+@lru_cache(maxsize=1024)
+def _score_derivative_mean(score, s: int) -> tuple:
+    """(E[psi^(s)(W)], the sum of its terms' magnitudes), W ~ N(0, 2), for
+    odd s >= 1, as in :func:`odd_score_coeff_closed_form`; non-finite where
+    it overflows.  Cached: a table of total degree Q asks for each s up to
+    Q + 1 times."""
+    a = score.c / math.sqrt(2.0)
+    n = s - 1
+    dq = [j * p for j, p in enumerate(score.poly)][1:]  # q', ascending
+    top = n + len(dq) - 1
+    # q'(z/a) H_n(z) in the basis H_0..H_top, by Horner's rule in z/a with
+    # z H_i = H_{i+1} + i H_{i-1}
+    r = np.zeros(top + 1)
+    r[n] = dq[-1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for d in dq[-2::-1]:
+            zr = np.zeros(top + 1)
+            zr[1:] = r[:-1]
+            zr[:-1] += np.arange(1, top + 1) * r[1:]
+            r = zr / a
+            r[n] += d
+        scale = 2.0 ** (0.5 * (np.arange(top + 1) - n))  # 2^((i-n)/2)
+        terms = [r[0] * scale[0] * math.erf(a / math.sqrt(2.0))]
+        phi = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+        if phi > 0.0:
+            # p_i = phi(a) 2^(-i/2) H_i(a): H's recurrence, scaled
+            p = np.empty(top + 1)
+            p[0], prev = phi, 0.0
+            for i in range(top):
+                p[i + 1] = a / math.sqrt(2.0) * p[i] - 0.5 * i * prev
+                prev = p[i]
+            even = np.arange(2, top + 1, 2)
+            terms.extend(-math.sqrt(2.0) * r[even] * scale[even] * p[even - 1])
+        terms = np.array(terms)
+        return float(terms.sum()), float(np.abs(terms).sum())
+
+
+def odd_score_coeff_closed_form(score, k: int, l: int) -> float:
+    """Closed-form Hermite coefficients of h(x, y) = psi(x - y) for an odd,
+    continuous, piecewise-polynomial score (a ``ustat.OddScore``:
+    psi(t) = c q(t/c) on |t| <= c, constant beyond).
+
+    Gaussian integration by parts, E[f(xi) H_k(xi)] = E[f^(k)(xi)], gives
+    a_{kl} = (-1)^l E[psi^(s)(W)] with s = k + l and W = xi - eta ~ N(0, 2).
+    psi^(s) is odd for even s, so those are 0.  For odd s, psi' = q'(t/c) on
+    |t| < c and 0 beyond, and with W = sqrt(2) Z and a = c / sqrt(2),
+
+        E[psi^(s)(W)] = 2^(-(s-1)/2) int_{-a}^{a} q'(z/a) H_{s-1}(z) phi(z) dz.
+
+    The integrand's polynomial is expanded in the Hermite basis, since
+    monomials cancel badly at high degree, and integrated term by term:
+    int_{-a}^{a} H_0 phi = erf(a / sqrt(2)), int_{-a}^{a} H_i phi =
+    -2 phi(a) H_{i-1}(a) for even i >= 2 and 0 for odd i.  The boundary
+    terms are dropped where phi(a) underflows, which makes a huge c the
+    CUSUM kernel exactly.  A total degree whose coefficient overflows
+    float64 raises ParameterError naming the first odd degree that does.
+    At a small c the terms grow like c^-(deg q - 1) and cancel: a
+    coefficient whose terms' rounding could exceed 1e-6 of it (Tukey's
+    table to degree 8 below c = 0.15) raises ParameterError too.
+    """
+    if k < 0 or l < 0:
+        raise ParameterError("degrees must be >= 0")
+    s = int(k) + int(l)
+    if s % 2 == 0:
+        return 0.0
+    value, mass = _score_derivative_mean(score, s)
+    if not math.isfinite(mass):
+        first = next(t for t in range(1, s + 1, 2) if not math.isfinite(
+            _score_derivative_mean(score, t)[1]))
+        raise ParameterError(
+            f"score coefficients of total degree {first} overflow float64; "
+            f"the largest supported total degree is {first - 1}")
+    if mass * np.finfo(float).eps > 1e-6 * abs(value):
+        raise ParameterError(
+            f"score coefficients of total degree {s} cancel below 1e-6 "
+            f"relative precision at scale c = {score.c!r}")
+    return -value if l % 2 else value
 
 
 def closed_form_table(provider, Q: int) -> HermiteCoeffTable:
@@ -224,8 +335,9 @@ def closed_form_table(provider, Q: int) -> HermiteCoeffTable:
 
 def kernel_table(kernel) -> HermiteCoeffTable:
     """The kernel's coefficient table to total degree 8: closed form when the
-    kernel has a ``coeff_provider``, tensor quadrature otherwise.  The
-    detector reads its rank m, diagonal and mean a00 here."""
+    kernel has a ``coeff_provider``, as every built-in kernel does, tensor
+    quadrature otherwise.  The detector reads its rank m, diagonal and mean
+    a00 here."""
     if kernel.coeff_provider is not None:
         table = closed_form_table(kernel.coeff_provider, 8)
     else:

@@ -19,7 +19,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ParameterError
-from .hermite import HermiteCoeffTable, scaling, wilcoxon_coeff_closed_form
+from .hermite import (HermiteCoeffTable, gaussian_bump_coeff_closed_form,
+                      odd_score_coeff_closed_form, scaling,
+                      wilcoxon_coeff_closed_form)
 from .lrd_sim import LrdParams, asymptotic_L
 
 
@@ -31,7 +33,9 @@ class OddScore:
         psi(t) = sign(t) tail    beyond,
 
     with q the odd polynomial of ascending coefficients ``poly``.  Continuity
-    at |t| = c means c q(1) = tail.
+    at |t| = c means c q(1) = tail.  A kernel's one score gives both its
+    path, :func:`ustat_score`, and its Hermite coefficients,
+    :func:`hermite.odd_score_coeff_closed_form`.
     """
 
     c: float
@@ -111,6 +115,7 @@ def gaussian_bump_kernel() -> Kernel:
         eval=lambda x, y: np.exp(-np.asarray(x, dtype=float) ** 2 - np.asarray(y, dtype=float) ** 2) - 1.0 / 3.0,
         path=partial(ustat_factored, factors=((1.0, bump, bump),
                                               (c, bump, one), (c, one, bump))),
+        coeff_provider=gaussian_bump_coeff_closed_form,
     )
 
 
@@ -125,12 +130,13 @@ def huber_kernel(delta: float) -> Kernel:
     Psi_delta(t) = clamp(t, -delta, delta); total variation 2*delta."""
     _check_scale("Huber delta", delta)
     psi = lambda t: np.clip(np.asarray(t, dtype=float), -delta, delta)
+    score = OddScore(c=delta, poly=(0.0, 1.0), tail=delta)
     return Kernel(
         name=f"huber_{float(delta)!r}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
         tv_bound=2.0 * delta,
-        path=partial(ustat_score,
-                     score=OddScore(c=delta, poly=(0.0, 1.0), tail=delta)),
+        path=partial(ustat_score, score=score),
+        coeff_provider=partial(odd_score_coeff_closed_form, score),
     )
 
 
@@ -149,12 +155,13 @@ def tukey_kernel(c: float) -> Kernel:
         return np.where(inside, t * (1.0 - (t / c) ** 2) ** 2, 0.0)
 
     peak = (c / math.sqrt(5.0)) * (1.0 - 0.2) ** 2
+    score = OddScore(c=c, poly=(0.0, 1.0, 0.0, -2.0, 0.0, 1.0), tail=0.0)
     return Kernel(
         name=f"tukey_{float(c)!r}",
         eval=lambda x, y: psi(np.asarray(x, dtype=float) - y),
         tv_bound=4.0 * peak,
-        path=partial(ustat_score, score=OddScore(
-            c=c, poly=(0.0, 1.0, 0.0, -2.0, 0.0, 1.0), tail=0.0)),
+        path=partial(ustat_score, score=score),
+        coeff_provider=partial(odd_score_coeff_closed_form, score),
     )
 
 

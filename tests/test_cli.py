@@ -95,6 +95,12 @@ class TestCoeffs:
         assert payload["rank"] == 1
         assert payload["kernel"] == "cusum"
 
+    @pytest.mark.parametrize("kernel", ["gaussian_bump", "huber:1.345",
+                                        "tukey:4.685"])
+    def test_every_builtin_kernel_has_a_closed_form(self, kernel, capsys):
+        assert cli.main(["coeffs", "--kernel", kernel, "--Q", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["source"] == "closed_form"
+
     def test_quadrature_source(self, capsys):
         rc = cli.main(["coeffs", "--kernel", "gaussian_bump", "--Q", "2",
                        "--source", "quadrature"])
@@ -296,6 +302,34 @@ class TestLimit:
             assert cli.main(["limit", "--kernel", spec, "--D", "0.4",
                              "--reps", "100", "--grid-size", "8"]) == 0
         assert len(list(isolated_cache.glob("cv_*.json"))) == 2
+
+    def test_a_changed_coefficient_under_one_name_misses(
+            self, isolated_cache, capsys, monkeypatch):
+        # the key holds the law's diagonal, not the kernel's name, so a
+        # table drawn at another a10 is never served under the same name
+        args = ["limit", "--kernel", "huber:1.345", "--D", "0.4", "--reps",
+                "100", "--grid-size", "8"]
+        assert cli.main(args) == 0
+        first = json.loads(capsys.readouterr().out)["quantiles"]["values"]
+        exact = cli.ustat.odd_score_coeff_closed_form
+        monkeypatch.setattr(cli.ustat, "odd_score_coeff_closed_form",
+                            lambda score, k, l: 2.0 * exact(score, k, l))
+        calls = self.spy_limit_thm1(monkeypatch)
+        assert cli.main(args) == 0
+        assert calls == [1]
+        second = json.loads(capsys.readouterr().out)["quantiles"]["values"]
+        assert second == pytest.approx([2.0 * v for v in first], rel=1e-12)
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 2
+
+    def test_kernels_with_one_diagonal_share_a_table(self, isolated_cache,
+                                                     capsys, monkeypatch):
+        # a10 = 1, a01 = -1 for both
+        calls = self.spy_limit_thm1(monkeypatch)
+        for spec in ("cusum", "huber:1e300"):
+            assert cli.main(["limit", "--kernel", spec, "--D", "0.4",
+                             "--reps", "100", "--grid-size", "8"]) == 0
+        assert calls == [1]
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 1
 
     def test_failed_cache_write_leaves_no_temp_file(self, isolated_cache,
                                                     capsys, monkeypatch):
@@ -508,6 +542,9 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["coeffs", "--kernel", "cusum", "--quad-order", "1"],
     ["coeffs", "--kernel", "cusum", "--Q", "-2"],
     ["coeffs", "--kernel", "wilcoxon", "--Q", "400"],
+    ["coeffs", "--kernel", "gaussian_bump", "--Q", "326"],
+    ["coeffs", "--kernel", "huber:1.345", "--Q", "345"],
+    ["coeffs", "--kernel", "tukey:4.685", "--Q", "343"],
     ["coeffs", "--kernel", "cusum", "--pairs", "0", "--seed", "5"],
     ["coeffs", "--kernel", "cusum", "--source", "quadrature", "--seed", "5"],
     ["coeffs", "--kernel", "wilcoxon", "--source", "montecarlo",
@@ -554,7 +591,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["verify", "variance", "--k", "171", *VARIANCE],
 ], ids=["simulate-reps", "simulate-levels", "simulate-n-1", "coeffs-reps",
         "coeffs-levels", "coeffs-quad-order", "coeffs-negative-Q",
-        "coeffs-wilcoxon-Q-400",
+        "coeffs-wilcoxon-Q-400", "coeffs-bump-Q-326", "coeffs-huber-Q-345",
+        "coeffs-tukey-Q-343",
         "coeffs-pairs-seed-closed-form",
         "coeffs-seed-quadrature", "coeffs-montecarlo-zero-pairs",
         "coeffs-montecarlo-negative-pairs", "coeffs-montecarlo-overflow",
@@ -755,7 +793,8 @@ class TestVerify:
 # limit_thm2) must not import scipy (about a second per process); the
 # subcommands that need it import it lazily and must still run.  numpy.ma
 # (15 ms, pulled in by np.quantile) stays out of every CLI stage, and
-# numpy.polynomial (4 ms) out of start-up and the closed-form kernels.
+# numpy.polynomial (4 ms, the Gauss-Hermite rule's) out of every stage
+# before limit_thm2: each built-in kernel has closed-form coefficients.
 IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     import json, sys
     import numpy as np
@@ -775,7 +814,8 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     data, out = sys.argv[1], sys.argv[2]
     rc = {"simulate": cli.main(["simulate", "--D", "0.4", "--n", "400",
                                 "--seed", "5", "-o", data])}
-    for kernel in ("wilcoxon", "cusum", "gaussian_bump"):
+    for kernel in ("wilcoxon", "cusum", "gaussian_bump", "huber:1.345",
+                   "tukey:4.685"):
         rc[kernel] = cli.main(["detect", "--input", data, "--D", "0.4",
                                "--kernel", kernel, "--reps", "100",
                                "--grid-size", "32", "--no-cache"])
@@ -820,13 +860,12 @@ def test_cli_and_detect_import_no_scipy(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert all(rc == 0 for rc in result["rc"].values()), result["rc"]
     seen = result["seen"]
-    stages = ("import", "wilcoxon", "cusum", "gaussian_bump", "verify_weak",
-              "verify_reduction", "limit_thm2")
+    stages = ("import", "wilcoxon", "cusum", "gaussian_bump", "huber:1.345",
+              "tukey:4.685", "verify_weak", "verify_reduction", "limit_thm2")
     assert {stage: seen[stage]["scipy"] for stage in seen} == {
         stage: [] for stage in stages}
     assert not any(seen[stage]["numpy.ma"] for stage in stages[:-1])
-    assert not any(seen[stage]["numpy.polynomial"]
-                   for stage in ("import", "wilcoxon", "cusum"))
+    assert not any(seen[stage]["numpy.polynomial"] for stage in stages[:-1])
 
 
 class TestProcessEntry:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import eval_hermitenorm
 from scipy.stats import expon, norm
 
 from lrdustat import hermite
@@ -11,12 +12,14 @@ from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (CONVERGENT_LIKELY, DIVERGENT_LIKELY,
                               class_coeffs, closed_form_table, coeffs_2d,
                               coeffs_2d_montecarlo, gauss_hermite_prob,
-                              hermite_design, hermite_eval, rank_2d, scaling,
+                              gaussian_bump_coeff_closed_form,
+                              hermite_design, hermite_eval, kernel_table,
+                              odd_score_coeff_closed_form, rank_2d, scaling,
                               summability_diagnostic,
                               wilcoxon_coeff_closed_form)
 from lrdustat.lrd_sim import QUAD_ORDER, Subordinator
-from lrdustat.ustat import (cusum_kernel, gaussian_bump_kernel,
-                            wilcoxon_kernel)
+from lrdustat.ustat import (OddScore, builtin_kernel, cusum_kernel,
+                            gaussian_bump_kernel, wilcoxon_kernel)
 
 
 class TestHermiteEval:
@@ -185,6 +188,117 @@ class TestWilcoxonClosedForm:
                 wilcoxon_coeff_closed_form(k, l)
 
 
+class TestGaussianBumpClosedForm:
+    def test_matches_quadrature(self):
+        table = coeffs_2d(gaussian_bump_kernel(), 8)
+        for k in range(9):
+            for l in range(9 - k):
+                assert abs(gaussian_bump_coeff_closed_form(k, l)
+                           - table.get(k, l)) <= 1e-14
+
+    def test_a00_and_diagonal_exact(self):
+        table = kernel_table(gaussian_bump_kernel())
+        assert table.source == hermite.CLOSED_FORM
+        assert table.a00 == 0.0
+        assert table.rank == 2
+        assert table.diagonal(2) == {(2, 0): -2 / 9, (0, 2): -2 / 9}
+
+    def test_largest_total_degree(self):
+        # a_{s0} = s!/(s/2)!/3^(s/2+1) is finite at s = 324, not at 326
+        assert hermite.BUMP_MAX_DEGREE == 325
+        assert math.isfinite(gaussian_bump_coeff_closed_form(324, 0))
+        assert gaussian_bump_coeff_closed_form(0, 325) == 0.0
+        for k, l in [(326, 0), (1, 325), (200, 200)]:
+            with pytest.raises(ParameterError, match="largest supported "
+                               "total degree is 325"):
+                gaussian_bump_coeff_closed_form(k, l)
+
+
+HUBER_POLY = (0.0, 1.0)
+TUKEY_POLY = (0.0, 1.0, 0.0, -2.0, 0.0, 1.0)
+
+
+def _score_reference(score, s):
+    """2^(-s/2) E[psi(sqrt(2) Z) H_s(Z)] by adaptive quadrature, split at
+    the kinks z = -+c/sqrt(2): a_{s0} by integration by parts on one
+    Gaussian instead of s derivatives of psi."""
+    c = score.c
+
+    def psi(t):
+        if abs(t) > c:
+            return math.copysign(score.tail, t)
+        return c * sum(p * (t / c) ** j for j, p in enumerate(score.poly))
+
+    def integrand(z):
+        return psi(math.sqrt(2.0) * z) * eval_hermitenorm(s, z) * norm.pdf(z)
+
+    a = c / math.sqrt(2.0)
+    total = sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11,
+                     limit=200)[0]
+                for lo, hi in [(-np.inf, -a), (-a, a), (a, np.inf)])
+    return 2.0 ** (-s / 2.0) * total
+
+
+class TestOddScoreClosedForm:
+    @pytest.mark.parametrize("score", [
+        OddScore(c=0.2, poly=HUBER_POLY, tail=0.2),
+        OddScore(c=1.345, poly=HUBER_POLY, tail=1.345),
+        OddScore(c=1.0, poly=TUKEY_POLY, tail=0.0),
+        OddScore(c=4.685, poly=TUKEY_POLY, tail=0.0),
+    ], ids=["huber-0.2", "huber-1.345", "tukey-1.0", "tukey-4.685"])
+    def test_matches_quad_reference(self, score):
+        for s in range(16):
+            if s % 2 == 0:
+                assert all(odd_score_coeff_closed_form(score, k, s - k)
+                           == 0.0 for k in range(s + 1))
+                continue
+            ref = _score_reference(score, s)
+            for k in range(s + 1):
+                value = odd_score_coeff_closed_form(score, k, s - k)
+                assert value == pytest.approx((-1) ** (s - k) * ref,
+                                              rel=1e-10)
+
+    @pytest.mark.parametrize("spec, tol", [("tukey:4.685", 1e-5),
+                                           ("huber:1.345", 3e-3)])
+    def test_near_the_tensor_rule(self, spec, tol):
+        # signs and sizes of every a_kl, k + l <= 5; the rule converges
+        # slowly across psi's kinks, Huber's worst
+        kernel = builtin_kernel(spec)
+        rule = coeffs_2d(kernel, 5)
+        exact = closed_form_table(kernel.coeff_provider, 5)
+        assert np.nanmax(np.abs(rule.entries - exact.entries)) <= tol
+
+    def test_huber_a10_is_erf(self):
+        # the 200-node rule gives 0.659083, 0.1% high across the kink
+        for delta in (0.2, 1.345, 3.0):
+            a10 = kernel_table(builtin_kernel(f"huber:{delta}")).get(1, 0)
+            assert a10 == pytest.approx(math.erf(delta / 2.0), abs=1e-15)
+
+    def test_huge_huber_is_cusum(self):
+        huge = kernel_table(builtin_kernel("huber:1e300"))
+        cusum = kernel_table(cusum_kernel())
+        assert np.array_equal(huge.entries, cusum.entries, equal_nan=True)
+        assert huge.diagonal(1) == cusum.diagonal(1)
+
+    def test_cancelling_small_scale_raises(self):
+        # at c = 0.01 the terms of Tukey's a10 cancel to a value 4% off (a30:
+        # 85%); the 200-node rule finds no rank at this scale either
+        with pytest.raises(ParameterError, match="cancel below 1e-6"):
+            kernel_table(builtin_kernel("tukey:0.01"))
+        assert kernel_table(builtin_kernel("tukey:0.3")).rank == 1
+
+    @pytest.mark.parametrize("spec, first", [("huber:1.345", 345),
+                                             ("tukey:4.685", 343)])
+    def test_overflow_names_the_first_degree(self, spec, first):
+        provider = builtin_kernel(spec).coeff_provider
+        assert math.isfinite(provider(first - 2, 0))
+        for k, l in [(first, 0), (2, first)]:
+            with pytest.raises(ParameterError, match=f"total degree {first} "
+                               "overflow float64; the largest supported "
+                               f"total degree is {first - 1}"):
+                provider(k, l)
+
+
 class TestRank:
     def test_cusum_rank_one(self):
         assert coeffs_2d(cusum_kernel(), 3).rank == 1
@@ -287,16 +401,8 @@ class TestSummability:
         assert rep.classification == DIVERGENT_LIKELY
 
     def test_gaussian_bump_convergent(self):
-        tables = {q: coeffs_2d(gaussian_bump_kernel(), q)
-                  for q in (4, 8, 16, 32)}
-
-        def provider(k, l):
-            for q in (4, 8, 16, 32):
-                if k + l <= q:
-                    return 0.0 if k + l == 0 else tables[q].get(k, l)
-            return 0.0
-
-        rep = summability_diagnostic(provider, [4, 8, 16, 32])
+        rep = summability_diagnostic(gaussian_bump_coeff_closed_form,
+                                     [4, 8, 16, 32])
         incs = np.diff(rep.partial_sums)
         # increments collapse once the geometric tail takes over
         assert incs[-1] < 0.5 * incs[-2]
