@@ -302,8 +302,8 @@ def odd_score_coeff_closed_form(score, k: int, l: int) -> float:
     CUSUM kernel exactly.  A total degree whose coefficient overflows
     float64 raises ParameterError naming the first odd degree that does.
     At a small c the terms grow like c^-(deg q - 1) and cancel: a
-    coefficient whose terms' rounding could exceed 1e-6 of it (Tukey's
-    table to degree 8 below c = 0.15) raises ParameterError too.
+    coefficient whose terms' rounding could exceed 1e-6 of it (Tukey's a10
+    at c <= 0.10) raises ParameterError too.
     """
     if k < 0 or l < 0:
         raise ParameterError("degrees must be >= 0")
@@ -334,12 +334,15 @@ def closed_form_table(provider, Q: int) -> HermiteCoeffTable:
 
 
 def kernel_table(kernel) -> HermiteCoeffTable:
-    """The kernel's coefficient table to total degree 8: closed form when the
-    kernel has a ``coeff_provider``, as every built-in kernel does, tensor
-    quadrature otherwise.  The detector reads its rank m, diagonal and mean
-    a00 here."""
+    """The kernel's coefficient table, where the detector reads its rank m,
+    diagonal and mean a00: closed form to the first total degree Q <= 8 that
+    has a rank when the kernel has a ``coeff_provider``, as every built-in
+    kernel does, tensor quadrature to total degree 8 otherwise."""
     if kernel.coeff_provider is not None:
-        table = closed_form_table(kernel.coeff_provider, 8)
+        for q in range(1, 9):
+            table = closed_form_table(kernel.coeff_provider, q)
+            if table.rank is not None:
+                break
     else:
         table = coeffs_2d(kernel, 8)
     if table.rank is None:

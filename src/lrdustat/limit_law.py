@@ -32,7 +32,7 @@ from .hermite import (ClassCoeffs, c_constant, gauss_hermite_prob,
                       hermite2_sum_skewness, hermite_eval, hermite_sum_std,
                       rosenblatt_skewness)
 from .lrd_sim import (FGN, QUAD_ORDER, CirculantEmbedding, LrdParams,
-                      Subordinator, replication_rng)
+                      Subordinator, replication_draws)
 from .ustat import Kernel
 
 DEFAULT_GRID_SIZE = 256
@@ -112,8 +112,8 @@ def rosenblatt_mix(D: float, N_aux: int) -> tuple:
 
 
 class _PartialSums:
-    """Normalized partial sums of H_k for each k in ``orders`` over one fGn
-    draw of length n per call, read at the indices j n // G, j = 0..G."""
+    """Normalized partial sums of H_k for each k in ``orders`` over an fGn
+    draw of length n from ``emb``, read at the indices j n // G, j = 0..G."""
 
     def __init__(self, D: float, n: int, orders, grid_size: int):
         params = LrdParams(D=D, family=FGN)
@@ -122,8 +122,7 @@ class _PartialSums:
         self.idx = np.arange(grid_size + 1) * n // grid_size
         self.cum = np.zeros(n + 1)
 
-    def draw(self, rng: np.random.Generator) -> dict:
-        zeta = self.emb.sample(rng)
+    def read(self, zeta: np.ndarray) -> dict:
         out = {}
         for k, scale in self.scales.items():
             np.cumsum(hermite_eval(k, zeta), out=self.cum[1:])
@@ -152,16 +151,17 @@ def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
     else:
         sums = _PartialSums(D, N_aux, orders, grid_size)
     corrected = orders == [2]
+    embeddings = [sums.emb]
     if corrected:
         a, b, g1_n = rosenblatt_mix(D, N_aux)
         law.update(a=a, b=b, g1_N=g1_n)
         fbm = _PartialSums(2.0 * D, fbm_size, [1], grid_size)  # H = 1 - D
+        embeddings.append(fbm.emb)  # B's normals follow the auxiliary path's
     out = {k: np.empty((reps, grid_size + 1)) for k in orders}
-    for r in range(reps):
-        rng = replication_rng(seed, r)
-        row = sums.draw(rng)
-        if corrected:  # B's normals come after the auxiliary path's
-            row[2] = a * row[2] + b * fbm.draw(rng)[1]
+    for r, draws in enumerate(replication_draws(embeddings, reps, seed)):
+        row = sums.read(draws[0])
+        if corrected:
+            row[2] = a * row[2] + b * fbm.read(draws[1])[1]
         for k in orders:
             out[k][r] = row[k]
     return out, law

@@ -59,6 +59,20 @@ def replication_rng(seed: int, rep: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def replication_draws(embeddings, reps: int, seed: int):
+    """Draws of Monte Carlo replications r = 0..reps-1: for each a tuple of
+    one ``emb.sample(rng)`` per embedding, in order, all from
+    ``rng = replication_rng(seed, r)``.
+
+    The one place a replication index meets a generator, so replication r
+    depends on (seed, r) alone and the first R replications of any run
+    are an R-replication run.
+    """
+    for r in range(reps):
+        rng = replication_rng(seed, r)
+        yield tuple(emb.sample(rng) for emb in embeddings)
+
+
 @dataclass(frozen=True)
 class LrdParams:
     """LRD model description: exponent D and covariance family."""
@@ -183,16 +197,10 @@ class CirculantEmbedding:
         return np.fft.irfft(half.view(complex).ravel(), self._m)[:self.n]
 
 
-def simulate_gaussian(params: LrdParams, n: int, seed: int,
-                      rep: int = 0) -> np.ndarray:
-    """Exact stationary Gaussian sample of length n via circulant embedding,
-    returned read-only.
-
-    Deterministic given (params, n, seed, rep): identical calls give
-    bit-identical paths.
-    """
-    emb = CirculantEmbedding(params, n)
-    values = emb.sample(replication_rng(seed, rep))
+def simulate_gaussian(params: LrdParams, n: int, seed: int) -> np.ndarray:
+    """Exact stationary Gaussian sample of length n via circulant embedding:
+    replication 0 of :func:`replication_draws`, returned read-only."""
+    values, = next(replication_draws([CirculantEmbedding(params, n)], 1, seed))
     values.setflags(write=False)
     return values
 

@@ -220,27 +220,18 @@ def ustat_incremental(data, kernel: Kernel) -> np.ndarray:
 
     U(k+1) = U(k) - sum_{i<=k} h(X_i, X_{k+1}) + sum_{j>k+1} h(X_{k+1}, X_j)
 
-    with compensated (Kahan) accumulation of the running value.
+    with the steps summed by :func:`_compensated_cumsum`.
     """
     data = _check_data(data)
     n = data.size
-    out = np.empty(n - 1)
-    row1 = np.asarray(kernel.eval(data[0], data[1:]), dtype=float)
-    acc = float(np.sum(row1))
-    out[0] = acc
-    carry = 0.0
+    steps = np.empty(n - 1)
+    steps[0] = np.sum(np.asarray(kernel.eval(data[0], data[1:]), dtype=float))
     for k in range(1, n - 1):
         x_new = data[k]
         col = np.asarray(kernel.eval(data[:k], x_new), dtype=float)
         row = np.asarray(kernel.eval(x_new, data[k + 1:]), dtype=float)
-        delta = float(np.sum(row)) - float(np.sum(col))
-        # Kahan update of acc by delta
-        y = delta - carry
-        t = acc + y
-        carry = (t - acc) - y
-        acc = t
-        out[k] = acc
-    return out
+        steps[k] = float(np.sum(row)) - float(np.sum(col))
+    return _compensated_cumsum(steps)
 
 
 def ustat_cusum(data) -> np.ndarray:

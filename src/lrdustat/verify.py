@@ -19,7 +19,7 @@ from .hermite import (HermiteCoeffTable, c_constant, hermite_eval,
                       hermite_sum_std, kernel_table)
 from .limit_law import limit_thm1
 from .lrd_sim import CirculantEmbedding, LrdParams, asymptotic_L, \
-    build_covariance, replication_rng
+    build_covariance, replication_draws
 from .ustat import Kernel, changepoint_statistic, ustat_factored, ustat_fast
 
 
@@ -70,10 +70,9 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
             row["asymptote_slope"] = slope
         if reps:
             emb = CirculantEmbedding(params, n)
-            sums = np.empty(reps)
-            for r in range(reps):
-                xi = emb.sample(replication_rng(seed, r))
-                sums[r] = np.sum(hermite_eval(k, xi))
+            sums = np.fromiter((np.sum(hermite_eval(k, xi)) for (xi,)
+                                in replication_draws([emb], reps, seed)),
+                               float, reps)
             # squares of sums near k = 170 overflow to inf, reported as
             # a non-finite result
             with np.errstate(over="ignore", invalid="ignore"):
@@ -123,10 +122,9 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
     per_n = {}
     for n in n_list:
         n = int(n)
-        emb = CirculantEmbedding(params, n)
+        draws = replication_draws([CirculantEmbedding(params, n)], reps, seed)
         sups = np.empty(reps)
-        for r in range(reps):
-            xi = emb.sample(replication_rng(seed, r))
+        for r, (xi,) in enumerate(draws):
             u = ustat_fast(xi, kernel)
             proj = rank_projection_path(xi, table)
             sups[r] = changepoint_statistic(u - proj, table, params)[0]
@@ -143,13 +141,10 @@ def normalized_sup_statistics(kernel: Kernel, table: HermiteCoeffTable,
                               seed: int) -> np.ndarray:
     """Sup-statistics of the U-statistic process, centred and normalized by
     the kernel's ``table``, for ``reps`` independent simulated datasets."""
-    emb = CirculantEmbedding(params, n)
-    sups = np.empty(reps)
-    for r in range(reps):
-        xi = emb.sample(replication_rng(seed, r))
-        sups[r] = changepoint_statistic(ustat_fast(xi, kernel), table,
-                                        params)[0]
-    return sups
+    draws = replication_draws([CirculantEmbedding(params, n)], reps, seed)
+    return np.fromiter((changepoint_statistic(ustat_fast(xi, kernel), table,
+                                              params)[0] for (xi,) in draws),
+                       float, reps)
 
 
 def ks_statistic(a, b) -> float:

@@ -496,6 +496,13 @@ class TestDetect:
             stats.append(report["statistic"])
         assert stats[1] == pytest.approx(stats[0], rel=1e-9)
 
+    def test_small_tukey_scale_runs(self, tmp_path, capsys):
+        # tukey:0.13 has rank 1 although its a50 cancels
+        self._write_data(tmp_path, 1.0)
+        rc, report = self._run(tmp_path, ["--kernel", "tukey:0.13"], capsys)
+        assert rc == 0
+        assert report["law"]["m"] == 1
+
     def test_non_finite_statistic_exits_1(self, tmp_path, capsys):
         # the CUSUM path of a series near the float64 limit overflows
         data = tmp_path / "data.csv"

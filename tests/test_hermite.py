@@ -239,6 +239,17 @@ def _score_reference(score, s):
     return 2.0 ** (-s / 2.0) * total
 
 
+def _tukey_a10_series(c):
+    """Tukey's a10 = E[psi'(W)], W ~ N(0, 2), by expanding the density in
+    powers of t^2: c / sqrt(4 pi) sum_{j>=1} (-c^2/4)^j / j!
+    2 (1/(2j+1) - 6/(2j+3) + 5/(2j+5)).  The j = 0 term is exactly 0, and
+    at small c the rest converge fast without cancelling."""
+    total = sum((-c * c / 4.0) ** j / math.factorial(j) * 2.0
+                * (1.0 / (2 * j + 1) - 6.0 / (2 * j + 3) + 5.0 / (2 * j + 5))
+                for j in range(1, 40))
+    return c / math.sqrt(4.0 * math.pi) * total
+
+
 class TestOddScoreClosedForm:
     @pytest.mark.parametrize("score", [
         OddScore(c=0.2, poly=HUBER_POLY, tail=0.2),
@@ -279,6 +290,15 @@ class TestOddScoreClosedForm:
         cusum = kernel_table(cusum_kernel())
         assert np.array_equal(huge.entries, cusum.entries, equal_nan=True)
         assert huge.diagonal(1) == cusum.diagonal(1)
+
+    @pytest.mark.parametrize("c", [0.12, 0.13, 0.14])
+    def test_small_tukey_scale_resolves_at_its_rank(self, c):
+        # a coefficient of degree 3, 5 or 7 cancels at these scales, but
+        # the table stops at the rank, and a10 is within the 1e-6 guard
+        table = kernel_table(builtin_kernel(f"tukey:{c}"))
+        assert table.Q == table.rank == 1
+        assert table.get(1, 0) == pytest.approx(_tukey_a10_series(c),
+                                                rel=1e-6)
 
     def test_cancelling_small_scale_raises(self):
         # at c = 0.01 the terms of Tukey's a10 cancel to a value 4% off (a30:

@@ -247,10 +247,12 @@ class TestRankOneGridDraw:
         bump = simulate_hermite(2, d, 200, reps=reps, seed=seed)
         law = bump.descriptor
         assert law["N_aux"] == 400
+        aux = limit_law._PartialSums(d, 400, [2], 400)
+        fbm = limit_law._PartialSums(2.0 * d, 200, [1], 200)
         for r in range(reps):
             rng = replication_rng(seed, r)
-            s = limit_law._PartialSums(d, 400, [2], 400).draw(rng)[2]
-            b = limit_law._PartialSums(2.0 * d, 200, [1], 200).draw(rng)[1]
+            s = aux.read(aux.emb.sample(rng))[2]
+            b = fbm.read(fbm.emb.sample(rng))[1]
             assert np.array_equal(bump.paths[r],
                                   law["a"] * s[::2] + law["b"] * b)
 
@@ -300,6 +302,25 @@ class TestRankOneGridDraw:
             simulate_hermite(1, 0.4, 0, reps=1)
         with pytest.raises(ParameterError):
             limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, 0, reps=1)
+
+
+class TestReplicationPrefix:
+    # replication r draws from (seed, r) alone, so the first R rows of a
+    # 2R-replication law are the R-replication law bit for bit
+    @pytest.mark.parametrize("entries", [
+        {(1, 0): -0.3, (0, 1): 0.3},
+        kernel_table(gaussian_bump_kernel()).diagonal(2),
+    ], ids=["rank-1", "bump"])
+    def test_limit_thm1(self, entries):
+        short = limit_thm1(entries, 0.4, 64, reps=15, seed=5)
+        full = limit_thm1(entries, 0.4, 64, reps=30, seed=5)
+        assert np.array_equal(full.paths[:15], short.paths)
+
+    @pytest.mark.parametrize("m, d", [(1, 0.4), (2, 0.4), (3, 0.2)])
+    def test_simulate_hermite(self, m, d):
+        short = simulate_hermite(m, d, 32, reps=6, seed=8)
+        full = simulate_hermite(m, d, 32, reps=12, seed=8)
+        assert np.array_equal(full.paths[:6], short.paths)
 
 
 class TestCorrectedOrderTwo:

@@ -13,7 +13,8 @@ from lrdustat.errors import NonEmbeddableError, ParameterError
 from lrdustat.lrd_sim import (FGN, TWEAKED_POWER_LAW, CirculantEmbedding,
                               LrdParams, Subordinator, asymptotic_L,
                               build_covariance, embedding_length,
-                              replication_rng, simulate_gaussian)
+                              replication_draws, replication_rng,
+                              simulate_gaussian)
 
 # closed-form FGN autocovariance at lag 1 for H = 0.8, evaluated with
 # 50-digit arithmetic (mpmath) as an independent oracle:
@@ -151,6 +152,34 @@ class TestCirculantStreams:
                                       replication_rng(3, rep))[:n]
             assert got.shape == (n,)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestReplicationDraws:
+    def test_one_embedding_is_the_open_coded_loop(self):
+        emb = CirculantEmbedding(LrdParams(D=0.4), 300)
+        draws = list(replication_draws([emb], 5, seed=3))
+        assert len(draws) == 5
+        for r, (x,) in enumerate(draws):
+            assert np.array_equal(x, emb.sample(replication_rng(3, r)))
+
+    def test_two_embeddings_drawn_in_turn(self):
+        # the second embedding's normals follow the first's in one stream
+        first = CirculantEmbedding(LrdParams(D=0.3), 256)
+        second = CirculantEmbedding(
+            LrdParams(D=0.6, family=TWEAKED_POWER_LAW), 100)
+        draws = list(replication_draws([first, second], 4, seed=9))
+        assert len(draws) == 4
+        for r, (x, y) in enumerate(draws):
+            rng = replication_rng(9, r)
+            assert np.array_equal(x, first.sample(rng))
+            assert np.array_equal(y, second.sample(rng))
+
+    def test_simulate_gaussian_is_replication_zero(self):
+        params = LrdParams(D=0.4)
+        values = simulate_gaussian(params, 500, seed=12)
+        want = CirculantEmbedding(params, 500).sample(replication_rng(12, 0))
+        assert np.array_equal(values, want)
+        assert not values.flags.writeable
 
 
 class TestEmbeddingLength:

@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from lrdustat import ustat
 from lrdustat.errors import ParameterError
 from lrdustat.hermite import kernel_table, scaling
-from lrdustat.lrd_sim import (LrdParams, asymptotic_L, replication_rng,
+from lrdustat.lrd_sim import (CirculantEmbedding, LrdParams, asymptotic_L,
+                              replication_draws, replication_rng,
                               simulate_gaussian)
 from lrdustat.ustat import (BUILTIN_KERNELS, builtin_kernel,
                             changepoint_statistic, cusum_kernel,
@@ -183,8 +184,8 @@ class TestScorePath:
         # centre lose all accuracy here
         def datasets():
             for n in (50, 200):
-                for rep in range(10):
-                    xi = simulate_gaussian(LrdParams(D=0.4), n, seed=9, rep=rep)
+                emb = CirculantEmbedding(LrdParams(D=0.4), n)
+                for (xi,) in replication_draws([emb], 10, seed=9):
                     yield np.exp(power * xi)
 
         assert _worst_score_error(builtin_kernel(spec), datasets()) <= 1e-9
@@ -197,9 +198,9 @@ class TestScorePath:
         kernel = builtin_kernel(spec)
         datasets = [replication_rng(1234 + n, rep).standard_normal(n)
                     for n in (50, 200) for rep in range(50)]
-        datasets += [np.exp(power * simulate_gaussian(LrdParams(D=0.4), 200,
-                                                      seed=9, rep=rep))
-                     for power in (1.0, 2.0, 3.0) for rep in range(10)]
+        emb = CirculantEmbedding(LrdParams(D=0.4), 200)
+        datasets += [np.exp(power * xi) for power in (1.0, 2.0, 3.0)
+                     for (xi,) in replication_draws([emb], 10, seed=9)]
         datasets = [np.round(x, 1) if i % 2 else x
                     for i, x in enumerate(datasets)]
         paths = [kernel.path(x) for x in datasets]

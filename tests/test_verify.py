@@ -252,6 +252,16 @@ class TestWeakConvergence:
                                       seed=11)
         assert np.array_equal(a, b)
 
+    def test_first_reps_are_a_shorter_run(self):
+        params = LrdParams(D=0.4)
+        kernel = wilcoxon_kernel()
+        table = kernel_table(kernel)
+        short = normalized_sup_statistics(kernel, table, params, 128,
+                                          reps=6, seed=13)
+        full = normalized_sup_statistics(kernel, table, params, 128,
+                                         reps=12, seed=13)
+        assert np.array_equal(full[:6], short)
+
     def test_report_reproducible(self):
         a = check_weak_convergence(cusum_kernel(), LrdParams(D=0.4), 128, 8,
                                    50, 16, seed=11)
