@@ -303,7 +303,7 @@ def odd_score_coeff_closed_form(score, k: int, l: int) -> float:
     float64 raises ParameterError naming the first odd degree that does.
     At a small c the terms grow like c^-(deg q - 1) and cancel: a
     coefficient whose terms' rounding could exceed 1e-6 of it (Tukey's a10
-    at c <= 0.10) raises ParameterError too.
+    at c <= 0.105) raises ParameterError too.
     """
     if k < 0 or l < 0:
         raise ParameterError("degrees must be >= 0")

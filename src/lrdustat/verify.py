@@ -70,9 +70,9 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
             row["asymptote_slope"] = slope
         if reps:
             emb = CirculantEmbedding(params, n)
-            sums = np.fromiter((np.sum(hermite_eval(k, xi)) for (xi,)
-                                in replication_draws([emb], reps, seed)),
-                               float, reps)
+            sums = np.empty(reps)
+            for r, (xi,) in enumerate(replication_draws([emb], reps, seed)):
+                sums[r] = np.sum(hermite_eval(k, xi))
             # squares of sums near k = 170 overflow to inf, reported as
             # a non-finite result
             with np.errstate(over="ignore", invalid="ignore"):
@@ -122,9 +122,9 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
     per_n = {}
     for n in n_list:
         n = int(n)
-        draws = replication_draws([CirculantEmbedding(params, n)], reps, seed)
+        emb = CirculantEmbedding(params, n)
         sups = np.empty(reps)
-        for r, (xi,) in enumerate(draws):
+        for r, (xi,) in enumerate(replication_draws([emb], reps, seed)):
             u = ustat_fast(xi, kernel)
             proj = rank_projection_path(xi, table)
             sups[r] = changepoint_statistic(u - proj, table, params)[0]
@@ -141,10 +141,12 @@ def normalized_sup_statistics(kernel: Kernel, table: HermiteCoeffTable,
                               seed: int) -> np.ndarray:
     """Sup-statistics of the U-statistic process, centred and normalized by
     the kernel's ``table``, for ``reps`` independent simulated datasets."""
-    draws = replication_draws([CirculantEmbedding(params, n)], reps, seed)
-    return np.fromiter((changepoint_statistic(ustat_fast(xi, kernel), table,
-                                              params)[0] for (xi,) in draws),
-                       float, reps)
+    emb = CirculantEmbedding(params, n)
+    sups = np.empty(reps)
+    for r, (xi,) in enumerate(replication_draws([emb], reps, seed)):
+        sups[r] = changepoint_statistic(ustat_fast(xi, kernel), table,
+                                        params)[0]
+    return sups
 
 
 def ks_statistic(a, b) -> float:
