@@ -19,8 +19,6 @@ import time
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, hermite, limit_law, lrd_sim, ustat, verify
 from .errors import NonEmbeddableError, ParameterError
 
@@ -80,36 +78,23 @@ def int_at_least(low: int):
     return parse
 
 
-def _load_data(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(16)
-    if magic == lrd_sim.PATH_MAGIC:
-        return lrd_sim.read_path_binary(path)
-    return lrd_sim.read_path_csv(path)
-
-
 def limit_table(table: hermite.HermiteCoeffTable, d_exp: float, reps: int,
                 grid_size: int, seed: int, use_cache: bool = True):
     """Critical-value table for the limit functional of a kernel's
     coefficient ``table`` (from :func:`hermite.kernel_table`), cached on disk
-    keyed by the law: the rank-m diagonal's sorted [k, l, a] triples, D,
-    reps, grid and seed, and what produced it: the sampler's stream
-    version, the N_aux the diagonal's law draws at (None for a rank-1 law,
-    which draws none) and the package version.  The limit law depends on D
-    and the diagonal only, not on the kernel's name or the covariance
-    family, so kernels with one diagonal share a file.  A cache file that
-    does not parse, or whose sample is not ``reps`` finite sorted values,
-    is recomputed and overwritten."""
-    m = table.rank
-    diagonal = table.diagonal(m)
-    n_aux = limit_law.resolve_n_aux(limit_law.hermite_orders(diagonal),
-                                    grid_size)
+    keyed by the law of its rank-m diagonal (:func:`limit_law.thm1_law`),
+    reps, grid and seed, and by what produced it: the sampler's stream
+    version and the package version.  The limit law depends on D and the
+    diagonal only, not on the kernel's name or the covariance family, so
+    kernels with one diagonal share a file.  A cache file that does not
+    parse, or whose sample is not ``reps`` finite sorted values, is
+    recomputed and overwritten."""
+    diagonal = table.diagonal(table.rank)
     key_src = json.dumps({
-        "entries": sorted([k, l, a] for (k, l), a in diagonal.items()),
-        "D": d_exp, "m": m,
+        **limit_law.thm1_law(diagonal, d_exp, grid_size),
         "reps": reps, "grid_size": grid_size, "seed": seed,
         "stream_version": lrd_sim.STREAM_VERSION,
-        "n_aux": n_aux, "package_version": __version__,
+        "package_version": __version__,
     }, sort_keys=True)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     cache_file = _cache_dir() / f"cv_{key}.json"
@@ -122,7 +107,7 @@ def limit_table(table: hermite.HermiteCoeffTable, d_exp: float, reps: int,
         except (ValueError, KeyError, TypeError):
             pass  # corrupt cache file: recompute below
     ensemble = limit_law.limit_thm1(diagonal, d_exp, grid_size=grid_size,
-                                    reps=reps, N_aux=n_aux, seed=seed)
+                                    reps=reps, seed=seed)
     cv_table = limit_law.critical_values(ensemble)
     if use_cache:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
@@ -192,7 +177,7 @@ def cmd_detect(args) -> dict:
         raise ParameterError(
             "D must be supplied with --D: the detector normalizes with the "
             "LRD exponent and estimating D from data is out of scope")
-    data = _load_data(args.input)
+    data = lrd_sim.read_path(args.input)
     kernel = ustat.builtin_kernel(args.kernel)
     coeffs = hermite.kernel_table(kernel)
     n = data.size

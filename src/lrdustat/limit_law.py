@@ -72,8 +72,8 @@ class LimitEnsemble:
 
 
 def hermite_orders(entries) -> list:
-    """Orders k >= 1 of the Hermite processes a diagonal {(k, l): a} uses."""
-    return sorted({k for kl in entries for k in kl if k >= 1})
+    """Orders k >= 1 of the Hermite processes that [k, l, a] entries use."""
+    return sorted({o for k, l, _ in entries for o in (k, l) if o >= 1})
 
 
 def resolve_n_aux(orders, grid_size: int, N_aux=None):
@@ -82,6 +82,8 @@ def resolve_n_aux(orders, grid_size: int, N_aux=None):
     else ``N_aux`` when given, for order 2 alone the smallest multiple of G
     that is at least CORRECTED_MIN_N_AUX, so that the indices j N_aux // G
     are the grid points exactly, and DEFAULT_N_AUX otherwise."""
+    if grid_size < 1:
+        raise ParameterError("grid_size must be >= 1")
     orders = list(orders)
     if orders == [1]:
         if N_aux is not None:
@@ -139,8 +141,6 @@ def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
     order 2 alone is corrected."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
-    if grid_size < 1:
-        raise ParameterError("grid_size must be >= 1")
     N_aux = resolve_n_aux(orders, grid_size, N_aux)
     # fBm parts: fGn partial sums at j are exact fBm at j/G by
     # self-similarity; G = 1 draws 2 points, read at 0 and 2
@@ -189,6 +189,30 @@ def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
                                      **law})
 
 
+def thm1_law(entries: dict, D: float, grid_size: int, N_aux=None) -> dict:
+    """The limit law of a rank-m diagonal {(k, l): a_kl}, k + l = m, drawn
+    on the grid j/G, G = ``grid_size``: the process, m, D, the auxiliary
+    path length N_aux (:func:`resolve_n_aux`'s when None) and the sorted
+    [k, l, a] entries.  With the replications, grid size, seed and stream
+    version it fixes every draw, so it begins :func:`limit_thm1`'s
+    descriptor and keys a cached critical-value table."""
+    entries = sorted([int(k), int(l), float(a)]
+                     for (k, l), a in entries.items())
+    if not entries:
+        raise ParameterError("no coefficient entries given")
+    degrees = {k + l for k, l, _ in entries}
+    if len(degrees) != 1:
+        raise ParameterError("entries must all lie on one diagonal k + l = m")
+    m = degrees.pop()
+    if m < 1:
+        raise ParameterError("diagonal degree m must be >= 1")
+    if m * D >= 1.0:
+        raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
+    return {"process": "thm1_functional", "m": m, "D": D,
+            "N_aux": resolve_n_aux(hermite_orders(entries), grid_size, N_aux),
+            "entries": entries}
+
+
 def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
                reps: int = DEFAULT_REPS, N_aux=None,
                seed: int = 0) -> LimitEnsemble:
@@ -198,25 +222,16 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
         sum_{k+l=m} a_{kl}/(k! l!) * sqrt(c_k c_l) * Z_k(lam) (Z_l(1) - Z_l(lam))
 
     with the conventions Z_0(lam) = lam and c_0 = 1, and all Z_k driven by
-    the same auxiliary path per replication.  N_aux defaults to
-    :func:`resolve_n_aux`'s.  A rank-2 diagonal with a (1, 1) entry draws
-    Z_2 uncorrected, and its warnings give the skewness gap that leaves.
+    the same auxiliary path per replication.  The law is
+    :func:`thm1_law`'s.  A rank-2 diagonal with a (1, 1) entry draws Z_2
+    uncorrected, and its warnings give the skewness gap that leaves.
     """
-    entries = {(int(k), int(l)): float(a) for (k, l), a in entries.items()}
-    if not entries:
-        raise ParameterError("no coefficient entries given")
-    degrees = {k + l for (k, l) in entries}
-    if len(degrees) != 1:
-        raise ParameterError("entries must all lie on one diagonal k + l = m")
-    m = degrees.pop()
-    if m < 1:
-        raise ParameterError("diagonal degree m must be >= 1")
-    if m * D >= 1.0:
-        raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
-    orders = hermite_orders(entries)
-    z, law = _hermite_partial_paths(orders, D, grid_size, reps, N_aux, seed)
+    law = thm1_law(entries, D, grid_size, N_aux)
+    orders = hermite_orders(law["entries"])
+    z, drawn = _hermite_partial_paths(orders, D, grid_size, reps,
+                                      law["N_aux"], seed)
     warns = []
-    if m == 2 and orders != [2]:
+    if law["m"] == 2 and orders != [2]:
         n_aux = law["N_aux"]
         warns.append(
             f"Z_2 drawn uncorrected at N_aux = {n_aux}: skewness of Z_2(1) "
@@ -226,15 +241,14 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
     z1 = {k: z[k][:, -1:] for k in z}
     z[0], z1[0] = grid, 1.0
     paths = np.zeros((reps, grid.size))
-    for (k, l), a in entries.items():
+    for k, l, a in law["entries"]:
         weight = (a / (math.factorial(k) * math.factorial(l))
                   * math.sqrt(c_constant(D, k) * c_constant(D, l)))
         paths += weight * z[k] * (z1[l] - z[l])
-    return LimitEnsemble(grid=grid, paths=paths,
-                         descriptor={"process": "thm1_functional", "m": m,
-                                     "D": D, **law,
-                                     "entries": sorted(
-                                         [k, l, a] for (k, l), a in entries.items())},
+    # the corrected order-2 law's a, b and g1_N go before the entries
+    descriptor = {**law, **drawn}
+    descriptor["entries"] = descriptor.pop("entries")
+    return LimitEnsemble(grid=grid, paths=paths, descriptor=descriptor,
                          warnings=warns)
 
 

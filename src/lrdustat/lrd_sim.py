@@ -365,3 +365,13 @@ def read_path_binary(path) -> np.ndarray:
                 f"binary path header gives {count} values, which the file "
                 "does not hold")
         return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(float)
+
+
+def read_path(path) -> np.ndarray:
+    """A path file in either format: binary when it starts with
+    ``PATH_MAGIC``, CSV otherwise."""
+    with open(path, "rb") as fh:
+        magic = fh.read(16)
+    if magic == PATH_MAGIC:
+        return read_path_binary(path)
+    return read_path_csv(path)

@@ -41,7 +41,7 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
     In the LRD branch (Dk < 1) the asymptote is c_k n^(2-Dk) L(n)^k; in the
     SRD branch (Dk > 1) the variance grows linearly and the report tracks
     Var/n.  reps = 0 runs the exact quadratic form only; a Monte Carlo
-    cross-check needs reps >= 100.
+    cross-check needs reps >= 100 and every n >= 2.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -51,6 +51,11 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
     if reps != 0 and reps < 100:
         raise ParameterError("Monte Carlo cross-check needs reps >= 100 "
                              "(use reps=0 for exact-only)")
+    short = [int(n) for n in n_list if int(n) < 2]
+    if reps and short:
+        raise ParameterError(
+            f"Monte Carlo cross-check needs n >= 2 for every --n, got "
+            f"{short[0]} (use reps=0 for exact-only)")
     lrd = params.D * k < 1.0
     # the SRD slope k! sum_d gamma(d)^k does not depend on n
     slope = None if lrd else math.factorial(k) * _srd_series_constant(k, params)

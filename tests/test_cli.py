@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import struct
@@ -12,8 +13,9 @@ import pytest
 
 import lrdustat
 from lrdustat import cli, lrd_sim, verify
-from lrdustat.hermite import scaling
-from lrdustat.ustat import gaussian_bump_kernel, ustat_naive, wilcoxon_kernel
+from lrdustat.hermite import kernel_table, scaling
+from lrdustat.ustat import (builtin_kernel, gaussian_bump_kernel, ustat_naive,
+                            wilcoxon_kernel)
 
 from test_lrd_sim import non_embeddable_cov
 
@@ -296,6 +298,22 @@ class TestLimit:
         assert json.loads(capsys.readouterr().out)["descriptor"]["N_aux"] \
             == 2 ** 13
 
+    def test_limit_table_leaves_n_aux_to_the_law(self, monkeypatch):
+        # limit_thm1 resolves N_aux through thm1_law, whose law is the key
+        real = cli.limit_law.limit_thm1
+        bound = []
+        monkeypatch.setattr(
+            cli.limit_law, "limit_thm1",
+            lambda *a, **kw: bound.append(
+                inspect.signature(real).bind(*a, **kw).arguments)
+            or real(*a, **kw))
+        drawn = [cli.limit_table(kernel_table(builtin_kernel(kernel)), 0.4,
+                                 100, 16, 0).descriptor["N_aux"]
+                 for kernel in ("wilcoxon", "gaussian_bump")]
+        assert drawn == [None, 256]
+        assert [list(arguments) for arguments in bound] == \
+            [["entries", "D", "grid_size", "reps", "seed"]] * 2
+
     def test_kernel_scales_differing_in_the_7th_digit_get_two_tables(
             self, isolated_cache, capsys):
         for spec in ("huber:1.345", "huber:1.3450001"):
@@ -524,7 +542,7 @@ class TestDetect:
         from lrdustat.lrd_sim import LrdParams, simulate_gaussian
 
         data = simulate_gaussian(LrdParams(D=0.4), 300, seed=4)
-        out = tmp_path / "data.csv"  # _load_data sniffs the magic, not the name
+        out = tmp_path / "data.csv"  # read_path sniffs the magic, not the name
         lrd_sim.write_path_binary(data, out)
         rc, report = self._run(tmp_path, [], capsys)
         assert rc == 0
@@ -625,7 +643,7 @@ def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
     # Either way no limit law is simulated first.  `detect` reads a stub
     # sample, so its rows fail on the option and not on the absent x.csv.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "_load_data",
+    monkeypatch.setattr(cli.lrd_sim, "read_path",
                         lambda path: np.linspace(0.0, 1.0, 50))
 
     def no_simulation(*args, **kwargs):
@@ -758,6 +776,28 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == ("error: numeric failure: the result holds "
                                 "NaN or an infinity\n")
+
+    @pytest.mark.parametrize("ns", [["1"], ["1000", "1"]],
+                             ids=["n-1", "n-1000-then-1"])
+    def test_variance_cross_check_rejects_n_1_first(self, ns, capsys,
+                                                     monkeypatch):
+        # a Monte Carlo draw needs n >= 2: checked before any row is computed
+        def no_work(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli.verify, "hermite_sum_std", no_work)
+        argv = [arg for n in ns for arg in ("--n", n)]
+        rc = cli.main(["verify", "variance", "--D", "0.4", *argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--n" in err and "Monte Carlo cross-check" in err
+
+    def test_variance_exact_only_takes_n_1(self, capsys):
+        rc = cli.main(["verify", "variance", "--D", "0.4", "--n", "1",
+                       "--reps", "0"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["per_n"]["1"]["ratio"] \
+            == pytest.approx(1.0)
 
     def test_reduction_runs(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -180,6 +180,24 @@ class TestThm1:
             limit_thm1({(1, 1): 1.0}, 0.5, reps=1)
 
 
+class TestThm1Law:
+    # the law the descriptor begins with, and the key of a cached table
+    @pytest.mark.parametrize("entries, N_aux, drawn", [
+        (kernel_table(wilcoxon_kernel()).diagonal(1), None, []),
+        (kernel_table(gaussian_bump_kernel()).diagonal(2), None,
+         ["a", "b", "g1_N"]),
+        ({(2, 0): 0.5, (1, 1): -1.0}, 2 ** 12, []),
+    ], ids=["wilcoxon", "bump", "mixed-rank-2"])
+    def test_is_the_descriptor(self, entries, N_aux, drawn):
+        law = limit_law.thm1_law(entries, 0.3, 16, N_aux)
+        desc = limit_thm1(entries, 0.3, 16, reps=2, N_aux=N_aux,
+                          seed=1).descriptor
+        assert list(law) == ["process", "m", "D", "N_aux", "entries"]
+        assert law["entries"] == sorted(law["entries"])
+        assert law == {key: desc[key] for key in law}
+        assert list(desc) == [*list(law)[:-1], *drawn, "entries"]
+
+
 class TestRankOneGridDraw:
     """Order 1 alone is drawn as fGn of length G (2 when G = 1), read at
     the grid points and rescaled by the exact partial-sum deviation of the
