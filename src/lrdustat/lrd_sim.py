@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -275,11 +274,10 @@ class Subordinator:
 # serialization
 
 def write_path_csv(values: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value"])
-        for v in np.asarray(values, dtype=float):
-            writer.writerow([repr(float(v))])
+    """A ``value`` header row, then one ``repr`` per value, CRLF-ended: the
+    csv module writer's bytes, as it quotes no float's ``repr``."""
+    rows = "".join(f"{v!r}\r\n" for v in np.asarray(values, float).tolist())
+    Path(path).write_text("value\r\n" + rows, encoding="ascii", newline="")
 
 
 #: the bytes of a CSV body that numpy's reader parses as the csv module and
@@ -297,7 +295,11 @@ def read_path_csv(path) -> np.ndarray:
     ``float`` does.  A row the csv route rejects, or bytes that are not
     UTF-8, raise ParameterError naming the line.
     """
-    raw = Path(path).read_bytes()
+    return _csv_values(Path(path).read_bytes(), path)
+
+
+def _csv_values(raw: bytes, path) -> np.ndarray:
+    """The values of the CSV path file ``path`` whose bytes are ``raw``."""
     for header in (b"value\n", b"value\r\n"):
         if raw.startswith(header):
             values = _read_plain_body(raw[len(header):])
@@ -345,33 +347,32 @@ def _read_csv_rows(raw: bytes, path) -> np.ndarray:
 def write_path_binary(values: np.ndarray, path) -> None:
     """Little-endian float64 column with a 16-byte magic header."""
     values = np.asarray(values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(PATH_MAGIC)
-        fh.write(struct.pack("<q", values.size))
-        fh.write(values.tobytes())
+    Path(path).write_bytes(
+        PATH_MAGIC + struct.pack("<q", values.size) + values.tobytes())
 
 
 def read_path_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(16)
-        if magic != PATH_MAGIC:
-            raise ParameterError("not a lrdustat binary path file")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ParameterError("truncated binary path header")
-        (count,) = struct.unpack("<q", header)
-        if not 0 <= count <= (os.fstat(fh.fileno()).st_size - 24) // 8:
-            raise ParameterError(
-                f"binary path header gives {count} values, which the file "
-                "does not hold")
-        return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(float)
+    return _binary_values(Path(path).read_bytes())
+
+
+def _binary_values(raw: bytes) -> np.ndarray:
+    """The values of a binary path file whose bytes are ``raw``."""
+    if not raw.startswith(PATH_MAGIC):
+        raise ParameterError("not a lrdustat binary path file")
+    if len(raw) < 24:
+        raise ParameterError("truncated binary path header")
+    (count,) = struct.unpack_from("<q", raw, 16)
+    if not 0 <= count <= (len(raw) - 24) // 8:
+        raise ParameterError(
+            f"binary path header gives {count} values, which the file "
+            "does not hold")
+    return np.frombuffer(raw, "<f8", count=count, offset=24).astype(float)
 
 
 def read_path(path) -> np.ndarray:
-    """A path file in either format: binary when it starts with
-    ``PATH_MAGIC``, CSV otherwise."""
-    with open(path, "rb") as fh:
-        magic = fh.read(16)
-    if magic == PATH_MAGIC:
-        return read_path_binary(path)
-    return read_path_csv(path)
+    """A path file in either format, read once so that a pipe or a FIFO
+    works: binary when it starts with ``PATH_MAGIC``, CSV otherwise."""
+    raw = Path(path).read_bytes()
+    if raw.startswith(PATH_MAGIC):
+        return _binary_values(raw)
+    return _csv_values(raw, path)

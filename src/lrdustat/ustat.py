@@ -262,12 +262,18 @@ def ustat_wilcoxon(data) -> np.ndarray:
     X_j >= X_i, less the equal X_j before X_i, which a stable sort places
     before it; k(k+1)/2 plus those earlier ties over i <= k counts the
     ordered pairs i, j <= k with X_i <= X_j.  The counts are int64 and
-    become floats only at the end.
+    become floats only at the end.  Data without ties have one sorting
+    permutation, which numpy's faster default sort finds; the stable sort
+    runs only when that one shows a tie.
     """
     data = _check_data(data)
     n = data.size
+    order = np.argsort(data)
+    ranked = data[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(data, kind="stable")
     pos = np.empty(n, dtype=np.int64)
-    pos[np.argsort(data, kind="stable")] = np.arange(n)
+    pos[order] = np.arange(n)
     k = np.arange(1, n, dtype=np.int64)
     u = np.cumsum(n - pos)[:-1] - k * (k + 1) // 2
     return u.astype(float)
@@ -303,21 +309,12 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _horner(coeffs, x):
-    """The polynomial of ascending ``coeffs`` at x by Horner's rule, in the
-    order of operations of numpy's ``polyval``."""
-    out = coeffs[-1] + x * 0
-    for c in coeffs[-2::-1]:
-        out = c + out * x
-    return out
-
-
 def _taylor_terms(poly) -> list:
     """The Taylor terms q^(p) / p!, p = 0..deg q, of the polynomial q of
     ascending coefficients ``poly``, as functions: the ascending
     coefficients of q^(p) / p! are binom(j, p) c_j, j >= p."""
-    return [partial(_horner, [math.comb(j, p) * c
-                              for j, c in enumerate(poly)][p:])
+    return [partial(np.polyval, [math.comb(j, p) * c
+                                 for j, c in enumerate(poly)][p:][::-1])
             for p in range(len(poly))]
 
 

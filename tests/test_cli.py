@@ -951,6 +951,24 @@ class TestProcessEntry:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.encode() == proc.stdout
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="no /dev/stdin")
+    @pytest.mark.parametrize("binary", [False, True], ids=["csv", "binary"])
+    def test_stdin_input_is_the_file(self, data, isolated_cache, capsys,
+                                     binary):
+        # a pipe can be read once: the format is sniffed on the bytes read
+        if binary:
+            lrd_sim.write_path_binary(lrd_sim.read_path_csv(data), data)
+        proc = self._child(isolated_cache, "detect", "--input", "/dev/stdin",
+                           *self.DETECT, input=data.read_bytes())
+        assert proc.returncode == 0, proc.stderr
+        assert cli.main(["detect", "--input", str(data), *self.DETECT]) == 0
+        piped = json.loads(proc.stdout)
+        from_file = json.loads(capsys.readouterr().out)
+        assert piped.pop("input") == "/dev/stdin"
+        assert from_file.pop("input") == str(data)
+        assert piped == from_file
+
     def test_exit_codes_pass_through(self, data, tmp_path, isolated_cache):
         missing = self._child(isolated_cache, "detect", "--input",
                               str(tmp_path / "absent.csv"), *self.DETECT)

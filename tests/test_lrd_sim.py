@@ -1,5 +1,9 @@
 import csv
+import io
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 import pytest
@@ -361,6 +365,52 @@ class TestSerialization:
         out.write_bytes(content)
         with pytest.raises(ParameterError, match=f"line {line}:"):
             lrd_sim.read_path_csv(out)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan], [], [1.5],
+        np.random.default_rng(0).standard_normal(1000),
+    ], ids=["special", "n0", "n1", "n1000"])
+    def test_csv_writer_bytes_are_the_csv_modules(self, tmp_path, values):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["value"])
+        writer.writerows([repr(float(v))] for v in values)
+        out = tmp_path / "p.csv"
+        lrd_sim.write_path_csv(np.array(values, dtype=float), out)
+        assert out.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    @pytest.mark.parametrize("write", [lrd_sim.write_path_csv,
+                                       lrd_sim.write_path_binary],
+                             ids=["csv", "binary"])
+    def test_read_path_reads_a_fifo(self, tmp_path, write):
+        values = simulate_gaussian(LrdParams(D=0.4), 300, seed=2)
+        write(values, tmp_path / "p")
+        fifo = tmp_path / "p.fifo"
+        os.mkfifo(fifo)
+        content = (tmp_path / "p").read_bytes()
+
+        def feed():  # a reader that closes early breaks the pipe
+            try:
+                fifo.write_bytes(content)
+            except BrokenPipeError:
+                pass
+
+        got = queue.Queue()
+
+        def read():
+            try:
+                got.put(lrd_sim.read_path(fifo))
+            except Exception as exc:
+                got.put(exc)
+
+        # daemon threads: a read that blocks fails the test, not the run
+        for target in (feed, read):
+            threading.Thread(target=target, daemon=True).start()
+        result = got.get(timeout=30)
+        if isinstance(result, Exception):
+            raise result
+        assert np.array_equal(result, values)
 
     def test_binary_roundtrip(self, tmp_path):
         values = simulate_gaussian(LrdParams(D=0.4), 64, seed=2)
