@@ -275,9 +275,12 @@ class Subordinator:
 
 def write_path_csv(values: np.ndarray, path) -> None:
     """A ``value`` header row, then one ``repr`` per value, CRLF-ended: the
-    csv module writer's bytes, as it quotes no float's ``repr``."""
-    rows = "".join(f"{v!r}\r\n" for v in np.asarray(values, float).tolist())
-    Path(path).write_text("value\r\n" + rows, encoding="ascii", newline="")
+    csv module writer's bytes, as it quotes no float's ``repr``.  The rows
+    are streamed, so the writer holds no copy of the values."""
+    values = np.asarray(values, dtype=float)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("value\r\n")
+        fh.writelines(f"{v!r}\r\n" for v in map(float, values))
 
 
 #: the bytes of a CSV body that numpy's reader parses as the csv module and
@@ -347,8 +350,10 @@ def _read_csv_rows(raw: bytes, path) -> np.ndarray:
 def write_path_binary(values: np.ndarray, path) -> None:
     """Little-endian float64 column with a 16-byte magic header."""
     values = np.asarray(values, dtype="<f8")
-    Path(path).write_bytes(
-        PATH_MAGIC + struct.pack("<q", values.size) + values.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(PATH_MAGIC)
+        fh.write(struct.pack("<q", values.size))
+        fh.write(values.tobytes())
 
 
 def read_path_binary(path) -> np.ndarray:

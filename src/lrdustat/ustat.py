@@ -262,18 +262,12 @@ def ustat_wilcoxon(data) -> np.ndarray:
     X_j >= X_i, less the equal X_j before X_i, which a stable sort places
     before it; k(k+1)/2 plus those earlier ties over i <= k counts the
     ordered pairs i, j <= k with X_i <= X_j.  The counts are int64 and
-    become floats only at the end.  Data without ties have one sorting
-    permutation, which numpy's faster default sort finds; the stable sort
-    runs only when that one shows a tie.
+    become floats only at the end.
     """
     data = _check_data(data)
     n = data.size
-    order = np.argsort(data)
-    ranked = data[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(data, kind="stable")
     pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
+    pos[np.argsort(data, kind="stable")] = np.arange(n)
     k = np.arange(1, n, dtype=np.int64)
     u = np.cumsum(n - pos)[:-1] - k * (k + 1) // 2
     return u.astype(float)
