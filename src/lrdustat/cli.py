@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                        type=int if floor is None else int_at_least(floor))
 
     def add_grid_size(p):
-        p.add_argument("--grid-size", type=int_at_least(1),
+        p.add_argument("--grid-size", type=int_at_least(2),
                        default=limit_law.DEFAULT_GRID_SIZE)
 
     def add_levels(p):

@@ -1,12 +1,12 @@
 """Simulation of the limiting processes and their sup-functionals.
 
-Every law is drawn on the grid lambda_j = j/G, j = 0..G.  Hermite
-processes are approximated through normalized partial sums of Hermite
-polynomials of an auxiliary LRD Gaussian path of length N_aux (the
-finite-n form of the non-central limit theorem), read at the indices
-j N_aux // G, all orders sharing one auxiliary path per replication so the
-joint dependence of the limit components is preserved.  Two laws are drawn
-more cheaply than that:
+Every law is drawn on the grid lambda_j = j/G, j = 0..G, G >= 2 (each
+functional is 0 at lambda = 0 and 1).  Hermite processes are approximated
+through normalized partial sums of Hermite polynomials of an auxiliary LRD
+Gaussian path of length N_aux (the finite-n form of the non-central limit
+theorem), read at the indices j N_aux // G, all orders sharing one
+auxiliary path per replication so the joint dependence of the limit
+components is preserved.  Two laws are drawn more cheaply than that:
 
 * Order 1 alone is fBm.  By self-similarity the partial sums of fGn of
   length G, read at j, are fBm exactly in distribution at j/G, so it draws
@@ -78,12 +78,12 @@ def hermite_orders(entries) -> list:
 
 def resolve_n_aux(orders, grid_size: int, N_aux=None):
     """Auxiliary path length of the law of the given Hermite orders on the
-    grid j/G, G = ``grid_size``: None for order 1 alone, which draws none,
-    else ``N_aux`` when given, for order 2 alone the smallest multiple of G
-    that is at least CORRECTED_MIN_N_AUX, so that the indices j N_aux // G
-    are the grid points exactly, and DEFAULT_N_AUX otherwise."""
-    if grid_size < 1:
-        raise ParameterError("grid_size must be >= 1")
+    grid j/G, G = ``grid_size`` >= 2: None for order 1 alone, which draws
+    none, else ``N_aux`` when given, for order 2 alone the smallest multiple
+    of G that is at least CORRECTED_MIN_N_AUX, so that the indices
+    j N_aux // G are the grid points exactly, and DEFAULT_N_AUX otherwise."""
+    if grid_size < 2:
+        raise ParameterError("grid_size must be >= 2")
     orders = list(orders)
     if orders == [1]:
         if N_aux is not None:
@@ -142,12 +142,9 @@ def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     N_aux = resolve_n_aux(orders, grid_size, N_aux)
-    # fBm parts: fGn partial sums at j are exact fBm at j/G by
-    # self-similarity; G = 1 draws 2 points, read at 0 and 2
-    fbm_size = max(grid_size, 2)
     law = {"N_aux": N_aux}
     if orders == [1]:
-        sums = _PartialSums(D, fbm_size, [1], grid_size)
+        sums = _PartialSums(D, grid_size, [1], grid_size)
     else:
         sums = _PartialSums(D, N_aux, orders, grid_size)
     corrected = orders == [2]
@@ -155,7 +152,7 @@ def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
     if corrected:
         a, b, g1_n = rosenblatt_mix(D, N_aux)
         law.update(a=a, b=b, g1_N=g1_n)
-        fbm = _PartialSums(2.0 * D, fbm_size, [1], grid_size)  # H = 1 - D
+        fbm = _PartialSums(2.0 * D, grid_size, [1], grid_size)  # H = 1 - D
         embeddings.append(fbm.emb)  # B's normals follow the auxiliary path's
     out = {k: np.empty((reps, grid_size + 1)) for k in orders}
     for r, draws in enumerate(replication_draws(embeddings, reps, seed)):
@@ -206,6 +203,8 @@ def thm1_law(entries: dict, D: float, grid_size: int, N_aux=None) -> dict:
     m = degrees.pop()
     if m < 1:
         raise ParameterError("diagonal degree m must be >= 1")
+    if not 0.0 < D < 1.0:
+        raise ParameterError(f"D must lie in (0, 1), got {D}")
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
     return {"process": "thm1_functional", "m": m, "D": D,
@@ -217,7 +216,7 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
                reps: int = DEFAULT_REPS, N_aux=None,
                seed: int = 0) -> LimitEnsemble:
     """Rank-diagonal limit functional of the Hermite-expansion theorem on
-    the grid j/G, G = ``grid_size``:
+    the grid j/G, G = ``grid_size`` >= 2:
 
         sum_{k+l=m} a_{kl}/(k! l!) * sqrt(c_k c_l) * Z_k(lam) (Z_l(1) - Z_l(lam))
 

@@ -432,6 +432,18 @@ class TestDetect:
             assert 1 / 201 <= report["p_value"] <= 1.0
         assert report["p_value"] == 1 / 201
 
+    def test_coarsest_grid_has_positive_critical_values(self, tmp_path,
+                                                         capsys):
+        # at G = 2 each sup is |path(1/2)|, the one grid point where a limit
+        # functional is not 0, so no level rejects every null series
+        self._write_data(tmp_path, 0.0)
+        rc, report = self._run(tmp_path, ["--grid-size", "2", "--levels",
+                                          "0.5,0.95"], capsys)
+        assert rc == 0
+        assert all(row["critical_value"] > 0.0
+                   for row in report["levels"].values())
+        assert report["p_value"] > 1 / 201
+
     def test_families_share_one_limit_table(self, tmp_path, isolated_cache,
                                             capsys, monkeypatch):
         # the limit law depends on D and the rank-m diagonal only
@@ -599,6 +611,9 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["limit", "--kernel", "cusum", "--D", "0.4", "--grid-size", "0"],
     ["detect", "--input", "x.csv", "--D", "0.4", "--grid-size", "0"],
     ["verify", "weak", "--grid-size", "0", *WEAK],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--grid-size", "1"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--grid-size", "1"],
+    ["verify", "weak", "--grid-size", "1", *WEAK],
     ["limit", "--kernel", "cusum", "--D", "0.4", "--reps", "-5"],
     ["detect", "--input", "x.csv", "--D", "0.4", "--reps", "-5"],
     ["limit", "--kernel", "cusum", "--D", "0.4", "--reps", "50"],
@@ -630,6 +645,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "limit-level-nan", "detect-level-0", "detect-level-1",
         "detect-level-negative", "limit-grid-size-negative",
         "limit-grid-size-0", "detect-grid-size-0", "verify-weak-grid-size-0",
+        "limit-grid-size-1", "detect-grid-size-1", "verify-weak-grid-size-1",
         "limit-reps-negative", "detect-reps-negative", "limit-reps-50",
         "detect-reps-99", "verify-weak-limit-reps-negative",
         "verify-weak-limit-reps-0", "verify-reduction-reps-0",
@@ -656,7 +672,11 @@ def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
     except SystemExit as exc:
         rc = exc.code
     assert rc == 2
-    assert "internal error" not in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error" not in err
+    if "--grid-size" in argv and int(argv[argv.index("--grid-size") + 1]) < 2:
+        assert "--grid-size" in err
     assert list(tmp_path.iterdir()) == []
 
 

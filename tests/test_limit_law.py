@@ -84,7 +84,7 @@ class TestFbm:
 
     def test_self_similarity(self):
         a = simulate_hermite(1, D_ONE, 2, reps=2000, seed=1)
-        b = simulate_hermite(1, D_ONE, 1, reps=2000, seed=2)
+        b = simulate_hermite(1, D_ONE, 2, reps=2000, seed=2)
         rescaled = a.paths[:, 1] * 2.0 ** H
         assert ks_2samp(rescaled, b.paths[:, -1]).statistic <= 0.05
 
@@ -121,7 +121,7 @@ class TestHermiteProcess:
         assert np.all(ens.paths[:, 0] == 0.0)
 
     def test_order_one_unit_variance(self):
-        ens = simulate_hermite(1, 0.4, 1, reps=2000, seed=3)
+        ens = simulate_hermite(1, 0.4, 2, reps=2000, seed=3)
         assert np.var(ens.paths[:, -1], ddof=1) == pytest.approx(1.0,
                                                                  abs=0.1)
 
@@ -130,7 +130,7 @@ class TestHermiteProcess:
         # mixed with unit-variance fBm at a^2 + b^2 = 1, so E[Z_2(1)^2] = 1
         # exactly; the estimator is noisier than in the Gaussian case
         # because of heavier tails
-        ens = simulate_hermite(2, 0.3, 1, reps=1500, seed=4)
+        ens = simulate_hermite(2, 0.3, 2, reps=1500, seed=4)
         assert np.var(ens.paths[:, -1], ddof=1) == pytest.approx(1.0,
                                                                  abs=0.25)
 
@@ -178,6 +178,10 @@ class TestThm1:
     def test_regime_rejected(self):
         with pytest.raises(RegimeError):
             limit_thm1({(1, 1): 1.0}, 0.5, reps=1)
+        # m D < 1 holds at D <= 0 too: the law checks 0 < D < 1 itself
+        for d in (-0.3, 0.0, 1.0, math.nan):
+            with pytest.raises(ParameterError):
+                limit_law.thm1_law({(1, 0): 1.0, (0, 1): -1.0}, d, 16)
 
 
 class TestThm1Law:
@@ -199,9 +203,8 @@ class TestThm1Law:
 
 
 class TestRankOneGridDraw:
-    """Order 1 alone is drawn as fGn of length G (2 when G = 1), read at
-    the grid points and rescaled by the exact partial-sum deviation of the
-    drawn length."""
+    """Order 1 alone is drawn as fGn of length G, read at the grid points
+    and rescaled by the exact partial-sum deviation of the drawn length."""
 
     @pytest.mark.parametrize("d", [0.1, 0.4, 0.6, 0.9])
     @pytest.mark.parametrize("n", [2, 256, 2 ** 15])
@@ -212,7 +215,7 @@ class TestRankOneGridDraw:
             n ** h, rel=1e-12)
 
     @pytest.mark.parametrize("grid_size, drawn", [(256, 256), (200, 200),
-                                                  (1, 2)])
+                                                  (2, 2)])
     def test_rank_one_draws_at_grid_resolution(self, draw_sizes, grid_size,
                                                drawn):
         limit_thm1({(1, 0): 1.0, (0, 1): -1.0}, 0.4, grid_size, reps=2,
@@ -234,7 +237,7 @@ class TestRankOneGridDraw:
         # of G that is at least 2^8, then fBm with H = 1 - D at the grid;
         # order 1 alone draws no auxiliary path; every other law keeps 2^15
         assert [limit_law.resolve_n_aux([2], g)
-                for g in (1, 7, 200, 256, 300, 1024)] == \
+                for g in (2, 7, 200, 256, 300, 1024)] == \
             [256, 259, 400, 256, 300, 1024]
         assert limit_law.resolve_n_aux([1], 200) is None
         assert limit_law.resolve_n_aux([1, 2], 200) == 2 ** 15
@@ -251,7 +254,7 @@ class TestRankOneGridDraw:
         assert rank_one.descriptor["N_aux"] is None
 
     @pytest.mark.parametrize("grid_size, drawn", [(200, [400, 200]),
-                                                  (1, [256, 2])])
+                                                  (2, [256, 2])])
     def test_bump_draws_fbm_at_grid(self, draw_sizes, grid_size, drawn):
         limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, grid_size, reps=2,
                    seed=0)
@@ -316,10 +319,17 @@ class TestRankOneGridDraw:
             limit_thm1({(1, 0): 1.0}, 0.4, 8, reps=0)
 
     def test_grid_size_floor(self):
-        with pytest.raises(ParameterError):
-            simulate_hermite(1, 0.4, 0, reps=1)
-        with pytest.raises(ParameterError):
-            limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, 0, reps=1)
+        # every law is 0 at lambda = 0 and 1, so on the grid {0, 1} of
+        # G = 1 each sup would be 0
+        for g in (0, 1):
+            with pytest.raises(ParameterError):
+                limit_law.resolve_n_aux([2], g)
+            with pytest.raises(ParameterError):
+                limit_law.thm1_law({(1, 0): 1.0, (0, 1): -1.0}, 0.4, g)
+            with pytest.raises(ParameterError):
+                simulate_hermite(1, 0.4, g, reps=1)
+            with pytest.raises(ParameterError):
+                limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, g, reps=1)
 
 
 class TestReplicationPrefix:
@@ -369,9 +379,9 @@ class TestCorrectedOrderTwo:
         # the uncorrected H_2 sums S(1), which a draw of orders 1 and 2
         # leaves as they are
         reps, seed = 2000, 71
-        corrected = simulate_hermite(2, self.D, 1, reps=reps, seed=seed)
+        corrected = simulate_hermite(2, self.D, 2, reps=reps, seed=seed)
         raw, _ = limit_law._hermite_partial_paths(
-            [1, 2], self.D, 1, reps, corrected.descriptor["N_aux"], seed)
+            [1, 2], self.D, 2, reps, corrected.descriptor["N_aux"], seed)
         return corrected.descriptor, corrected.paths[:, -1], raw[2][:, -1]
 
     @staticmethod
@@ -578,16 +588,16 @@ class TestCriticalValues:
                 < binom.sf(hi - 2, reps, level)
 
     def test_intervals_cover_the_quantile(self):
-        # on the grid {0, 1} the rank-one sup is |Z(1)|, |N(0, 1)|, whose
-        # level-p quantile is exact.  Twenty 200-replication tables at three
-        # levels: each interval misses with probability at most 0.05, so
-        # 50 covers of 60 is a loose floor
+        # on the grid {0, 1}, the ends of a G = 2 draw, the rank-one sup is
+        # |Z(1)|, |N(0, 1)|, whose level-p quantile is exact.  Twenty
+        # 200-replication tables at three levels: each interval misses with
+        # probability at most 0.05, so 50 covers of 60 is a loose floor
         levels = [0.5, 0.9, 0.95]
         exact = [NormalDist().inv_cdf((1.0 + p) / 2.0) for p in levels]
-        ens = simulate_hermite(1, D_ONE, 1, reps=4000, seed=91)
+        ens = simulate_hermite(1, D_ONE, 2, reps=4000, seed=91)
         covers = 0
-        for paths in np.split(ens.paths, 20):
-            part = limit_law.LimitEnsemble(grid=ens.grid, paths=paths,
+        for paths in np.split(ens.paths[:, [0, -1]], 20):
+            part = limit_law.LimitEnsemble(grid=default_grid(1), paths=paths,
                                            descriptor={})
             table = critical_values(part)
             covers += sum(lo <= q <= hi for (lo, hi), q in
