@@ -17,6 +17,9 @@ components is preserved.  Two laws are drawn more cheaply than that:
   third cumulant of Z_2(1) the limit's exactly (:func:`rosenblatt_mix`),
   so S needs no long path: it is drawn at the smallest multiple of G that
   is at least CORRECTED_MIN_N_AUX = 2^8, and read at the grid points.
+
+Each replication is reduced to one path as it is drawn
+(:func:`lrd_sim.replicate`): no law holds a (reps, G + 1) array per order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .hermite import (ClassCoeffs, c_constant, gauss_hermite_prob,
                       hermite2_sum_skewness, hermite_eval, hermite_sum_std,
                       rosenblatt_skewness)
 from .lrd_sim import (FGN, QUAD_ORDER, CirculantEmbedding, LrdParams,
-                      Subordinator, replication_draws)
+                      Subordinator, replicate)
 from .ustat import Kernel
 
 DEFAULT_GRID_SIZE = 256
@@ -68,7 +71,10 @@ class LimitEnsemble:
 
     def sup_abs(self) -> np.ndarray:
         """sup over the grid of |path|, one value per replication."""
-        return np.max(np.abs(self.paths), axis=1)
+        # max(max x, -min x) is max |x| bit for bit without a full-size |x|;
+        # + 0.0 turns the -0.0 of an all-zero row into the 0.0 of |x|
+        paths = self.paths
+        return np.maximum(paths.max(axis=1), -paths.min(axis=1)) + 0.0
 
 
 def hermite_orders(entries) -> list:
@@ -133,35 +139,32 @@ class _PartialSums:
 
 
 def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
-                           N_aux, seed: int) -> tuple:
-    """Normalized partial-sum paths of H_k on the grid j/G, G =
-    ``grid_size``, for every requested order k, all orders driven by the
-    same auxiliary path per replication, and the law's description: its
-    N_aux (:func:`resolve_n_aux`'s when None), plus a, b and g1_N when
-    order 2 alone is corrected."""
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
+                           N_aux, seed: int, reduce) -> tuple:
+    """``reduce(z)`` of each replication, stacked by :func:`replicate`, with
+    z the normalized partial-sum paths {k: Z_k} of H_k on the grid j/G, G =
+    ``grid_size``, of every requested order k, all driven by one auxiliary
+    path; and the law's N_aux (:func:`resolve_n_aux`'s when None), plus a,
+    b and g1_N when order 2 alone is corrected."""
     N_aux = resolve_n_aux(orders, grid_size, N_aux)
     law = {"N_aux": N_aux}
     if orders == [1]:
         sums = _PartialSums(D, grid_size, [1], grid_size)
     else:
         sums = _PartialSums(D, N_aux, orders, grid_size)
-    corrected = orders == [2]
     embeddings = [sums.emb]
-    if corrected:
+    if orders == [2]:
         a, b, g1_n = rosenblatt_mix(D, N_aux)
         law.update(a=a, b=b, g1_N=g1_n)
         fbm = _PartialSums(2.0 * D, grid_size, [1], grid_size)  # H = 1 - D
         embeddings.append(fbm.emb)  # B's normals follow the auxiliary path's
-    out = {k: np.empty((reps, grid_size + 1)) for k in orders}
-    for r, draws in enumerate(replication_draws(embeddings, reps, seed)):
-        row = sums.read(draws[0])
-        if corrected:
-            row[2] = a * row[2] + b * fbm.read(draws[1])[1]
-        for k in orders:
-            out[k][r] = row[k]
-    return out, law
+
+    def one(zeta, *fbm_draw):
+        z = sums.read(zeta)
+        if fbm_draw:
+            z[2] = a * z[2] + b * fbm.read(fbm_draw[0])[1]
+        return reduce(z)
+
+    return replicate(embeddings, reps, seed, one), law
 
 
 def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
@@ -180,8 +183,8 @@ def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
     paths, law = _hermite_partial_paths([m], D, grid_size, reps, None,
-                                        seed)
-    return LimitEnsemble(grid=default_grid(grid_size), paths=paths[m],
+                                        seed, lambda z: z[m])
+    return LimitEnsemble(grid=default_grid(grid_size), paths=paths,
                          descriptor={"process": "hermite", "m": m, "D": D,
                                      **law})
 
@@ -226,9 +229,18 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
     uncorrected, and its warnings give the skewness gap that leaves.
     """
     law = thm1_law(entries, D, grid_size, N_aux)
+    grid = default_grid(grid_size)
+    weights = [(k, l, a / (math.factorial(k) * math.factorial(l))
+                * math.sqrt(c_constant(D, k) * c_constant(D, l)))
+               for k, l, a in law["entries"]]
+
+    def functional(z):
+        z[0] = grid  # Z_0(1) = grid[-1] = 1.0 exactly
+        return sum(w * z[k] * (z[l][-1] - z[l]) for k, l, w in weights)
+
     orders = hermite_orders(law["entries"])
-    z, drawn = _hermite_partial_paths(orders, D, grid_size, reps,
-                                      law["N_aux"], seed)
+    paths, drawn = _hermite_partial_paths(orders, D, grid_size, reps,
+                                          law["N_aux"], seed, functional)
     warns = []
     if law["m"] == 2 and orders != [2]:
         n_aux = law["N_aux"]
@@ -236,14 +248,6 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
             f"Z_2 drawn uncorrected at N_aux = {n_aux}: skewness of Z_2(1) "
             f"{hermite2_sum_skewness(LrdParams(D=D, family=FGN), n_aux):.4f}"
             f" against the limit's {rosenblatt_skewness(D):.4f}")
-    grid = default_grid(grid_size)
-    z1 = {k: z[k][:, -1:] for k in z}
-    z[0], z1[0] = grid, 1.0
-    paths = np.zeros((reps, grid.size))
-    for k, l, a in law["entries"]:
-        weight = (a / (math.factorial(k) * math.factorial(l))
-                  * math.sqrt(c_constant(D, k) * c_constant(D, l)))
-        paths += weight * z[k] * (z1[l] - z[l])
     # the corrected order-2 law's a, b and g1_N go before the entries
     descriptor = {**law, **drawn}
     descriptor["entries"] = descriptor.pop("entries")

@@ -58,18 +58,26 @@ def replication_rng(seed: int, rep: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def replication_draws(embeddings, reps: int, seed: int):
-    """Draws of Monte Carlo replications r = 0..reps-1: for each a tuple of
-    one ``emb.sample(rng)`` per embedding, in order, all from
-    ``rng = replication_rng(seed, r)``.
+def replicate(embeddings, reps: int, seed: int, reduce) -> np.ndarray:
+    """``reduce(*draws)`` of Monte Carlo replications r = 0..reps-1, stacked
+    on a first axis of length ``reps``: ``draws`` holds one
+    ``emb.sample(rng)`` per embedding, in order, all from
+    ``rng = replication_rng(seed, r)``, and only the reduced value is kept.
 
     The one place a replication index meets a generator, so replication r
     depends on (seed, r) alone and the first R replications of any run
     are an R-replication run.
     """
+    if reps < 1:
+        raise ParameterError("reps must be >= 1")
+    out = None
     for r in range(reps):
         rng = replication_rng(seed, r)
-        yield tuple(emb.sample(rng) for emb in embeddings)
+        value = np.asarray(reduce(*(emb.sample(rng) for emb in embeddings)))
+        if out is None:
+            out = np.empty((reps,) + value.shape, dtype=value.dtype)
+        out[r] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,8 +206,8 @@ class CirculantEmbedding:
 
 def simulate_gaussian(params: LrdParams, n: int, seed: int) -> np.ndarray:
     """Exact stationary Gaussian sample of length n via circulant embedding:
-    replication 0 of :func:`replication_draws`, returned read-only."""
-    values, = next(replication_draws([CirculantEmbedding(params, n)], 1, seed))
+    replication 0 of :func:`replicate`, returned read-only."""
+    values, = replicate([CirculantEmbedding(params, n)], 1, seed, lambda x: x)
     values.setflags(write=False)
     return values
 

@@ -4,7 +4,8 @@ Three experiments: partial-sum variance asymptotics of Hermite polynomials
 (exact quadratic form vs the LRD/SRD asymptote), the reduction principle
 (distance between the U-statistic process and its rank-diagonal
 projection), and weak convergence of normalized sup-statistics to the
-simulated limit distribution.
+simulated limit distribution.  Each keeps one number per dataset drawn
+by :func:`lrd_sim.replicate`: a Hermite sum or a sup-statistic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .hermite import (HermiteCoeffTable, c_constant, hermite_eval,
                       hermite_sum_std, kernel_table)
 from .limit_law import limit_thm1
 from .lrd_sim import CirculantEmbedding, LrdParams, asymptotic_L, \
-    build_covariance, replication_draws
+    build_covariance, replicate
 from .ustat import Kernel, changepoint_statistic, ustat_factored, ustat_fast
 
 
@@ -74,10 +75,8 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
             row["var_over_n"] = exact / n
             row["asymptote_slope"] = slope
         if reps:
-            emb = CirculantEmbedding(params, n)
-            sums = np.empty(reps)
-            for r, (xi,) in enumerate(replication_draws([emb], reps, seed)):
-                sums[r] = np.sum(hermite_eval(k, xi))
+            sums = replicate([CirculantEmbedding(params, n)], reps, seed,
+                             lambda xi: np.sum(hermite_eval(k, xi)))
             # squares of sums near k = 170 overflow to inf, reported as
             # a non-finite result
             with np.errstate(over="ignore", invalid="ignore"):
@@ -127,12 +126,11 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
     per_n = {}
     for n in n_list:
         n = int(n)
-        emb = CirculantEmbedding(params, n)
-        sups = np.empty(reps)
-        for r, (xi,) in enumerate(replication_draws([emb], reps, seed)):
-            u = ustat_fast(xi, kernel)
-            proj = rank_projection_path(xi, table)
-            sups[r] = changepoint_statistic(u - proj, table, params)[0]
+        sups = replicate(
+            [CirculantEmbedding(params, n)], reps, seed,
+            lambda xi: changepoint_statistic(
+                ustat_fast(xi, kernel) - rank_projection_path(xi, table),
+                table, params)[0])
         per_n[n] = {"mean_sup_discrepancy": float(np.mean(sups)),
                     "stderr": float(np.std(sups, ddof=1) / math.sqrt(reps))}
     return {"name": "reduction_principle",
@@ -146,12 +144,9 @@ def normalized_sup_statistics(kernel: Kernel, table: HermiteCoeffTable,
                               seed: int) -> np.ndarray:
     """Sup-statistics of the U-statistic process, centred and normalized by
     the kernel's ``table``, for ``reps`` independent simulated datasets."""
-    emb = CirculantEmbedding(params, n)
-    sups = np.empty(reps)
-    for r, (xi,) in enumerate(replication_draws([emb], reps, seed)):
-        sups[r] = changepoint_statistic(ustat_fast(xi, kernel), table,
-                                        params)[0]
-    return sups
+    return replicate([CirculantEmbedding(params, n)], reps, seed,
+                     lambda xi: changepoint_statistic(ustat_fast(xi, kernel),
+                                                      table, params)[0])
 
 
 def ks_statistic(a, b) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -280,13 +281,15 @@ class TestRankOneGridDraw:
     def test_auxiliary_path_read_at_integer_index(self):
         # on the grid j/200 a mixed law reads its 2^12-point auxiliary path
         # at j 2^12 // 200: the columns of the same draw at full resolution
+        def orders(z):
+            return np.stack([z[1], z[2]])
+
         full, _ = limit_law._hermite_partial_paths([1, 2], 0.3, 2 ** 12, 3,
-                                                   2 ** 12, 7)
+                                                   2 ** 12, 7, orders)
         coarse, _ = limit_law._hermite_partial_paths([1, 2], 0.3, 200, 3,
-                                                     2 ** 12, 7)
+                                                     2 ** 12, 7, orders)
         idx = np.arange(201) * 2 ** 12 // 200
-        for k in (1, 2):
-            assert np.array_equal(coarse[k], full[k][:, idx])
+        assert np.array_equal(coarse, full[:, :, idx])
 
     @pytest.mark.parametrize("grid_size", [64, 200])
     def test_agrees_in_law_with_fbm(self, grid_size):
@@ -381,8 +384,9 @@ class TestCorrectedOrderTwo:
         reps, seed = 2000, 71
         corrected = simulate_hermite(2, self.D, 2, reps=reps, seed=seed)
         raw, _ = limit_law._hermite_partial_paths(
-            [1, 2], self.D, 2, reps, corrected.descriptor["N_aux"], seed)
-        return corrected.descriptor, corrected.paths[:, -1], raw[2][:, -1]
+            [1, 2], self.D, 2, reps, corrected.descriptor["N_aux"], seed,
+            lambda z: z[2][-1])
+        return corrected.descriptor, corrected.paths[:, -1], raw
 
     @staticmethod
     def assert_skewness(x, target):
@@ -501,6 +505,40 @@ class TestThm2:
             with pytest.raises(ParameterError):
                 limit_thm2(wilcoxon_kernel(), Subordinator.identity(),
                            identity_class, driver)
+
+
+class TestReducedReplications:
+    def test_sup_abs_is_max_of_abs_bit_for_bit(self):
+        # |x| and -x are exact, so max(max x, -min x) is max |x|, also on
+        # rows of mixed signs, zeros and -0.0
+        paths = replication_rng(3).standard_normal((60, 7))
+        paths[::3, ::2] = 0.0
+        paths[1::3, 1::2] = -0.0
+        paths[:4] = [[0.0] * 7, [-0.0] * 7, [0.0, -0.0] * 3 + [0.0],
+                     [-0.0, 0.0] * 3 + [-0.0]]
+        ens = limit_law.LimitEnsemble(grid=default_grid(6), paths=paths,
+                                      descriptor={})
+        want = np.max(np.abs(paths), axis=1)
+        assert ens.sup_abs().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entries, N_aux", [
+        ({(1, 0): -0.3, (0, 1): 0.3}, None),
+        (kernel_table(gaussian_bump_kernel()).diagonal(2), None),
+        ({(2, 0): 0.5, (1, 1): -0.25}, 2 ** 12),
+    ], ids=["rank-1", "bump", "mixed"])
+    def test_table_holds_little_more_than_its_paths(self, entries, N_aux):
+        # each replication is reduced to its path as it is drawn, so no
+        # per-order (reps, G + 1) array or full-size temporary exists
+        tracemalloc.start()
+        try:
+            ens = limit_thm1(entries, 0.4, grid_size=4096, reps=200,
+                             N_aux=N_aux, seed=2)
+            critical_values(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.descriptor["N_aux"] in (None, 2 ** 12)
+        assert peak <= 1.5 * ens.paths.nbytes
 
 
 class TestCriticalValues:

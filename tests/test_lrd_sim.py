@@ -17,7 +17,7 @@ from lrdustat.errors import NonEmbeddableError, ParameterError
 from lrdustat.lrd_sim import (FGN, TWEAKED_POWER_LAW, CirculantEmbedding,
                               LrdParams, Subordinator, asymptotic_L,
                               build_covariance, embedding_length,
-                              replication_draws, replication_rng,
+                              replicate, replication_rng,
                               simulate_gaussian)
 
 # closed-form FGN autocovariance at lag 1 for H = 0.8, evaluated with
@@ -158,12 +158,12 @@ class TestCirculantStreams:
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
-class TestReplicationDraws:
+class TestReplicate:
     def test_one_embedding_is_the_open_coded_loop(self):
         emb = CirculantEmbedding(LrdParams(D=0.4), 300)
-        draws = list(replication_draws([emb], 5, seed=3))
-        assert len(draws) == 5
-        for r, (x,) in enumerate(draws):
+        draws = replicate([emb], 5, 3, lambda x: x)
+        assert draws.shape == (5, 300)
+        for r, x in enumerate(draws):
             assert np.array_equal(x, emb.sample(replication_rng(3, r)))
 
     def test_two_embeddings_drawn_in_turn(self):
@@ -171,12 +171,34 @@ class TestReplicationDraws:
         first = CirculantEmbedding(LrdParams(D=0.3), 256)
         second = CirculantEmbedding(
             LrdParams(D=0.6, family=TWEAKED_POWER_LAW), 100)
-        draws = list(replication_draws([first, second], 4, seed=9))
-        assert len(draws) == 4
-        for r, (x, y) in enumerate(draws):
+        draws = replicate([first, second], 4, 9,
+                          lambda x, y: np.concatenate([x, y]))
+        assert draws.shape == (4, 356)
+        for r, row in enumerate(draws):
             rng = replication_rng(9, r)
-            assert np.array_equal(x, first.sample(rng))
-            assert np.array_equal(y, second.sample(rng))
+            assert np.array_equal(row[:256], first.sample(rng))
+            assert np.array_equal(row[256:], second.sample(rng))
+
+    def test_scalar_and_row_reductions(self):
+        emb = CirculantEmbedding(LrdParams(D=0.4), 50)
+        sums = replicate([emb], 6, 4, np.sum)
+        rows = replicate([emb], 6, 4, np.cumsum)
+        assert sums.shape == (6,) and rows.shape == (6, 50)
+        for r in range(6):
+            x = emb.sample(replication_rng(4, r))
+            assert sums[r] == np.sum(x)
+            assert np.array_equal(rows[r], np.cumsum(x))
+
+    def test_first_replications_are_a_shorter_run(self):
+        emb = CirculantEmbedding(LrdParams(D=0.2), 64)
+        full = replicate([emb], 8, 11, np.cumsum)
+        assert np.array_equal(full[:4], replicate([emb], 4, 11, np.cumsum))
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_floor(self, reps):
+        emb = CirculantEmbedding(LrdParams(D=0.4), 10)
+        with pytest.raises(ParameterError, match="reps must be >= 1"):
+            replicate([emb], reps, 0, lambda x: x)
 
     def test_simulate_gaussian_is_replication_zero(self):
         params = LrdParams(D=0.4)

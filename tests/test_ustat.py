@@ -11,7 +11,7 @@ from lrdustat import ustat
 from lrdustat.errors import ParameterError
 from lrdustat.hermite import kernel_table, scaling
 from lrdustat.lrd_sim import (CirculantEmbedding, LrdParams, asymptotic_L,
-                              replication_draws, replication_rng,
+                              replicate, replication_rng,
                               simulate_gaussian)
 from lrdustat.ustat import (BUILTIN_KERNELS, builtin_kernel,
                             changepoint_statistic, cusum_kernel,
@@ -185,7 +185,7 @@ class TestScorePath:
         def datasets():
             for n in (50, 200):
                 emb = CirculantEmbedding(LrdParams(D=0.4), n)
-                for (xi,) in replication_draws([emb], 10, seed=9):
+                for xi in replicate([emb], 10, 9, lambda x: x):
                     yield np.exp(power * xi)
 
         assert _worst_score_error(builtin_kernel(spec), datasets()) <= 1e-9
@@ -200,7 +200,7 @@ class TestScorePath:
                     for n in (50, 200) for rep in range(50)]
         emb = CirculantEmbedding(LrdParams(D=0.4), 200)
         datasets += [np.exp(power * xi) for power in (1.0, 2.0, 3.0)
-                     for (xi,) in replication_draws([emb], 10, seed=9)]
+                     for xi in replicate([emb], 10, 9, lambda x: x)]
         datasets = [np.round(x, 1) if i % 2 else x
                     for i, x in enumerate(datasets)]
         paths = [kernel.path(x) for x in datasets]
