@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = experiments.add_parser("variance", parents=[shared])
     add_reps(e)
     e.add_argument("--n", type=int_at_least(1), action="append", required=True)
-    e.add_argument("--k", type=int, default=1, help="Hermite degree")
+    e.add_argument("--k", type=int_at_least(1), default=1,
+                   help="Hermite degree")
     e = experiments.add_parser("reduction", parents=[shared])
     add_reps(e, 2)
     e.add_argument("--n", type=int_at_least(2), action="append", required=True)

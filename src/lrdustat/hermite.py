@@ -105,7 +105,7 @@ class HermiteCoeffTable:
         kept = [[int(k), int(l), float(self.entries[k, l])]
                 for k, l in zip(*np.nonzero(np.abs(self.entries) > self.tol))]
         return {"Q": self.Q, "source": self.source, "tol": self.tol,
-                "entries": kept, "rank": self.rank}
+                "entries": kept, "rank": self.rank, "warnings": self.warnings}
 
 
 def coeffs_2d(kernel, Q: int) -> HermiteCoeffTable:

@@ -82,12 +82,14 @@ def hermite_orders(entries) -> list:
     return sorted({o for k, l, _ in entries for o in (k, l) if o >= 1})
 
 
-def resolve_n_aux(orders, grid_size: int, N_aux=None):
-    """Auxiliary path length of the law of the given Hermite orders on the
-    grid j/G, G = ``grid_size`` >= 2: None for order 1 alone, which draws
-    none, else ``N_aux`` when given, for order 2 alone the smallest multiple
-    of G that is at least CORRECTED_MIN_N_AUX, so that the indices
-    j N_aux // G are the grid points exactly, and DEFAULT_N_AUX otherwise."""
+def resolve_draw(orders, D: float, grid_size: int, N_aux=None) -> dict:
+    """What the law of the given Hermite orders draws at on the grid j/G,
+    G = ``grid_size`` >= 2: ``"N_aux"``, None for order 1 alone, which draws
+    no auxiliary path, else ``N_aux`` when given, for order 2 alone the
+    smallest multiple of G that is at least CORRECTED_MIN_N_AUX, so that the
+    indices j N_aux // G are the grid points exactly, and DEFAULT_N_AUX
+    otherwise; order 2 alone adds the ``"a"``, ``"b"`` and ``"g1_N"`` of
+    :func:`rosenblatt_mix`."""
     if grid_size < 2:
         raise ParameterError("grid_size must be >= 2")
     orders = list(orders)
@@ -95,12 +97,15 @@ def resolve_n_aux(orders, grid_size: int, N_aux=None):
         if N_aux is not None:
             raise ParameterError("order 1 alone draws no auxiliary path: "
                                  "N_aux does not apply")
-        return None
-    if N_aux is not None:
-        return int(N_aux)
+        return {"N_aux": None}
+    if N_aux is None:
+        N_aux = (grid_size * -(-CORRECTED_MIN_N_AUX // grid_size)
+                 if orders == [2] else DEFAULT_N_AUX)
+    draw = {"N_aux": int(N_aux)}
     if orders == [2]:
-        return grid_size * -(-CORRECTED_MIN_N_AUX // grid_size)
-    return DEFAULT_N_AUX
+        a, b, g1_n = rosenblatt_mix(D, draw["N_aux"])
+        draw.update(a=a, b=b, g1_N=g1_n)
+    return draw
 
 
 def rosenblatt_mix(D: float, N_aux: int) -> tuple:
@@ -139,22 +144,17 @@ class _PartialSums:
 
 
 def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
-                           N_aux, seed: int, reduce) -> tuple:
+                           draw: dict, seed: int, reduce) -> np.ndarray:
     """``reduce(z)`` of each replication, stacked by :func:`replicate`, with
     z the normalized partial-sum paths {k: Z_k} of H_k on the grid j/G, G =
     ``grid_size``, of every requested order k, all driven by one auxiliary
-    path; and the law's N_aux (:func:`resolve_n_aux`'s when None), plus a,
-    b and g1_N when order 2 alone is corrected."""
-    N_aux = resolve_n_aux(orders, grid_size, N_aux)
-    law = {"N_aux": N_aux}
-    if orders == [1]:
-        sums = _PartialSums(D, grid_size, [1], grid_size)
-    else:
-        sums = _PartialSums(D, N_aux, orders, grid_size)
+    path of ``draw["N_aux"]`` points (of G when None), and Z_2 corrected by
+    ``draw["a"]`` and ``draw["b"]`` when given (:func:`resolve_draw`)."""
+    n = grid_size if draw["N_aux"] is None else draw["N_aux"]
+    sums = _PartialSums(D, n, orders, grid_size)
     embeddings = [sums.emb]
-    if orders == [2]:
-        a, b, g1_n = rosenblatt_mix(D, N_aux)
-        law.update(a=a, b=b, g1_N=g1_n)
+    if "a" in draw:
+        a, b = draw["a"], draw["b"]
         fbm = _PartialSums(2.0 * D, grid_size, [1], grid_size)  # H = 1 - D
         embeddings.append(fbm.emb)  # B's normals follow the auxiliary path's
 
@@ -164,7 +164,7 @@ def _hermite_partial_paths(orders, D: float, grid_size: int, reps: int,
             z[2] = a * z[2] + b * fbm.read(fbm_draw[0])[1]
         return reduce(z)
 
-    return replicate(embeddings, reps, seed, one), law
+    return replicate(embeddings, reps, seed, one)
 
 
 def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
@@ -176,26 +176,28 @@ def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
     drawn length (Mehler quadratic form), so Var(Z_m(1)) = 1 holds exactly
     in distribution.  For m = 1 the paths are fBm exactly in law; m = 2
     draws the corrected law of :func:`rosenblatt_mix`, and higher orders
-    draw at :func:`resolve_n_aux`'s N_aux.
+    draw at :func:`resolve_draw`'s N_aux.
     """
     if m < 1:
         raise ParameterError("m must be >= 1")
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
-    paths, law = _hermite_partial_paths([m], D, grid_size, reps, None,
-                                        seed, lambda z: z[m])
+    draw = resolve_draw([m], D, grid_size)
+    paths = _hermite_partial_paths([m], D, grid_size, reps, draw, seed,
+                                   lambda z: z[m])
     return LimitEnsemble(grid=default_grid(grid_size), paths=paths,
                          descriptor={"process": "hermite", "m": m, "D": D,
-                                     **law})
+                                     **draw})
 
 
 def thm1_law(entries: dict, D: float, grid_size: int, N_aux=None) -> dict:
     """The limit law of a rank-m diagonal {(k, l): a_kl}, k + l = m, drawn
-    on the grid j/G, G = ``grid_size``: the process, m, D, the auxiliary
-    path length N_aux (:func:`resolve_n_aux`'s when None) and the sorted
-    [k, l, a] entries.  With the replications, grid size, seed and stream
-    version it fixes every draw, so it begins :func:`limit_thm1`'s
-    descriptor and keys a cached critical-value table."""
+    on the grid j/G, G = ``grid_size``: the process, m, D, what the draw
+    reads (:func:`resolve_draw`: N_aux, and the corrected order-2 law's a,
+    b and g1_N) and the sorted [k, l, a] entries.  With the replications,
+    grid size, seed and stream version it fixes every draw, so it is
+    :func:`limit_thm1`'s descriptor and keys a cached critical-value
+    table."""
     entries = sorted([int(k), int(l), float(a)]
                      for (k, l), a in entries.items())
     if not entries:
@@ -211,7 +213,7 @@ def thm1_law(entries: dict, D: float, grid_size: int, N_aux=None) -> dict:
     if m * D >= 1.0:
         raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
     return {"process": "thm1_functional", "m": m, "D": D,
-            "N_aux": resolve_n_aux(hermite_orders(entries), grid_size, N_aux),
+            **resolve_draw(hermite_orders(entries), D, grid_size, N_aux),
             "entries": entries}
 
 
@@ -239,8 +241,8 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
         return sum(w * z[k] * (z[l][-1] - z[l]) for k, l, w in weights)
 
     orders = hermite_orders(law["entries"])
-    paths, drawn = _hermite_partial_paths(orders, D, grid_size, reps,
-                                          law["N_aux"], seed, functional)
+    paths = _hermite_partial_paths(orders, D, grid_size, reps, law, seed,
+                                   functional)
     warns = []
     if law["m"] == 2 and orders != [2]:
         n_aux = law["N_aux"]
@@ -248,10 +250,7 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
             f"Z_2 drawn uncorrected at N_aux = {n_aux}: skewness of Z_2(1) "
             f"{hermite2_sum_skewness(LrdParams(D=D, family=FGN), n_aux):.4f}"
             f" against the limit's {rosenblatt_skewness(D):.4f}")
-    # the corrected order-2 law's a, b and g1_N go before the entries
-    descriptor = {**law, **drawn}
-    descriptor["entries"] = descriptor.pop("entries")
-    return LimitEnsemble(grid=grid, paths=paths, descriptor=descriptor,
+    return LimitEnsemble(grid=grid, paths=paths, descriptor=law,
                          warnings=warns)
 
 
@@ -261,16 +260,14 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
 def probe_tv(kernel: Kernel, grid: np.ndarray):
     """Grid estimate of max over 9 evenly spaced sections of the total
     variation of h(., y) and h(x, .)."""
-    sections = np.linspace(grid[0], grid[-1], 9)
-    tv_rows = max(
-        float(np.sum(np.abs(np.diff(np.asarray(kernel.eval(grid, y), dtype=float)))))
-        for y in sections
-    )
-    tv_cols = max(
-        float(np.sum(np.abs(np.diff(np.asarray(kernel.eval(x, grid), dtype=float)))))
-        for x in sections
-    )
-    return max(tv_rows, tv_cols)
+    sections = np.linspace(grid[0], grid[-1], 9)[:, None]
+
+    def tv(rows):
+        return float(np.max(np.sum(np.abs(np.diff(
+            np.asarray(rows, dtype=float), axis=1)), axis=1)))
+
+    return max(tv(kernel.eval(grid, sections)),
+               tv(kernel.eval(sections, grid)))
 
 
 def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
@@ -312,18 +309,13 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
     j_mid = 0.5 * (j_vals[1:] + j_vals[:-1])
 
     # h_tilde on the class grid: E_y[h(x, y)], y ~ F
-    h_tilde = np.array([
-        float(np.dot(s_weights, np.asarray(kernel.eval(x, data_nodes), dtype=float)))
-        for x in grid
-    ])
+    h_tilde = np.asarray(kernel.eval(grid[:, None], data_nodes),
+                         dtype=float) @ s_weights
     a_int = float(np.dot(j_mid, np.diff(h_tilde)))
 
     # inner(x) = int J(y) dh(x, y)(y), then integrate over F
-    inner = np.array([
-        float(np.dot(j_mid,
-                     np.diff(np.asarray(kernel.eval(x, grid), dtype=float))))
-        for x in data_nodes
-    ])
+    inner = np.diff(np.asarray(kernel.eval(data_nodes[:, None], grid),
+                               dtype=float), axis=1) @ j_mid
     b_int = float(np.dot(s_weights, inner))
     if not (np.isfinite(a_int) and np.isfinite(b_int)):
         raise ParameterError("limit integrals are non-finite")

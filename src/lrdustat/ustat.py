@@ -104,15 +104,22 @@ def gaussian_bump_kernel() -> Kernel:
     """
     c = 1.0 / math.sqrt(3.0)
 
+    # x^2 overflows for |x| > ~1.34e154, and exp(-inf) = 0 is then exact
     def bump(x):
-        return np.exp(-np.asarray(x, dtype=float) ** 2) - c
+        with np.errstate(over="ignore"):
+            return np.exp(-np.asarray(x, dtype=float) ** 2) - c
+
+    def h(x, y):
+        with np.errstate(over="ignore"):
+            return np.exp(-np.asarray(x, dtype=float) ** 2
+                          - np.asarray(y, dtype=float) ** 2) - 1.0 / 3.0
 
     def one(x):
         return np.ones(np.shape(x))
 
     return Kernel(
         name="gaussian_bump",
-        eval=lambda x, y: np.exp(-np.asarray(x, dtype=float) ** 2 - np.asarray(y, dtype=float) ** 2) - 1.0 / 3.0,
+        eval=h,
         path=partial(ustat_factored, factors=((1.0, bump, bump),
                                               (c, bump, one), (c, one, bump))),
         coeff_provider=gaussian_bump_coeff_closed_form,

@@ -110,6 +110,15 @@ class TestCoeffs:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rank"] == 2
 
+    @pytest.mark.parametrize("source, warnings", [
+        ("quadrature", ["quadrature-on-discontinuous-kernel"]),
+        ("auto", []),
+    ])
+    def test_table_warnings_are_printed(self, source, warnings, capsys):
+        assert cli.main(["coeffs", "--kernel", "wilcoxon", "--Q", "2",
+                         "--source", source]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == warnings
+
     def test_file_output(self, tmp_path):
         out = tmp_path / "coeffs.json"
         rc = cli.main(["coeffs", "--kernel", "wilcoxon", "--Q", "3",
@@ -297,6 +306,24 @@ class TestLimit:
         assert calls == [1]  # its own is: a miss, drawn at the new N_aux
         assert json.loads(capsys.readouterr().out)["descriptor"]["N_aux"] \
             == 2 ** 13
+
+    def test_cache_key_records_the_rosenblatt_correction(
+            self, isolated_cache, capsys, monkeypatch):
+        # a changed correction is a miss, drawn with the new weights
+        args = ["limit", "--kernel", "gaussian_bump", "--D", "0.4",
+                "--reps", "100", "--grid-size", "16", "--levels", "0.95"]
+        assert cli.main(args) == 0
+        first = json.loads(capsys.readouterr().out)
+        calls = self.spy_limit_thm1(monkeypatch)
+        monkeypatch.setattr(cli.limit_law, "rosenblatt_mix",
+                            lambda D, N_aux: (0.5, 0.75 ** 0.5, 1.0))
+        assert cli.main(args) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert calls == [1]
+        assert first["descriptor"]["a"] != 0.5
+        assert second["descriptor"]["a"] == 0.5
+        assert second["quantiles"] != first["quantiles"]
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 2
 
     def test_limit_table_leaves_n_aux_to_the_law(self, monkeypatch):
         # limit_thm1 resolves N_aux through thm1_law, whose law is the key
@@ -628,6 +655,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["verify", "weak", "--n", "1", *WEAK],
     ["detect", "--input", "x.csv", "--D", "0.4", "--family", "bogus"],
     ["verify", "weak", "--family", "bogus", *WEAK],
+    ["verify", "variance", "--k", "0", *VARIANCE],
     ["verify", "variance", "--k", "171", *VARIANCE],
 ], ids=["simulate-reps", "simulate-levels", "simulate-n-1", "coeffs-reps",
         "coeffs-levels", "coeffs-quad-order", "coeffs-negative-Q",
@@ -652,7 +680,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "verify-reduction-reps-1",
         "verify-weak-reps-0", "verify-variance-n-0",
         "verify-reduction-n-1", "verify-weak-n-1", "detect-bad-family",
-        "verify-weak-bad-family", "verify-variance-k-171"])
+        "verify-weak-bad-family", "verify-variance-k-0",
+        "verify-variance-k-171"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
     # argparse exits 2 through SystemExit; a ParameterError returns 2.
@@ -675,8 +704,10 @@ def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert "internal error" not in err
-    if "--grid-size" in argv and int(argv[argv.index("--grid-size") + 1]) < 2:
-        assert "--grid-size" in err
+    # a value below an option's floor is named with the option
+    for option, floor in (("--grid-size", 2), ("--k", 1)):
+        if option in argv and int(argv[argv.index(option) + 1]) < floor:
+            assert option in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -11,15 +11,17 @@ from lrdustat import limit_law
 from lrdustat.cli import to_json
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (c_constant, class_coeffs, cycle_traces,
-                              hermite2_sum_skewness, hermite_sum_std,
-                              kernel_table, rosenblatt_skewness)
+                              gauss_hermite_prob, hermite2_sum_skewness,
+                              hermite_sum_std, kernel_table,
+                              rosenblatt_skewness)
 from lrdustat.limit_law import (CriticalValueTable, critical_values,
                                 default_grid, limit_thm1, limit_thm2,
                                 order_statistic_ranks, simulate_hermite)
-from lrdustat.lrd_sim import (CirculantEmbedding, LrdParams, Subordinator,
-                              build_covariance, replication_rng)
-from lrdustat.ustat import (Kernel, cusum_kernel, gaussian_bump_kernel,
-                            wilcoxon_kernel)
+from lrdustat.lrd_sim import (QUAD_ORDER, CirculantEmbedding, LrdParams,
+                              Subordinator, build_covariance,
+                              replication_rng)
+from lrdustat.ustat import (Kernel, builtin_kernel, cusum_kernel,
+                            gaussian_bump_kernel, wilcoxon_kernel)
 
 H = 0.8  # fBm index of the rank-one limit at D = 2(1 - H) = 0.4
 D_ONE = 2.0 * (1.0 - H)
@@ -197,10 +199,19 @@ class TestThm1Law:
         law = limit_law.thm1_law(entries, 0.3, 16, N_aux)
         desc = limit_thm1(entries, 0.3, 16, reps=2, N_aux=N_aux,
                           seed=1).descriptor
-        assert list(law) == ["process", "m", "D", "N_aux", "entries"]
+        assert list(law) == ["process", "m", "D", "N_aux", *drawn,
+                             "entries"]
         assert law["entries"] == sorted(law["entries"])
-        assert law == {key: desc[key] for key in law}
-        assert list(desc) == [*list(law)[:-1], *drawn, "entries"]
+        assert list(desc.items()) == list(law.items())
+
+    @pytest.mark.parametrize("kernel", ["cusum", "wilcoxon", "gaussian_bump",
+                                        "huber:1.345", "tukey:4.685"])
+    def test_every_builtin_kernel_law_is_its_descriptor(self, kernel):
+        table = kernel_table(builtin_kernel(kernel))
+        diagonal = table.diagonal(table.rank)
+        desc = limit_thm1(diagonal, 0.4, 16, reps=2, seed=0).descriptor
+        law = limit_law.thm1_law(diagonal, 0.4, 16)
+        assert list(desc.items()) == list(law.items())
 
 
 class TestRankOneGridDraw:
@@ -237,13 +248,15 @@ class TestRankOneGridDraw:
         # order 2 alone draws its auxiliary path at the smallest multiple
         # of G that is at least 2^8, then fBm with H = 1 - D at the grid;
         # order 1 alone draws no auxiliary path; every other law keeps 2^15
-        assert [limit_law.resolve_n_aux([2], g)
-                for g in (2, 7, 200, 256, 300, 1024)] == \
+        def n_aux(orders, g, given=None):
+            return limit_law.resolve_draw(orders, 0.4, g, given)["N_aux"]
+
+        assert [n_aux([2], g) for g in (2, 7, 200, 256, 300, 1024)] == \
             [256, 259, 400, 256, 300, 1024]
-        assert limit_law.resolve_n_aux([1], 200) is None
-        assert limit_law.resolve_n_aux([1, 2], 200) == 2 ** 15
-        assert limit_law.resolve_n_aux([1, 2, 3], 200) == 2 ** 15
-        assert limit_law.resolve_n_aux([2], 200, 2 ** 14) == 2 ** 14
+        assert n_aux([1], 200) is None
+        assert n_aux([1, 2], 200) == 2 ** 15
+        assert n_aux([1, 2, 3], 200) == 2 ** 15
+        assert n_aux([2], 200, 2 ** 14) == 2 ** 14
         bump = limit_thm1({(2, 0): 1.0, (0, 2): 1.0}, 0.4, 256, reps=2,
                           seed=0)
         limit_thm1({(2, 0): 0.5, (1, 1): -1.0, (0, 2): 0.25}, 0.3, 256,
@@ -284,10 +297,11 @@ class TestRankOneGridDraw:
         def orders(z):
             return np.stack([z[1], z[2]])
 
-        full, _ = limit_law._hermite_partial_paths([1, 2], 0.3, 2 ** 12, 3,
-                                                   2 ** 12, 7, orders)
-        coarse, _ = limit_law._hermite_partial_paths([1, 2], 0.3, 200, 3,
-                                                     2 ** 12, 7, orders)
+        draw = {"N_aux": 2 ** 12}
+        full = limit_law._hermite_partial_paths([1, 2], 0.3, 2 ** 12, 3,
+                                                draw, 7, orders)
+        coarse = limit_law._hermite_partial_paths([1, 2], 0.3, 200, 3, draw,
+                                                  7, orders)
         idx = np.arange(201) * 2 ** 12 // 200
         assert np.array_equal(coarse, full[:, :, idx])
 
@@ -326,7 +340,7 @@ class TestRankOneGridDraw:
         # G = 1 each sup would be 0
         for g in (0, 1):
             with pytest.raises(ParameterError):
-                limit_law.resolve_n_aux([2], g)
+                limit_law.resolve_draw([2], 0.4, g)
             with pytest.raises(ParameterError):
                 limit_law.thm1_law({(1, 0): 1.0, (0, 1): -1.0}, 0.4, g)
             with pytest.raises(ParameterError):
@@ -383,9 +397,9 @@ class TestCorrectedOrderTwo:
         # leaves as they are
         reps, seed = 2000, 71
         corrected = simulate_hermite(2, self.D, 2, reps=reps, seed=seed)
-        raw, _ = limit_law._hermite_partial_paths(
-            [1, 2], self.D, 2, reps, corrected.descriptor["N_aux"], seed,
-            lambda z: z[2][-1])
+        raw = limit_law._hermite_partial_paths(
+            [1, 2], self.D, 2, reps, {"N_aux": corrected.descriptor["N_aux"]},
+            seed, lambda z: z[2][-1])
         return corrected.descriptor, corrected.paths[:, -1], raw
 
     @staticmethod
@@ -495,6 +509,34 @@ class TestThm2:
         ens = limit_thm2(zero, Subordinator.identity(), identity_class,
                          driver)
         assert np.allclose(ens.paths, 0.0)
+
+    @pytest.mark.parametrize("name", ["cusum", "wilcoxon", "gaussian_bump",
+                                      "huber:1.345", "tukey:4.685"])
+    def test_integrals_and_tv_match_one_call_per_point(self, name,
+                                                       identity_class,
+                                                       driver):
+        # the reference evaluates the kernel at one grid point or node per
+        # call; the matrix products sum in another order, so A and B agree
+        # to a few ulps and the TV probe, summed row by row, exactly
+        kernel = builtin_kernel(name)
+        grid = identity_class.grid
+        nodes, weights = gauss_hermite_prob(QUAD_ORDER)  # G = identity
+        j = identity_class.J_rank
+        j_mid = 0.5 * (j[1:] + j[:-1])
+        h_tilde = [np.dot(weights, kernel.eval(x, nodes)) for x in grid]
+        a_int = np.dot(j_mid, np.diff(h_tilde))
+        b_int = np.dot(weights, [np.dot(j_mid, np.diff(kernel.eval(x, grid)))
+                                 for x in nodes])
+        sections = np.linspace(grid[0], grid[-1], 9)
+        tv = max(float(np.sum(np.abs(np.diff(values)))) for values in
+                 [kernel.eval(grid, y) for y in sections]
+                 + [kernel.eval(x, grid) for x in sections])
+        desc = limit_thm2(kernel, Subordinator.identity(), identity_class,
+                          driver).descriptor
+        tol = 100 * np.finfo(float).eps
+        assert desc["A"] == pytest.approx(a_int, rel=tol, abs=tol)
+        assert desc["B"] == pytest.approx(b_int, rel=tol, abs=tol)
+        assert limit_law.probe_tv(kernel, grid) == tv
 
     def test_driver_order_mismatch(self, identity_class):
         driver2 = simulate_hermite(2, 0.3, 8, reps=5, seed=0)

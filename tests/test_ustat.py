@@ -102,6 +102,14 @@ class TestOracleEquivalence:
                     np.abs(bump.path(data) - ref) / scale)))
         assert worst <= 1e-9
 
+    def test_bump_on_huge_values_is_exact_without_warning(self):
+        # x^2 overflows to inf there, and exp(-inf) = 0 is the exact value
+        bump = gaussian_bump_kernel()
+        data = np.array([0.3, 1e200, -1.2, -1e160, 0.7, 2.0])
+        ref = ustat_naive(data, bump)
+        assert np.all(np.isfinite(ref))
+        assert np.max(np.abs(ustat_fast(data, bump) - ref)) <= 1e-12
+
     def test_factors_reproduce_eval(self):
         # the bump's path is ustat_factored over a sum of separable terms
         factored = [k for k in _builtin_kernels()
