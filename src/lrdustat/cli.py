@@ -10,16 +10,14 @@ the asymptotics).  Exit codes: 0 success, 1 internal/numeric failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
-import time
-from functools import partial
 from pathlib import Path
 
-from . import __version__, hermite, limit_law, lrd_sim, ustat, verify
+# the numeric submodules are imported by the functions that use them, so
+# importing this module loads no numpy (see the package docstring)
+from . import __version__
 from .errors import NonEmbeddableError, ParameterError
 
 CACHE_ENV = "LRDUSTAT_CACHE"
@@ -35,6 +33,8 @@ def _cache_dir() -> Path:
 def _write_sidecar(args) -> None:
     """Write the run's parsed arguments, and the package and stream versions
     that produced its output, to ``<out>.json`` next to ``args.out``."""
+    from . import lrd_sim
+
     config = {k: v for k, v in vars(args).items() if k != "func"}
     config["package_version"] = __version__
     config["stream_version"] = lrd_sim.STREAM_VERSION
@@ -58,6 +58,8 @@ def levels_list(text: str) -> list:
     """``--levels`` value: comma-separated probabilities in (0, 1).  A
     ValueError here (a ParameterError is one) makes argparse report the bad
     value and exit with status 2, before any simulation runs."""
+    from . import limit_law
+
     levels = [limit_law.check_level(x) for x in text.split(",") if x]
     if not levels:
         raise ValueError("no level given")
@@ -89,6 +91,11 @@ def limit_table(table: hermite.HermiteCoeffTable, d_exp: float, reps: int,
     kernels with one diagonal share a file.  A cache file that does not
     parse, or whose sample is not ``reps`` finite sorted values, is
     recomputed and overwritten."""
+    import hashlib
+    import tempfile
+
+    from . import limit_law, lrd_sim
+
     diagonal = table.diagonal(table.rank)
     key_src = json.dumps({
         **limit_law.thm1_law(diagonal, d_exp, grid_size),
@@ -128,6 +135,8 @@ def limit_table(table: hermite.HermiteCoeffTable, d_exp: float, reps: int,
 # file of its own, and main prints and writes the result
 
 def cmd_simulate(args) -> None:
+    from . import lrd_sim
+
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
     values = lrd_sim.simulate_gaussian(params, args.n, args.seed)
     if args.transform == "exp":
@@ -141,23 +150,31 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_coeffs(args) -> dict:
+    from . import hermite, ustat
+
     kernel = ustat.builtin_kernel(args.kernel)
     if args.source == "montecarlo":
         # resolved here, so the sidecar records the values that ran
         args.pairs = 10 ** 6 if args.pairs is None else args.pairs
         args.seed = 0 if args.seed is None else args.seed
-        table, _ = hermite.coeffs_2d_montecarlo(kernel, args.Q, args.pairs,
-                                                args.seed)
+        table, errors = hermite.coeffs_2d_montecarlo(kernel, args.Q,
+                                                     args.pairs, args.seed)
     elif args.pairs is not None or args.seed is not None:
         raise ParameterError("--pairs and --seed need --source montecarlo")
     elif kernel.coeff_provider is not None and args.source == "auto":
         table = hermite.closed_form_table(kernel.coeff_provider, args.Q)
     else:
         table = hermite.coeffs_2d(kernel, args.Q)
-    return {**table.to_json_dict(), "kernel": kernel.name}
+    result = {**table.to_json_dict(), "kernel": kernel.name}
+    if args.source == "montecarlo":  # each entry's standard error, in order
+        result["stderr"] = [[k, l, float(errors[k, l])]
+                            for k, l, _ in result["entries"]]
+    return result
 
 
 def cmd_limit(args) -> dict:
+    from . import hermite, limit_law, ustat
+
     kernel = ustat.builtin_kernel(args.kernel)
     table = limit_table(hermite.kernel_table(kernel), args.D, args.reps,
                         args.grid_size, args.seed,
@@ -173,6 +190,8 @@ def cmd_limit(args) -> dict:
 
 
 def cmd_detect(args) -> dict:
+    from . import hermite, lrd_sim, ustat
+
     if args.D is None:
         raise ParameterError(
             "D must be supplied with --D: the detector normalizes with the "
@@ -200,7 +219,11 @@ def cmd_detect(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    start = time.perf_counter()
+    import time
+
+    from . import lrd_sim, ustat, verify
+
+    start = time.perf_counter()  # after the imports: times the experiment
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
     if args.experiment == "variance":
         report = verify.check_variance(args.k, params, args.n,
@@ -220,6 +243,10 @@ def cmd_verify(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from functools import partial
+
+    from . import limit_law, lrd_sim
+
     # no abbreviations: `verify weak --k 2` must not parse as `--kernel 2`
     strict = partial(argparse.ArgumentParser, allow_abbrev=False)
     parser = strict(

@@ -379,6 +379,10 @@ def _binary_values(raw: bytes) -> np.ndarray:
         raise ParameterError(
             f"binary path header gives {count} values, which the file "
             "does not hold")
+    if len(raw) > 24 + 8 * count:  # trailing bytes, such as a second file
+        raise ParameterError(
+            f"binary path file is {len(raw)} bytes, not the "
+            f"{24 + 8 * count} its header gives for {count} values")
     return np.frombuffer(raw, "<f8", count=count, offset=24).astype(float)
 
 

@@ -343,7 +343,12 @@ def ustat_score(data, score: OddScore) -> np.ndarray:
     n = data.size
     order = np.argsort(data)
     z = data[order]
-    z = (z - z[n // 2]) / score.c
+    # halved first, so that z - M cannot overflow; only z itself can
+    with np.errstate(over="ignore"):
+        z = (z / 2 - z[n // 2] / 2) / (score.c / 2)
+    if not np.isfinite(z[[0, -1]]).all():
+        raise ParameterError(f"the data's spread over the score's scale "
+                             f"c = {score.c!r} overflows float64")
     bins = np.floor(z)
     cuts = [np.searchsorted(z, bins + shift) for shift in (-1.0, 0.0, 1.0, 2.0)]
     lo = np.searchsorted(z, z - 1.0, side="left")

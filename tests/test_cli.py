@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import lrdustat
-from lrdustat import cli, lrd_sim, verify
-from lrdustat.hermite import kernel_table, scaling
+from lrdustat import cli, limit_law, lrd_sim, ustat, verify
+from lrdustat.hermite import coeffs_2d_montecarlo, kernel_table, scaling
 from lrdustat.ustat import (builtin_kernel, gaussian_bump_kernel, ustat_naive,
                             wilcoxon_kernel)
 
@@ -137,6 +137,18 @@ class TestCoeffs:
         sidecar = json.loads((tmp_path / "coeffs.json.json").read_text())
         assert (sidecar["pairs"], sidecar["seed"]) == (10 ** 6, 0)
 
+    def test_montecarlo_standard_errors(self, capsys):
+        assert cli.main(["coeffs", "--kernel", "cusum", "--Q", "2",
+                         "--source", "montecarlo", "--pairs", "1000",
+                         "--seed", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        table, errors = coeffs_2d_montecarlo(builtin_kernel("cusum"), 2,
+                                             1000, 3)
+        assert payload["entries"] == table.to_json_dict()["entries"]
+        assert payload["stderr"] == [[k, l, errors[k, l]]
+                                     for k, l, _ in payload["entries"]]
+        assert all(se > 0.0 for _, _, se in payload["stderr"])
+
     def test_unknown_kernel(self, capsys):
         assert cli.main(["coeffs", "--kernel", "nope"]) == 2
 
@@ -219,8 +231,8 @@ class TestLimit:
         assert cli.main(self.ARGS) == 0
         (first,) = isolated_cache.glob("cv_*.json")
         calls = []
-        real = cli.limit_law.limit_thm1
-        monkeypatch.setattr(cli.limit_law, "limit_thm1",
+        real = limit_law.limit_thm1
+        monkeypatch.setattr(limit_law, "limit_thm1",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         monkeypatch.setattr(lrd_sim, "STREAM_VERSION",
                             lrd_sim.STREAM_VERSION + 1)
@@ -233,8 +245,8 @@ class TestLimit:
     def spy_limit_thm1(monkeypatch) -> list:
         """Record one entry per limit law simulated from now on."""
         calls = []
-        real = cli.limit_law.limit_thm1
-        monkeypatch.setattr(cli.limit_law, "limit_thm1",
+        real = limit_law.limit_thm1
+        monkeypatch.setattr(limit_law, "limit_thm1",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         return calls
 
@@ -294,11 +306,11 @@ class TestLimit:
         assert json.loads(capsys.readouterr().out)["descriptor"]["N_aux"] \
             == drawn
         calls = self.spy_limit_thm1(monkeypatch)
-        monkeypatch.setattr(cli.limit_law, other, 2 ** 13)
+        monkeypatch.setattr(limit_law, other, 2 ** 13)
         assert cli.main(args) == 0
         assert calls == []  # the other law's N_aux is not in the key: a hit
         capsys.readouterr()
-        monkeypatch.setattr(cli.limit_law, own, 2 ** 13)
+        monkeypatch.setattr(limit_law, own, 2 ** 13)
         assert cli.main(args) == 0
         if drawn is None:
             assert calls == []
@@ -315,7 +327,7 @@ class TestLimit:
         assert cli.main(args) == 0
         first = json.loads(capsys.readouterr().out)
         calls = self.spy_limit_thm1(monkeypatch)
-        monkeypatch.setattr(cli.limit_law, "rosenblatt_mix",
+        monkeypatch.setattr(limit_law, "rosenblatt_mix",
                             lambda D, N_aux: (0.5, 0.75 ** 0.5, 1.0))
         assert cli.main(args) == 0
         second = json.loads(capsys.readouterr().out)
@@ -327,10 +339,10 @@ class TestLimit:
 
     def test_limit_table_leaves_n_aux_to_the_law(self, monkeypatch):
         # limit_thm1 resolves N_aux through thm1_law, whose law is the key
-        real = cli.limit_law.limit_thm1
+        real = limit_law.limit_thm1
         bound = []
         monkeypatch.setattr(
-            cli.limit_law, "limit_thm1",
+            limit_law, "limit_thm1",
             lambda *a, **kw: bound.append(
                 inspect.signature(real).bind(*a, **kw).arguments)
             or real(*a, **kw))
@@ -356,8 +368,8 @@ class TestLimit:
                 "100", "--grid-size", "8"]
         assert cli.main(args) == 0
         first = json.loads(capsys.readouterr().out)["quantiles"]["values"]
-        exact = cli.ustat.odd_score_coeff_closed_form
-        monkeypatch.setattr(cli.ustat, "odd_score_coeff_closed_form",
+        exact = ustat.odd_score_coeff_closed_form
+        monkeypatch.setattr(ustat, "odd_score_coeff_closed_form",
                             lambda score, k, l: 2.0 * exact(score, k, l))
         calls = self.spy_limit_thm1(monkeypatch)
         assert cli.main(args) == 0
@@ -477,8 +489,8 @@ class TestDetect:
         self._write_data(tmp_path, 0.0)
         assert self._run(tmp_path, ["--family", "fgn"], capsys)[0] == 0
         calls = []
-        real = cli.limit_law.limit_thm1
-        monkeypatch.setattr(cli.limit_law, "limit_thm1",
+        real = limit_law.limit_thm1
+        monkeypatch.setattr(limit_law, "limit_thm1",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         assert self._run(tmp_path, ["--family", "tweaked"], capsys)[0] == 0
         assert calls == []  # a hit: the fgn run's table was served
@@ -515,12 +527,13 @@ class TestDetect:
         (b"value\n1.0\n2.0\n3.0\n", ["--kernel", "huber:abc"]),
         (lrd_sim.PATH_MAGIC + struct.pack("<q", -1) + bytes(16), []),
         (lrd_sim.PATH_MAGIC + struct.pack("<q", 2 ** 62) + bytes(16), []),
+        (lrd_sim.PATH_MAGIC + struct.pack("<q", 1) + bytes(9), []),
         (b"value\n1.0\n#c\n2.0\n", []),             # comment row
         (b"value\n1.0\n\xff\xfe2.0\n", []),         # not UTF-8
         (np.random.default_rng(0).bytes(300), []),
     ], ids=["blank-row", "non-numeric", "short-header", "bad-kernel-param",
-            "negative-count", "oversized-count", "comment-row", "non-utf8",
-            "random-bytes"])
+            "negative-count", "oversized-count", "trailing-byte",
+            "comment-row", "non-utf8", "random-bytes"])
     def test_malformed_input_is_config_error(self, tmp_path, capsys,
                                              content, extra):
         (tmp_path / "data.csv").write_bytes(content)
@@ -576,6 +589,18 @@ class TestDetect:
         assert "NaN or an infinity" in captured.err
         assert "internal error" not in captured.err
         assert not out.exists()
+
+    def test_score_scale_overflow_exits_2(self, tmp_path, capsys):
+        # (x - M) / c overflows float64 for Huber's c = 1 on this series
+        data = tmp_path / "data.csv"
+        data.write_text("value\n1e308\n-1e308\n1e308\n")
+        rc = cli.main(["detect", "--input", str(data), "--D", "0.4",
+                       "--kernel", "huber:1", "--reps", "100"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            "error: the data's spread over the score's scale c = 1.0 "
+            "overflows float64"]
 
     def test_binary_input(self, tmp_path, capsys):
         from lrdustat.lrd_sim import LrdParams, simulate_gaussian
@@ -688,14 +713,14 @@ def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
     # Either way no limit law is simulated first.  `detect` reads a stub
     # sample, so its rows fail on the option and not on the absent x.csv.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli.lrd_sim, "read_path",
+    monkeypatch.setattr(lrd_sim, "read_path",
                         lambda path: np.linspace(0.0, 1.0, 50))
 
     def no_simulation(*args, **kwargs):
         raise AssertionError("limit_thm1 called")
 
-    monkeypatch.setattr(cli.limit_law, "limit_thm1", no_simulation)
-    monkeypatch.setattr(cli.verify, "limit_thm1", no_simulation)
+    monkeypatch.setattr(limit_law, "limit_thm1", no_simulation)
+    monkeypatch.setattr(verify, "limit_thm1", no_simulation)
     try:
         rc = cli.main(argv)
     except SystemExit as exc:
@@ -836,7 +861,7 @@ class TestVerify:
         def no_work(*args, **kwargs):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(cli.verify, "hermite_sum_std", no_work)
+        monkeypatch.setattr(verify, "hermite_sum_std", no_work)
         argv = [arg for n in ns for arg in ("--n", n)]
         rc = cli.main(["verify", "variance", "--D", "0.4", *argv])
         err = capsys.readouterr().err
@@ -886,32 +911,41 @@ class TestVerify:
         assert cli.to_json(printed) == cli.to_json(report)
 
 
-# Run in a fresh interpreter: the CLI's start-up, detect and verify
-# reduction/weak paths, and the empirical-process route (class_coeffs,
-# limit_thm2) must not import scipy (about a second per process); the
-# subcommands that need it import it lazily and must still run.  numpy.ma
-# (15 ms, pulled in by np.quantile) stays out of every CLI stage, and
-# numpy.polynomial (4 ms, the Gauss-Hermite rule's) out of every stage
+# Run in a fresh interpreter: importing the package and the CLI loads
+# neither numpy nor hashlib's OpenSSL (about 0.15 s per process); the CLI's
+# detect and verify reduction/weak paths, and the empirical-process route
+# (class_coeffs, limit_thm2) must not import scipy (about a second per
+# process); the subcommands that need it import it lazily and must still
+# run.  simulate, coeffs, limit and detect never import lrdustat.verify.
+# numpy.ma (15 ms, pulled in by np.quantile) stays out of every CLI stage,
+# and numpy.polynomial (4 ms, the Gauss-Hermite rule's) out of every stage
 # before limit_thm2: each built-in kernel has closed-form coefficients.
 IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     import json, sys
-    import numpy as np
-    import lrdustat.cli as cli
-    from lrdustat.hermite import class_coeffs
-    from lrdustat.limit_law import limit_thm2, simulate_hermite
-    from lrdustat.lrd_sim import Subordinator
-    from lrdustat.ustat import cusum_kernel
+    import lrdustat, lrdustat.cli as cli
 
     def watched_modules():
         return {"scipy": sorted(m for m in sys.modules
                                 if m.split(".")[0] == "scipy"),
                 **{m: m in sys.modules
-                   for m in ("numpy.ma", "numpy.polynomial")}}
+                   for m in ("numpy", "_hashlib", "lrdustat.verify",
+                             "numpy.ma", "numpy.polynomial")}}
 
     seen = {"import": watched_modules()}
+    import numpy as np
+    from lrdustat.hermite import class_coeffs
+    from lrdustat.limit_law import limit_thm2, simulate_hermite
+    from lrdustat.lrd_sim import Subordinator
+    from lrdustat.ustat import cusum_kernel
+
     data, out = sys.argv[1], sys.argv[2]
     rc = {"simulate": cli.main(["simulate", "--D", "0.4", "--n", "400",
                                 "--seed", "5", "-o", data])}
+    rc["coeffs"] = cli.main(["coeffs", "--kernel", "wilcoxon", "--Q", "3"])
+    seen["coeffs"] = watched_modules()
+    rc["limit"] = cli.main(["limit", "--kernel", "cusum", "--D", "0.4",
+                            "--reps", "100", "--grid-size", "16"])
+    seen["limit"] = watched_modules()
     for kernel in ("wilcoxon", "cusum", "gaussian_bump", "huber:1.345",
                    "tukey:4.685"):
         rc[kernel] = cli.main(["detect", "--input", data, "--D", "0.4",
@@ -958,10 +992,14 @@ def test_cli_and_detect_import_no_scipy(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert all(rc == 0 for rc in result["rc"].values()), result["rc"]
     seen = result["seen"]
-    stages = ("import", "wilcoxon", "cusum", "gaussian_bump", "huber:1.345",
-              "tukey:4.685", "verify_weak", "verify_reduction", "limit_thm2")
+    stages = ("import", "coeffs", "limit", "wilcoxon", "cusum",
+              "gaussian_bump", "huber:1.345", "tukey:4.685", "verify_weak",
+              "verify_reduction", "limit_thm2")
     assert {stage: seen[stage]["scipy"] for stage in seen} == {
         stage: [] for stage in stages}
+    assert not seen["import"]["numpy"] and not seen["import"]["_hashlib"]
+    before_verify = stages[:stages.index("verify_weak")]
+    assert not any(seen[stage]["lrdustat.verify"] for stage in before_verify)
     assert not any(seen[stage]["numpy.ma"] for stage in stages[:-1])
     assert not any(seen[stage]["numpy.polynomial"] for stage in stages[:-1])
 

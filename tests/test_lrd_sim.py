@@ -442,6 +442,16 @@ class TestSerialization:
         with open(out, "rb") as fh:
             assert fh.read(16) == b"LRDUSTAT-PATH\x00\x00\x00"
 
+    def test_binary_rejects_trailing_bytes(self, tmp_path):
+        # two concatenated files are not read as the first alone
+        out = tmp_path / "p.bin"
+        lrd_sim.write_path_binary(np.arange(3.0), out)
+        with open(out, "ab") as fh:
+            fh.write(b"\x00")
+        for read in (lrd_sim.read_path_binary, lrd_sim.read_path):
+            with pytest.raises(ParameterError, match="is 49 bytes, not the 48"):
+                read(out)
+
     def test_binary_rejects_other_files(self, tmp_path):
         out = tmp_path / "junk.bin"
         out.write_bytes(b"not a path file at all")

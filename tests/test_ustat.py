@@ -271,6 +271,20 @@ class TestScorePath:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("spec, expected", [("tukey:4.685", [0.0, 0.0]),
+                                                ("huber:4", [4.0, -4.0])])
+    def test_spread_near_the_float64_limit(self, spec, expected):
+        # x - M overflows float64 here, while (x - M) / c does not
+        data = np.array([1e308, -1e308, 1e308])
+        kernel = builtin_kernel(spec)
+        with np.errstate(over="ignore"):  # eval's x - y overflows
+            assert ustat_naive(data, kernel).tolist() == expected
+        assert kernel.path(data).tolist() == expected
+
+    def test_spread_over_c_that_overflows_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="c = 1.0 overflows"):
+            builtin_kernel("huber:1").path(np.array([1e308, -1e308, 1e308]))
+
 
 @pytest.mark.parametrize("path", [
     lambda x: ustat_naive(x, huber_kernel(1.0)),
