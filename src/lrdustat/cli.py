@@ -196,13 +196,15 @@ def cmd_detect(args) -> dict:
         raise ParameterError(
             "D must be supplied with --D: the detector normalizes with the "
             "LRD exponent and estimating D from data is out of scope")
-    data = lrd_sim.read_path(args.input)
     kernel = ustat.builtin_kernel(args.kernel)
     coeffs = hermite.kernel_table(kernel)
+    params = lrd_sim.LrdParams(D=args.D, family=args.family)
+    # (D, m) is admissible before the input is read
+    hermite.check_regime(args.D, coeffs.rank)
+    data = lrd_sim.read_path(args.input)
     n = data.size
     stat, k_star = ustat.changepoint_statistic(
-        ustat.ustat_fast(data, kernel), coeffs,
-        lrd_sim.LrdParams(D=args.D, family=args.family))
+        ustat.ustat_fast(data, kernel), coeffs, params)
     table = limit_table(coeffs, args.D, args.reps, args.grid_size,
                         args.seed, use_cache=not args.no_cache)
     decisions = {repr(lv): {"critical_value": (cv := table.value_at(lv)),

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .lrd_sim import (QUAD_ORDER, Subordinator, build_covariance,
+from .lrd_sim import (QUAD_ORDER, LrdParams, Subordinator, build_covariance,
                       gauss_hermite_prob, replication_rng)
 
 QUADRATURE = "quadrature"
@@ -494,12 +494,23 @@ class ScalingConstants:
     H: float
 
 
+def check_regime(D: float, m: int) -> None:
+    """The one check of the reduction regime of Theorem 1: 0 < D < 1 (as
+    :class:`lrd_sim.LrdParams` checks it), m >= 1 and m D < 1.  Raises
+    ParameterError for D or m out of range, RegimeError for m D >= 1."""
+    LrdParams(D=D)
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
+    if m * D >= 1.0:
+        raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
+
+
 def c_constant(D: float, k: int) -> float:
-    """c_k = 2 k! / ((1 - Dk)(2 - Dk)); c_0 := 1 by convention."""
+    """c_k = 2 k! / ((1 - Dk)(2 - Dk)) in the regime of
+    :func:`check_regime`; c_0 := 1 by convention."""
     if k == 0:
         return 1.0
-    if D * k >= 1.0:
-        raise RegimeError(f"reduction regime violated: D*k = {D * k} >= 1")
+    check_regime(D, k)
     return 2.0 * math.factorial(k) / ((1.0 - D * k) * (2.0 - D * k))
 
 
@@ -518,13 +529,8 @@ def rosenblatt_skewness(D: float) -> float:
 
 def scaling(D: float, m: int, n: int, L_at_n: float) -> ScalingConstants:
     """Scaling constants: c_m, d'_n = (n^(2-mD) L^m)^(1/2), d_n = sqrt(c_m) d'_n
-    and H = 1 - Dm/2."""
-    if not 0.0 < D < 1.0:
-        raise ParameterError("D must lie in (0, 1)")
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    if D * m >= 1.0:
-        raise RegimeError(f"reduction regime violated: D*m = {D * m} >= 1")
+    and H = 1 - Dm/2, in the regime of :func:`check_regime`."""
+    check_regime(D, m)
     if n < 1:
         raise ParameterError("n must be >= 1")
     if L_at_n <= 0.0:

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, RegimeError
-from .hermite import (ClassCoeffs, c_constant, gauss_hermite_prob,
-                      hermite2_sum_skewness, hermite_eval, hermite_sum_std,
-                      rosenblatt_skewness)
+from .errors import ParameterError
+from .hermite import (ClassCoeffs, c_constant, check_regime,
+                      gauss_hermite_prob, hermite2_sum_skewness, hermite_eval,
+                      hermite_sum_std, rosenblatt_skewness)
 from .lrd_sim import (FGN, QUAD_ORDER, CirculantEmbedding, LrdParams,
                       Subordinator, replicate)
 from .ustat import Kernel
@@ -178,10 +178,7 @@ def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
     draws the corrected law of :func:`rosenblatt_mix`, and higher orders
     draw at :func:`resolve_draw`'s N_aux.
     """
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    if m * D >= 1.0:
-        raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
+    check_regime(D, m)
     draw = resolve_draw([m], D, grid_size)
     paths = _hermite_partial_paths([m], D, grid_size, reps, draw, seed,
                                    lambda z: z[m])
@@ -206,12 +203,7 @@ def thm1_law(entries: dict, D: float, grid_size: int, N_aux=None) -> dict:
     if len(degrees) != 1:
         raise ParameterError("entries must all lie on one diagonal k + l = m")
     m = degrees.pop()
-    if m < 1:
-        raise ParameterError("diagonal degree m must be >= 1")
-    if not 0.0 < D < 1.0:
-        raise ParameterError(f"D must lie in (0, 1), got {D}")
-    if m * D >= 1.0:
-        raise RegimeError(f"reduction regime violated: m*D = {m * D} >= 1")
+    check_regime(D, m)
     return {"process": "thm1_functional", "m": m, "D": D,
             **resolve_draw(hermite_orders(entries), D, grid_size, N_aux),
             "entries": entries}

@@ -15,9 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParameterError, RegimeError
-from .hermite import (HermiteCoeffTable, c_constant, hermite_eval,
-                      hermite_sum_std, kernel_table)
+from .errors import ParameterError
+from .hermite import (HermiteCoeffTable, c_constant, check_regime,
+                      hermite_eval, hermite_sum_std, kernel_table)
 from .limit_law import limit_thm1
 from .lrd_sim import CirculantEmbedding, LrdParams, asymptotic_L, \
     build_covariance, replicate
@@ -121,8 +121,7 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
         raise ParameterError("reps must be >= 2 for a standard error")
     table = kernel_table(kernel)
     m = table.rank
-    if m * params.D >= 1.0:
-        raise RegimeError(f"reduction regime violated: m*D = {m * params.D}")
+    check_regime(params.D, m)
     per_n = {}
     for n in n_list:
         n = int(n)

@@ -509,6 +509,24 @@ class TestDetect:
         assert rc == 2
         assert "--D" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        ["--D", "1.5"],
+        ["--D", "0.6", "--kernel", "gaussian_bump"],  # m D = 1.2
+        ["--D", "0.4", "--kernel", "huber:abc"],
+    ], ids=["D-out-of-range", "regime", "bad-kernel-param"])
+    def test_rejected_before_the_input_is_read(self, tmp_path, capsys,
+                                               monkeypatch, extra):
+        self._write_data(tmp_path, 0.0)
+        calls = []
+        for module, name in ((lrd_sim, "read_path"), (ustat, "ustat_fast")):
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name: calls.append(name))
+        rc = cli.main(["detect", "--input", str(tmp_path / "data.csv")]
+                      + extra)
+        assert rc == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_single_observation_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
         lrd_sim.write_path_csv(np.array([1.0]), out)

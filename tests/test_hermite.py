@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,16 +11,19 @@ from scipy.stats import expon, norm
 from lrdustat import hermite
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (CONVERGENT_LIKELY, DIVERGENT_LIKELY,
-                              class_coeffs, closed_form_table, coeffs_2d,
+                              check_regime, class_coeffs, closed_form_table, coeffs_2d,
                               coeffs_2d_montecarlo, gauss_hermite_prob,
                               gaussian_bump_coeff_closed_form,
                               hermite_design, hermite_eval, kernel_table,
                               odd_score_coeff_closed_form, rank_2d, scaling,
                               summability_diagnostic,
                               wilcoxon_coeff_closed_form)
-from lrdustat.lrd_sim import QUAD_ORDER, Subordinator
-from lrdustat.ustat import (OddScore, builtin_kernel, cusum_kernel,
-                            gaussian_bump_kernel, wilcoxon_kernel)
+from lrdustat.limit_law import limit_thm1, simulate_hermite, thm1_law
+from lrdustat.lrd_sim import QUAD_ORDER, TWEAKED_POWER_LAW, Subordinator
+from lrdustat.ustat import (OddScore, builtin_kernel, changepoint_statistic,
+                            cusum_kernel, gaussian_bump_kernel,
+                            wilcoxon_kernel)
+from lrdustat.verify import check_reduction
 
 
 class TestHermiteEval:
@@ -450,3 +454,52 @@ class TestScaling:
     def test_regime_violation(self):
         with pytest.raises(RegimeError):
             scaling(0.5, 2, 100, 1.0)
+
+
+def _rank_kernel(m):
+    return wilcoxon_kernel() if m == 1 else gaussian_bump_kernel()
+
+
+def _model(D):
+    # check_reduction and changepoint_statistic take a model; one built
+    # around LrdParams' own check must still be refused
+    return SimpleNamespace(D=D, family=TWEAKED_POWER_LAW)
+
+
+#: every function whose result exists only in the regime, called at (D, m)
+REGIME_CALLS = {
+    "c_constant": lambda D, m: hermite.c_constant(D, m),
+    "scaling": lambda D, m: scaling(D, m, 100, 1.0),
+    "simulate_hermite": lambda D, m: simulate_hermite(m, D, 8, reps=1),
+    "thm1_law": lambda D, m: thm1_law({(m, 0): 1.0, (0, m): 1.0}, D, 8),
+    "limit_thm1": lambda D, m: limit_thm1({(m, 0): 1.0, (0, m): 1.0}, D, 8,
+                                          reps=1),
+    "check_reduction": lambda D, m: check_reduction(
+        _rank_kernel(m), _model(D), [64], reps=2),
+    "changepoint_statistic": lambda D, m: changepoint_statistic(
+        np.zeros(63), kernel_table(_rank_kernel(m)), _model(D)),
+}
+
+
+class TestCheckRegime:
+    @pytest.mark.parametrize("name", list(REGIME_CALLS))
+    @pytest.mark.parametrize("D", [0.0, 1.0, -0.5, math.nan])
+    def test_d_out_of_range(self, name, D):
+        with pytest.raises(ParameterError, match=r"D must lie in \(0, 1\)"):
+            REGIME_CALLS[name](D, 1)
+
+    @pytest.mark.parametrize("name", list(REGIME_CALLS))
+    def test_one_message_at_the_boundary(self, name):
+        with pytest.raises(RegimeError) as info:
+            REGIME_CALLS[name](0.5, 2)
+        assert str(info.value) == "reduction regime violated: m*D = 1.0 >= 1"
+
+    def test_rank_below_one(self):
+        for m in (0, -1):
+            with pytest.raises(ParameterError, match="m must be >= 1") as info:
+                check_regime(0.4, m)
+            assert not isinstance(info.value, RegimeError)
+
+    def test_admissible(self):
+        assert check_regime(0.3, 3) is None
+        assert check_regime(0.99, 1) is None
