@@ -42,7 +42,7 @@ PATH_MAGIC = b"LRDUSTAT-PATH\x00\x00\x00"
 #: identity of the random streams: which draws a (seed, rep) pair yields.
 #: Bump it whenever a change alters them, so that caches of simulated
 #: results keyed on it are not served stale.
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 _MASK64 = (1 << 64) - 1
 
@@ -103,16 +103,24 @@ def build_covariance(params: LrdParams, max_lag: int) -> np.ndarray:
     """Exact autocovariance gamma(0..max_lag) of the model.
 
     gamma(0) = 1 for both families.  For ``fgn``,
-    gamma(k) = ((k+1)^(2H) - 2 k^(2H) + (k-1)^(2H)) / 2; for ``tweaked``,
-    gamma(k) = (1+k)^(-D).
+    gamma(k) = ((k+1)^(2H) - 2 k^(2H) + (k-1)^(2H)) / 2, evaluated as
+    k^(2H) ((1 + 1/k)^(2H) - 1 + (1 - 1/k)^(2H) - 1) / 2 with each power
+    minus 1 by expm1 and log1p: the three powers cancel, so their sum
+    loses digits like k^2 (1e-5 relative at k = 10^6), and the embedding
+    of a valid fGn at n ~ 10^6 turned indefinite.  Lag 1 is 2^(2H-1) - 1.
+    For ``tweaked``, gamma(k) = (1+k)^(-D).
     """
     if max_lag < 0:
         raise ParameterError("max_lag must be >= 0")
     k = np.arange(max_lag + 1, dtype=float)
     if params.family == FGN:
         two_h = 2.0 * params.hurst
-        gamma = 0.5 * ((k + 1.0) ** two_h - 2.0 * k ** two_h
-                       + np.abs(k - 1.0) ** two_h)
+        gamma = np.empty_like(k)
+        gamma[1:2] = np.expm1((two_h - 1.0) * np.log(2.0))
+        lag = k[2:]
+        gamma[2:] = 0.5 * lag ** two_h * (
+            np.expm1(two_h * np.log1p(1.0 / lag))
+            + np.expm1(two_h * np.log1p(-1.0 / lag)))
     else:
         gamma = (1.0 + k) ** (-params.D)
     gamma[0] = 1.0

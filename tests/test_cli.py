@@ -256,7 +256,7 @@ class TestLimit:
             m.setattr(lrd_sim, "STREAM_VERSION", version)
             assert cli.main(args) == 0
         calls = self.spy_limit_thm1(monkeypatch)
-        assert lrd_sim.STREAM_VERSION == 6
+        assert lrd_sim.STREAM_VERSION == 7
         assert cli.main(args) == 0
         assert calls == [1]
         assert len(list(isolated_cache.glob("cv_*.json"))) == 2
@@ -290,6 +290,14 @@ class TestLimit:
         args = ["limit", "--kernel", "gaussian_bump", "--D", "0.4",
                 "--reps", "100", "--grid-size", "200"]
         self.assert_old_version_misses(5, args, isolated_cache, monkeypatch)
+
+    def test_stream_version_6_cache_is_a_miss(self, isolated_cache, capsys,
+                                              monkeypatch):
+        # tables cached before the cancellation-free fGn covariance are not
+        # served: it moves the bump law's normalisation and mixing weights
+        args = ["limit", "--kernel", "gaussian_bump", "--D", "0.4",
+                "--reps", "100", "--grid-size", "16"]
+        self.assert_old_version_misses(6, args, isolated_cache, monkeypatch)
 
     # a rank-1 law (wilcoxon) draws no auxiliary path: its N_aux is null
     # and neither default N_aux is in its key

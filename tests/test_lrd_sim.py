@@ -1,9 +1,11 @@
 import csv
+import decimal
 import io
 import math
 import os
 import queue
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,28 @@ class TestBuildCovariance:
     def test_fgn_lag1_against_high_precision_oracle(self):
         gamma = build_covariance(LrdParams(D=0.4), 1)
         assert gamma[1] == pytest.approx(FGN_D04_GAMMA1, abs=1e-14)
+
+    @pytest.mark.parametrize("D", [0.2, 0.51, 0.9])
+    def test_fgn_against_a_50_digit_reference(self, D):
+        # the three-power form lost digits like k^2: 4e-7 to 5e-6 relative
+        # at lag 10^5, 4e-5 to 5e-4 at 10^6
+        lags = [1, 2, 10, 10 ** 3, 10 ** 5, 10 ** 6]
+        gamma = build_covariance(LrdParams(D=D), lags[-1])[lags]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            two_h = decimal.Decimal(2.0 * LrdParams(D=D).hurst)
+            reference = [float(((k + 1) ** two_h - 2 * k ** two_h
+                                + (k - 1) ** two_h) / 2)
+                         for k in map(decimal.Decimal, lags)]
+        np.testing.assert_allclose(gamma, reference, rtol=1e-9, atol=0.0)
+
+    def test_fgn_embedding_at_a_million_points(self):
+        # fGn's embedding is nonnegative definite; with the three-power
+        # covariance this one had 25,650 negative eigenvalues
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emb = CirculantEmbedding(LrdParams(D=0.05), 10 ** 6)
+        assert emb.n == 10 ** 6
 
     def test_invalid_D(self):
         with pytest.raises(ParameterError):
