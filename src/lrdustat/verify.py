@@ -19,15 +19,27 @@ from .errors import ParameterError
 from .hermite import (HermiteCoeffTable, c_constant, check_regime,
                       hermite_eval, hermite_sum_std, kernel_table)
 from .limit_law import limit_thm1
-from .lrd_sim import CirculantEmbedding, LrdParams, asymptotic_L, \
+from .lrd_sim import FGN, CirculantEmbedding, LrdParams, asymptotic_L, \
     build_covariance, replicate
 from .ustat import Kernel, changepoint_statistic, ustat_factored, ustat_fast
 
 
-def _srd_series_constant(k: int, params: LrdParams, tail: int = 10 ** 6) -> float:
-    """sum over all integer lags of gamma(d)^k (converges when Dk > 1)."""
-    gamma = build_covariance(params, tail)
-    return 1.0 + 2.0 * float(np.sum(gamma[1:] ** k))
+def _srd_series_constant(k: int, params: LrdParams, cut: int = 10 ** 4) -> float:
+    """sum over all integer lags of gamma(d)^k, which converges when Dk > 1:
+    the lags up to ``cut`` term by term, the rest by Euler-Maclaurin from
+    the family's tail, gamma(d)^k ~ L^k d^(-Dk) for fgn and = (1+d)^(-Dk)
+    for tweaked.  At Dk = 1.02 the lags past 10^6 hold 69% of the sum."""
+    gamma = build_covariance(params, cut)
+    s = params.D * k
+    if params.family == FGN:
+        scale, t = asymptotic_L(params, cut) ** k, float(cut)
+    else:
+        scale, t = 1.0, cut + 1.0
+    # sum_{x > t} x^-s = int_t^inf x^-s dx - t^-s / 2 - (B_2 / 2!) f'(t)
+    # - (B_4 / 4!) f'''(t) - ..., f = x^-s, B_2 = 1/6, B_4 = -1/30
+    tail = scale * t ** -s * (t / (s - 1.0) - 0.5 + s / (12.0 * t)
+                              - s * (s + 1.0) * (s + 2.0) / (720.0 * t ** 3))
+    return 1.0 + 2.0 * (float(np.sum(gamma[1:] ** k)) + tail)
 
 
 #: largest Hermite degree of the variance check: its constants hold k!,
@@ -57,6 +69,10 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
         raise ParameterError(
             f"Monte Carlo cross-check needs n >= 2 for every --n, got "
             f"{short[0]} (use reps=0 for exact-only)")
+    if params.D * k == 1.0:  # gamma(d)^k ~ L^k / d
+        raise ParameterError(
+            f"D*k = 1 (D = {params.D}, k = {k}): the variance grows like "
+            "n log n, with no asymptote of either branch")
     lrd = params.D * k < 1.0
     # the SRD slope k! sum_d gamma(d)^k does not depend on n
     slope = None if lrd else math.factorial(k) * _srd_series_constant(k, params)

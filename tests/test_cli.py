@@ -894,6 +894,19 @@ class TestVerify:
         assert rc == 2
         assert "--n" in err and "Monte Carlo cross-check" in err
 
+    def test_variance_at_dk_1_exits_2(self, capsys, monkeypatch):
+        # Var grows like n log n at D k = 1: neither branch's asymptote
+        def no_work(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(verify, "hermite_sum_std", no_work)
+        rc = cli.main(["verify", "variance", "--D", "0.5", "--k", "2",
+                       "--n", "100", "--n", "10000"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "D*k = 1" in captured.err
+
     def test_variance_exact_only_takes_n_1(self, capsys):
         rc = cli.main(["verify", "variance", "--D", "0.4", "--n", "1",
                        "--reps", "0"])

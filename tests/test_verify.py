@@ -11,9 +11,10 @@ from lrdustat.hermite import (hermite_eval, hermite_sum_std, kernel_table,
 from lrdustat.limit_law import limit_thm1, simulate_hermite
 from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
                               asymptotic_L, replication_rng)
-from lrdustat.verify import (check_reduction, check_variance,
-                             check_weak_convergence, ks_statistic,
-                             normalized_sup_statistics, rank_projection_path)
+from lrdustat.verify import (_srd_series_constant, check_reduction,
+                             check_variance, check_weak_convergence,
+                             ks_statistic, normalized_sup_statistics,
+                             rank_projection_path)
 from lrdustat.ustat import (Kernel, builtin_kernel, cusum_kernel,
                             gaussian_bump_kernel, ustat_naive,
                             wilcoxon_kernel)
@@ -68,6 +69,21 @@ class TestCheckVariance:
         assert row["var_over_n"] == pytest.approx(row["asymptote_slope"],
                                                   rel=0.1)
         assert report["params"]["branch"] == "srd"
+
+    @pytest.mark.parametrize("family", ["fgn", "tweaked"])
+    @pytest.mark.parametrize("D, k", [(0.51, 2), (0.35, 3), (0.4, 3),
+                                      (0.5, 3)],
+                             ids=["Dk-1.02", "Dk-1.05", "Dk-1.2", "Dk-1.5"])
+    def test_srd_constant_does_not_depend_on_the_cut(self, family, D, k):
+        # without its tail the sum to 10^6 lags was 69% low at D k = 1.02
+        params = LrdParams(D=D, family=family)
+        assert _srd_series_constant(k, params, 10 ** 4) == pytest.approx(
+            _srd_series_constant(k, params, 10 ** 6), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("family", ["fgn", "tweaked"])
+    def test_dk_1_refused(self, family):
+        with pytest.raises(ParameterError, match=r"D\*k = 1"):
+            check_variance(2, LrdParams(D=0.5, family=family), [100, 10000])
 
     def test_mc_within_4_sigma(self):
         report = check_variance(1, LrdParams(D=0.4), [512], reps=200, seed=3)
