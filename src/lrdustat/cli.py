@@ -88,9 +88,10 @@ def limit_table(table: hermite.HermiteCoeffTable, d_exp: float, reps: int,
     reps, grid and seed, and by what produced it: the sampler's stream
     version and the package version.  The limit law depends on D and the
     diagonal only, not on the kernel's name or the covariance family, so
-    kernels with one diagonal share a file.  A cache file that does not
-    parse, or whose sample is not ``reps`` finite sorted values, is
-    recomputed and overwritten."""
+    kernels with one diagonal share a file.  A cache file that cannot be
+    read, does not parse, or whose sample is not ``reps`` finite sorted
+    values, is recomputed and overwritten; a table that cannot be written
+    is returned all the same, with one warning on stderr."""
     import hashlib
     import tempfile
 
@@ -105,28 +106,33 @@ def limit_table(table: hermite.HermiteCoeffTable, d_exp: float, reps: int,
     }, sort_keys=True)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     cache_file = _cache_dir() / f"cv_{key}.json"
-    if use_cache and cache_file.exists():
+    if use_cache:
         try:
             cached = limit_law.CriticalValueTable.from_json_dict(
                 json.loads(cache_file.read_text()))
             if cached.sups.shape == (reps,):
                 return cached
-        except (ValueError, KeyError, TypeError):
-            pass  # corrupt cache file: recompute below
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # missing, unreadable or corrupt: recompute below
     ensemble = limit_law.limit_thm1(diagonal, d_exp, grid_size=grid_size,
                                     reps=reps, seed=seed)
     cv_table = limit_law.critical_values(ensemble)
     if use_cache:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
         # write a temp file, then rename: readers never see a partial table
-        fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
-        os.close(fd)
+        tmp = None
         try:
+            cache_file.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
+            os.close(fd)
             Path(tmp).write_text(to_json(cv_table.to_json_dict()))
             os.replace(tmp, cache_file)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            tmp = None
+        except OSError as exc:
+            print(f"warning: critical-value table not cached: {exc}",
+                  file=sys.stderr)
+        finally:
+            if tmp is not None:
+                Path(tmp).unlink(missing_ok=True)
     return cv_table
 
 

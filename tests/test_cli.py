@@ -418,6 +418,78 @@ class TestLimit:
         assert list(isolated_cache.glob("cv_*.json")) == []
 
 
+class TestUnusableCache:
+    """A cache that cannot be read or written costs the cache, not the
+    result: the output is a --no-cache run's."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        if command == "limit":
+            return ["limit", "--kernel", "wilcoxon", "--D", "0.4", "--reps",
+                    "100", "--grid-size", "8"]
+        path = tmp_path / "data.csv"
+        lrd_sim.write_path_csv(lrd_sim.simulate_gaussian(
+            lrd_sim.LrdParams(D=0.4), 200, seed=1), path)
+        return ["detect", "--input", str(path), "--D", "0.4", "--reps",
+                "100", "--grid-size", "8"]
+
+    def uncached_output(self, argv, capsys):
+        assert cli.main(argv + ["--no-cache"]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["limit", "detect"])
+    def test_cache_dir_under_a_regular_file(self, command, tmp_path, capsys,
+                                            monkeypatch):
+        argv = self.argv(command, tmp_path)
+        expected = self.uncached_output(argv, capsys)
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "file" / "cache"))
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err.startswith(
+            "warning: critical-value table not cached: [Errno 20]")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["limit", "detect"])
+    def test_unreadable_cache_file_is_a_miss(self, command, tmp_path, capsys,
+                                             isolated_cache, monkeypatch):
+        argv = self.argv(command, tmp_path)
+        expected = self.uncached_output(argv, capsys)
+        assert cli.main(argv) == 0  # fills the cache
+        capsys.readouterr()
+        read_text = Path.read_text
+
+        def refuse(path, *args, **kwargs):
+            if path.name.startswith("cv_"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        calls = TestLimit.spy_limit_thm1(monkeypatch)
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
+        assert calls == [1]
+        assert len(list(isolated_cache.glob("cv_*.json"))) == 1
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys,
+                                               isolated_cache, monkeypatch):
+        argv = self.argv("limit", tmp_path)
+        expected = self.uncached_output(argv, capsys)
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ("warning: critical-value table not cached: "
+                                "[Errno 28] No space left on device\n")
+        assert list(isolated_cache.iterdir()) == []
+
+
 class TestDetect:
     def _write_data(self, tmp_path, shift):
         from lrdustat.lrd_sim import LrdParams, simulate_gaussian
