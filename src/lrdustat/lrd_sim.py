@@ -106,8 +106,9 @@ def build_covariance(params: LrdParams, max_lag: int) -> np.ndarray:
     gamma(k) = ((k+1)^(2H) - 2 k^(2H) + (k-1)^(2H)) / 2, evaluated as
     k^(2H) ((1 + 1/k)^(2H) - 1 + (1 - 1/k)^(2H) - 1) / 2 with each power
     minus 1 by expm1 and log1p: the three powers cancel, so their sum
-    loses digits like k^2 (1e-5 relative at k = 10^6), and the embedding
-    of a valid fGn at n ~ 10^6 turned indefinite.  Lag 1 is 2^(2H-1) - 1.
+    loses digits like k^2 (1e-5 relative at k = 10^6), enough to make
+    fGn's nonnegative definite embedding indefinite near n = 10^6.
+    Lag 1 is 2^(2H-1) - 1.
     For ``tweaked``, gamma(k) = (1+k)^(-D).
     """
     if max_lag < 0:
