@@ -146,9 +146,7 @@ def cmd_simulate(args) -> None:
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
     values = lrd_sim.simulate_gaussian(params, args.n, args.seed)
     if args.transform == "exp":
-        from scipy.stats import expon
-
-        values = lrd_sim.Subordinator.from_distribution(expon())(values)
+        values = lrd_sim.Subordinator.exp()(values)
     if args.binary:
         lrd_sim.write_path_binary(values, args.out)
     else:
@@ -198,10 +196,6 @@ def cmd_limit(args) -> dict:
 def cmd_detect(args) -> dict:
     from . import hermite, lrd_sim, ustat
 
-    if args.D is None:
-        raise ParameterError(
-            "D must be supplied with --D: the detector normalizes with the "
-            "LRD exponent and estimating D from data is out of scope")
     kernel = ustat.builtin_kernel(args.kernel)
     coeffs = hermite.kernel_table(kernel)
     params = lrd_sim.LrdParams(D=args.D, family=args.family)
@@ -322,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_levels(p)
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", default="wilcoxon")
-    p.add_argument("--D", type=float, default=None)
+    p.add_argument("--D", type=float, required=True)
     add_family(p)
     add_grid_size(p)
     p.add_argument("--no-cache", action="store_true")

@@ -583,12 +583,6 @@ class TestDetect:
             self._run(tmp_path, ["--levels", ""], capsys)
         assert exc.value.code == 2
 
-    def test_missing_D_is_config_error(self, tmp_path, capsys):
-        self._write_data(tmp_path, 0.0)
-        rc = cli.main(["detect", "--input", str(tmp_path / "data.csv")])
-        assert rc == 2
-        assert "--D" in capsys.readouterr().err
-
     @pytest.mark.parametrize("extra", [
         ["--D", "1.5"],
         ["--D", "0.6", "--kernel", "gaussian_bump"],  # m D = 1.2
@@ -780,6 +774,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["verify", "weak", "--family", "bogus", *WEAK],
     ["verify", "variance", "--k", "0", *VARIANCE],
     ["verify", "variance", "--k", "171", *VARIANCE],
+    ["detect", "--input", "x.csv"],
 ], ids=["simulate-reps", "simulate-levels", "simulate-n-1", "coeffs-reps",
         "coeffs-levels", "coeffs-quad-order", "coeffs-negative-Q",
         "coeffs-wilcoxon-Q-400", "coeffs-bump-Q-326", "coeffs-huber-Q-345",
@@ -804,7 +799,7 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "verify-weak-reps-0", "verify-variance-n-0",
         "verify-reduction-n-1", "verify-weak-n-1", "detect-bad-family",
         "verify-weak-bad-family", "verify-variance-k-0",
-        "verify-variance-k-171"])
+        "verify-variance-k-171", "detect-missing-D"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
     # argparse exits 2 through SystemExit; a ParameterError returns 2.
@@ -831,6 +826,9 @@ def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
     for option, floor in (("--grid-size", 2), ("--k", 1)):
         if option in argv and int(argv[argv.index(option) + 1]) < floor:
             assert option in err
+    # and so is a missing required option
+    if argv[0] == "detect" and "--D" not in argv:
+        assert "--D" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1023,11 +1021,12 @@ class TestVerify:
 
 
 # Run in a fresh interpreter: importing the package and the CLI loads
-# neither numpy nor hashlib's OpenSSL (about 0.15 s per process); the CLI's
-# detect and verify reduction/weak paths, and the empirical-process route
-# (class_coeffs, limit_thm2) must not import scipy (about a second per
-# process); the subcommands that need it import it lazily and must still
-# run.  simulate, coeffs, limit and detect never import lrdustat.verify.
+# neither numpy nor hashlib's OpenSSL (about 0.15 s per process); no CLI
+# path, simulate --transform exp included, and not the empirical-process
+# route (class_coeffs, limit_thm2) imports scipy (about a second per
+# process).  statistics (3 ms) is loaded by the exp transform's inverse
+# alone, which class_coeffs reads.  simulate, coeffs, limit and detect
+# never import lrdustat.verify.
 # numpy.ma (15 ms, pulled in by np.quantile) stays out of every CLI stage,
 # and numpy.polynomial (4 ms, the Gauss-Hermite rule's) out of every stage
 # before limit_thm2: each built-in kernel has closed-form coefficients.
@@ -1040,7 +1039,7 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
                                 if m.split(".")[0] == "scipy"),
                 **{m: m in sys.modules
                    for m in ("numpy", "_hashlib", "lrdustat.verify",
-                             "numpy.ma", "numpy.polynomial")}}
+                             "numpy.ma", "numpy.polynomial", "statistics")}}
 
     seen = {"import": watched_modules()}
     import numpy as np
@@ -1078,6 +1077,9 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent("""
     seen["limit_thm2"] = watched_modules()
     rc["simulate_exp"] = cli.main(["simulate", "--D", "0.4", "--n", "64",
                                    "--transform", "exp", "-o", out])
+    seen["simulate_exp"] = watched_modules()
+    class_coeffs(Subordinator.exp(), 3, np.linspace(-2.0, 6.0, 33))
+    seen["class_coeffs_exp"] = watched_modules()
     print(json.dumps({"rc": rc, "seen": seen}))
 """)
 
@@ -1105,14 +1107,18 @@ def test_cli_and_detect_import_no_scipy(tmp_path):
     seen = result["seen"]
     stages = ("import", "coeffs", "limit", "wilcoxon", "cusum",
               "gaussian_bump", "huber:1.345", "tukey:4.685", "verify_weak",
-              "verify_reduction", "limit_thm2")
+              "verify_reduction", "limit_thm2", "simulate_exp",
+              "class_coeffs_exp")
     assert {stage: seen[stage]["scipy"] for stage in seen} == {
         stage: [] for stage in stages}
     assert not seen["import"]["numpy"] and not seen["import"]["_hashlib"]
     before_verify = stages[:stages.index("verify_weak")]
     assert not any(seen[stage]["lrdustat.verify"] for stage in before_verify)
-    assert not any(seen[stage]["numpy.ma"] for stage in stages[:-1])
-    assert not any(seen[stage]["numpy.polynomial"] for stage in stages[:-1])
+    before_thm2 = stages[:stages.index("limit_thm2")]
+    assert not any(seen[stage]["numpy.ma"] for stage in before_thm2)
+    assert not any(seen[stage]["numpy.polynomial"] for stage in before_thm2)
+    assert [stage for stage in stages if seen[stage]["statistics"]] == [
+        "class_coeffs_exp"]
 
 
 class TestProcessEntry:
@@ -1179,7 +1185,7 @@ class TestProcessEntry:
                                "--kernel", "cusum", *self.DETECT)
         assert (overflow.returncode, overflow.stdout) == (1, b"")
         usage = self._child(isolated_cache, "detect", "--input", str(data),
-                            "--bogus")
+                            *self.DETECT, "--bogus")
         assert usage.returncode == 2
         assert b"unrecognized arguments" in usage.stderr
 

@@ -408,6 +408,14 @@ class TestClassCoeffs:
                       for t in g.inverse(self.EXP_GRID)]
             assert np.allclose(cc.J(k), oracle, rtol=0.0, atol=1e-10)
 
+    def test_closed_form_exp_matches_scipy(self):
+        cc = class_coeffs(Subordinator.exp(), 3, self.EXP_GRID)
+        ref = class_coeffs(Subordinator.from_distribution(expon()), 3,
+                           self.EXP_GRID)
+        assert cc.rank == ref.rank
+        np.testing.assert_allclose(cc.values, ref.values, rtol=0.0,
+                                   atol=1e-15)
+
     def test_grid_outside_range_rejected(self):
         g = Subordinator.from_distribution(expon())
         with pytest.raises(ParameterError):

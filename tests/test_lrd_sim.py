@@ -347,6 +347,28 @@ class TestSubordinator:
         g = Subordinator.from_distribution(expon())
         assert g(np.array([])).size == 0
 
+    def test_closed_form_exp_matches_scipy(self):
+        # to |x| = 37, where G is about 690 and the normal tail 1e-300
+        g, ref = Subordinator.exp(), Subordinator.from_distribution(expon())
+        assert g.offset == ref.offset
+        x = np.concatenate([np.linspace(-37.0, 37.0, 20001), [0.0, -0.0]])
+        expected = ref(x)
+        assert np.all(np.abs(g(x) - expected)
+                      <= 2e-15 * np.maximum(1.0, np.abs(expected)))
+        assert g(np.array([])).size == 0
+
+    def test_closed_form_exp_inverse_matches_scipy(self):
+        # centred values at or below -1 lie at or below the range (-inf);
+        # exp(-y) underflows to 0 past y = 745 (+inf)
+        g, ref = Subordinator.exp(), Subordinator.from_distribution(expon())
+        y = np.concatenate([np.linspace(-2.0, 50.0, 20001),
+                            [-1.0, 800.0, np.inf, -np.inf, np.nan]])
+        got, expected = g.inverse(y), ref.inverse(y)
+        finite = np.isfinite(expected)
+        assert np.array_equal(got[~finite], expected[~finite], equal_nan=True)
+        assert np.all(np.abs(got[finite] - expected[finite]) <= 1e-14)
+        assert np.isneginf(got[y <= -1.0]).all()
+
 
 class TestSerialization:
     def test_csv_roundtrip(self, tmp_path):
