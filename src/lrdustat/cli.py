@@ -257,28 +257,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=strict)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def parent(*parents):  # options shared by several commands
+        return argparse.ArgumentParser(add_help=False, parents=parents)
 
     def add_reps(p, floor=None):
         p.add_argument("--reps", default=limit_law.DEFAULT_REPS,
                        type=int if floor is None else int_at_least(floor))
 
-    def add_grid_size(p):
-        p.add_argument("--grid-size", type=int_at_least(2),
-                       default=limit_law.DEFAULT_GRID_SIZE)
-
-    def add_levels(p):
-        p.add_argument("--levels", type=levels_list, default=[0.9, 0.95, 0.99])
-
-    def add_family(p):
-        p.add_argument("--family", default=lrd_sim.FGN,
+    model = parent()  # the LRD model and the seed: every command but coeffs
+    model.add_argument("--seed", type=int, default=0)
+    model.add_argument("--D", type=float, required=True)
+    model.add_argument("--family", default=lrd_sim.FGN,
                        choices=[lrd_sim.FGN, lrd_sim.TWEAKED_POWER_LAW])
+    out = parent()
+    out.add_argument("-o", "--out")
+    grid = parent()
+    grid.add_argument("--grid-size", type=int_at_least(2),
+                      default=limit_law.DEFAULT_GRID_SIZE)
+    table = parent(model, out, grid)  # a critical-value table: limit, detect
+    add_reps(table, limit_law.MIN_TABLE_REPS)
+    table.add_argument("--levels", type=levels_list, default=[0.9, 0.95, 0.99])
+    table.add_argument("--no-cache", action="store_true")
 
-    p = sub.add_parser("simulate", help="simulate an LRD Gaussian path")
-    common(p)
-    add_family(p)
-    p.add_argument("--D", type=float, required=True)
+    p = sub.add_parser("simulate", parents=[model],
+                       help="simulate an LRD Gaussian path")
     p.add_argument("--n", type=int_at_least(2), required=True)
     p.add_argument("--transform", choices=["identity", "exp"],
                    default="identity")
@@ -286,71 +288,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("coeffs", help="Hermite coefficient table of a kernel")
+    p = sub.add_parser("coeffs", parents=[out],
+                       help="Hermite coefficient table of a kernel")
     p.add_argument("--kernel", required=True)
     p.add_argument("--Q", type=int_at_least(1), default=4)
     p.add_argument("--source", choices=["auto", "quadrature", "montecarlo"],
                    default="auto")
     p.add_argument("--pairs", type=int, help="montecarlo only; default 10^6")
     p.add_argument("--seed", type=int, help="montecarlo only; default 0")
-    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("limit", help="simulate limit law, tabulate quantiles")
-    common(p)
-    add_reps(p, limit_law.MIN_TABLE_REPS)
-    add_levels(p)
+    # bench/make_reference.py passes `limit --family`; the limit law does
+    # not depend on it, so it is only checked and recorded in the sidecar
+    p = sub.add_parser("limit", parents=[table],
+                       help="simulate limit law, tabulate quantiles")
     p.add_argument("--kernel", required=True)
-    p.add_argument("--D", type=float, required=True)
-    # bench/make_reference.py passes --family; the limit law does not
-    # depend on it, so it is only checked and recorded in the sidecar
-    add_family(p)
-    add_grid_size(p)
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_limit)
 
-    p = sub.add_parser("detect", help="change-point test on a data file")
-    common(p)
-    add_reps(p, limit_law.MIN_TABLE_REPS)
-    add_levels(p)
+    p = sub.add_parser("detect", parents=[table],
+                       help="change-point test on a data file")
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", default="wilcoxon")
-    p.add_argument("--D", type=float, required=True)
-    add_family(p)
-    add_grid_size(p)
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("verify", help="Monte Carlo checks of the asymptotics")
     p.set_defaults(func=cmd_verify)
     experiments = p.add_subparsers(dest="experiment", required=True,
                                    parser_class=strict)
-    shared = argparse.ArgumentParser(add_help=False)  # all experiments
-    common(shared)
-    shared.add_argument("--D", type=float, required=True)
-    add_family(shared)
-    shared.add_argument("-o", "--out")
     # reduction and weak draw samples, which need n >= 2 and reps >= 1
     # (reduction's standard error needs reps >= 2); variance --reps 0 runs
     # the exact quadratic form only
-    e = experiments.add_parser("variance", parents=[shared])
+    e = experiments.add_parser("variance", parents=[model, out])
     add_reps(e)
     e.add_argument("--n", type=int_at_least(1), action="append", required=True)
     e.add_argument("--k", type=int_at_least(1), default=1,
                    help="Hermite degree")
-    e = experiments.add_parser("reduction", parents=[shared])
+    e = experiments.add_parser("reduction", parents=[model, out])
     add_reps(e, 2)
     e.add_argument("--n", type=int_at_least(2), action="append", required=True)
     e.add_argument("--kernel", default="cusum")
-    e = experiments.add_parser("weak", parents=[shared])
+    e = experiments.add_parser("weak", parents=[model, out, grid])
     add_reps(e, 1)
     e.add_argument("--n", type=int_at_least(2), required=True)
     e.add_argument("--kernel", default="cusum")
     e.add_argument("--limit-reps", type=int_at_least(1),
                    default=limit_law.DEFAULT_REPS)
-    add_grid_size(e)
     return parser
 
 

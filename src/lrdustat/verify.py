@@ -24,11 +24,14 @@ from .lrd_sim import FGN, CirculantEmbedding, LrdParams, asymptotic_L, \
 from .ustat import Kernel, changepoint_statistic, ustat_factored, ustat_fast
 
 
-def _srd_series_constant(k: int, params: LrdParams, cut: int = 10 ** 4) -> float:
+def _series_constant(k: int, params: LrdParams, cut: int = 10 ** 4) -> float:
     """sum over all integer lags of gamma(d)^k, which converges when Dk > 1:
     the lags up to ``cut`` term by term, the rest by Euler-Maclaurin from
     the family's tail, gamma(d)^k ~ L^k d^(-Dk) for fgn and = (1+d)^(-Dk)
-    for tweaked.  At Dk = 1.02 the lags past 10^6 hold 69% of the sum."""
+    for tweaked.  At Dk = 1.02 the lags past 10^6 hold 69% of the sum.
+    Below Dk = 1 the same tail continues the sum analytically (as zeta(s)
+    continues sum d^-s): the coefficient of n in the two-term expansion of
+    the partial-sum variance."""
     gamma = build_covariance(params, cut)
     s = params.D * k
     if params.family == FGN:
@@ -53,7 +56,11 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
 
     In the LRD branch (Dk < 1) the asymptote is c_k n^(2-Dk) L(n)^k; in the
     SRD branch (Dk > 1) the variance grows linearly and the report tracks
-    Var/n.  reps = 0 runs the exact quadratic form only; a Monte Carlo
+    Var/n.  Both branches also report the two-term asymptote k! C n +
+    c_k L(n)^k n^(2-Dk), C = sum_d gamma(d)^k (null at Dk = 2, where the
+    second term is logarithmic, and wherever it is not finite): near
+    Dk = 1 each branch's leading term alone is far from the variance.
+    reps = 0 runs the exact quadratic form only; a Monte Carlo
     cross-check needs reps >= 100 and every n >= 2.
     """
     if k < 1:
@@ -73,9 +80,15 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
         raise ParameterError(
             f"D*k = 1 (D = {params.D}, k = {k}): the variance grows like "
             "n log n, with no asymptote of either branch")
-    lrd = params.D * k < 1.0
-    # the SRD slope k! sum_d gamma(d)^k does not depend on n
-    slope = None if lrd else math.factorial(k) * _srd_series_constant(k, params)
+    s = params.D * k
+    lrd = s < 1.0
+    # k! sum_d gamma(d)^k, the SRD slope; it does not depend on n
+    slope = math.factorial(k) * _series_constant(k, params)
+    # Var ~ slope n + c_k L(n)^k n^(2-Dk) on both branches, with
+    # c_k = 2 k!/((1-Dk)(2-Dk)) written out, as c_constant refuses Dk >= 1;
+    # at Dk = 2 the second term is logarithmic, and the sum is reported null
+    c_k = (math.nan if s == 2.0
+           else 2.0 * math.factorial(k) / ((1.0 - s) * (2.0 - s)))
     per_n = {}
     for n in n_list:
         n = int(n)
@@ -90,6 +103,13 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
         else:
             row["var_over_n"] = exact / n
             row["asymptote_slope"] = slope
+        # Python floats: an overflow is inf or nan, reported as null
+        two_term = (slope * n
+                    + c_k * asymptotic_L(params, n) ** k * n ** (2.0 - s))
+        ratio = exact / two_term if two_term else math.nan
+        finite = math.isfinite(two_term) and math.isfinite(ratio)
+        row["two_term_asymptote"] = two_term if finite else None
+        row["two_term_ratio"] = ratio if finite else None
         if reps:
             sums = replicate([CirculantEmbedding(params, n)], reps, seed,
                              lambda xi: np.sum(hermite_eval(k, xi)))

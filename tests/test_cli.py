@@ -924,6 +924,54 @@ def test_make_reference_argv_parses(tmp_path, monkeypatch):
         assert args.levels == make_reference.LEVELS
 
 
+# each command with its required options; a shared option's fragment goes
+# after them, so that it overrides a value they set
+COMMAND_ARGV = {
+    "simulate": ["simulate", "--D", "0.4", "--n", "64", "-o", "x.csv"],
+    "coeffs": ["coeffs", "--kernel", "cusum"],
+    "limit": ["limit", "--kernel", "cusum", "--D", "0.4"],
+    "detect": ["detect", "--input", "x.csv", "--D", "0.4"],
+    "verify variance": ["verify", "variance", *VARIANCE],
+    "verify reduction": ["verify", "reduction", *REDUCTION],
+    "verify weak": ["verify", "weak", *WEAK],
+}
+
+# option: (fragment, its parsed value, a fragment argparse rejects)
+SHARED_OPTIONS = {
+    "--seed": (["--seed", "7"], 7, ["--seed", "x"]),
+    "--D": (["--D", "0.3"], 0.3, ["--D", "x"]),
+    "--family": (["--family", "tweaked"], "tweaked", ["--family", "bogus"]),
+    "--grid-size": (["--grid-size", "16"], 16, ["--grid-size", "1"]),
+    "--levels": (["--levels", "0.95,0.9"], [0.95, 0.9], ["--levels", "1.5"]),
+    "--no-cache": (["--no-cache"], True, ["--no-cache=yes"]),
+    "--out": (["-o", "r.json"], "r.json", ["-o"]),
+    # the critical-value table's floor; each verify experiment has its own
+    "--reps": (["--reps", "250"], 250, ["--reps", "99"]),
+}
+
+
+@pytest.mark.parametrize("option", list(SHARED_OPTIONS))
+def test_shared_option_parses_alike_in_every_command(option, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+    fragment, value, bad = SHARED_OPTIONS[option]
+    if option == "--reps":
+        commands = ["limit", "detect"]
+    else:
+        commands = [c for c, options in
+                    _leaf_options(cli.build_parser()).items()
+                    if option in options]
+    assert len(commands) >= 2
+    dest = option.lstrip("-").replace("-", "_")
+    for command in commands:
+        args = cli.build_parser().parse_args(COMMAND_ARGV[command] + fragment)
+        assert getattr(args, dest) == value, command
+        with pytest.raises(SystemExit) as exc:
+            cli.main(COMMAND_ARGV[command] + bad)
+        assert exc.value.code == 2, command
+        assert f"argument {bad[0].split('=')[0]}" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_variance_exact_value_printed(self, capsys):
         rc = cli.main(["verify", "variance", "--k", "1", "--D", "0.5",
@@ -976,6 +1024,23 @@ class TestVerify:
         assert rc == 2
         assert captured.out == ""
         assert "D*k = 1" in captured.err
+
+    def test_variance_two_term_asymptote(self, capsys):
+        # the leading term misses the term linear in n near D k = 1
+        rc = cli.main(["verify", "variance", "--D", "0.49", "--k", "2",
+                       "--n", "1000", "--reps", "0"])
+        assert rc == 0
+        row = json.loads(capsys.readouterr().out)["per_n"]["1000"]
+        assert row["ratio"] == pytest.approx(0.186, abs=5e-4)
+        assert row["two_term_ratio"] == pytest.approx(1.0, abs=1e-3)
+
+    def test_variance_two_term_asymptote_is_null_at_dk_2(self, capsys):
+        rc = cli.main(["verify", "variance", "--D", "0.5", "--k", "4",
+                       "--n", "100", "--reps", "0"])
+        assert rc == 0
+        row = json.loads(capsys.readouterr().out)["per_n"]["100"]
+        assert row["two_term_asymptote"] is None
+        assert row["two_term_ratio"] is None
 
     def test_variance_exact_only_takes_n_1(self, capsys):
         rc = cli.main(["verify", "variance", "--D", "0.4", "--n", "1",

@@ -11,7 +11,7 @@ from lrdustat.hermite import (hermite_eval, hermite_sum_std, kernel_table,
 from lrdustat.limit_law import limit_thm1, simulate_hermite
 from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
                               asymptotic_L, replication_rng)
-from lrdustat.verify import (_srd_series_constant, check_reduction,
+from lrdustat.verify import (_series_constant, check_reduction,
                              check_variance, check_weak_convergence,
                              ks_statistic, normalized_sup_statistics,
                              rank_projection_path)
@@ -77,8 +77,8 @@ class TestCheckVariance:
     def test_srd_constant_does_not_depend_on_the_cut(self, family, D, k):
         # without its tail the sum to 10^6 lags was 69% low at D k = 1.02
         params = LrdParams(D=D, family=family)
-        assert _srd_series_constant(k, params, 10 ** 4) == pytest.approx(
-            _srd_series_constant(k, params, 10 ** 6), rel=1e-9, abs=0.0)
+        assert _series_constant(k, params, 10 ** 4) == pytest.approx(
+            _series_constant(k, params, 10 ** 6), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("family", ["fgn", "tweaked"])
     def test_dk_1_refused(self, family):
@@ -106,6 +106,61 @@ class TestCheckVariance:
         a = check_variance(1, LrdParams(D=0.4), [256], reps=120, seed=9)
         b = check_variance(1, LrdParams(D=0.4), [256], reps=120, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("D", [0.4, 0.45, 0.49, 0.51, 0.6],
+                             ids=["Dk-0.8", "Dk-0.9", "Dk-0.98", "Dk-1.02",
+                                  "Dk-1.2"])
+    def test_two_term_asymptote_fgn(self, D):
+        # at D k = 0.98 the leading term alone gives ratio 0.186
+        row = check_variance(2, LrdParams(D=D), [1000])["per_n"][1000]
+        assert abs(row["two_term_ratio"] - 1.0) <= 1e-3
+
+    def test_two_term_asymptote_tweaked_approaches_the_variance(self):
+        params = LrdParams(D=0.49, family=TWEAKED_POWER_LAW)
+        rows = check_variance(2, params, [10 ** 3, 10 ** 5])["per_n"]
+        gaps = [abs(rows[n]["two_term_ratio"] - 1.0)
+                for n in (10 ** 3, 10 ** 5)]
+        assert gaps[1] < gaps[0]
+
+    @pytest.mark.parametrize("D, k", [(0.5, 4), (0.4, 5), (2 / 170, 170),
+                                      (math.nextafter(2 / 170, 1.0), 170)],
+                             ids=["Dk-2", "Dk-2-k-5", "Dk-2-k-170",
+                                  "c_k-overflows"])
+    def test_two_term_asymptote_null(self, D, k):
+        # at D k = 2 the second term is logarithmic; just above it c_k
+        # overflows.  Every other field is finite.
+        row = check_variance(k, LrdParams(D=D), [2, 100])["per_n"][2]
+        assert row["two_term_asymptote"] is None
+        assert row["two_term_ratio"] is None
+        assert all(math.isfinite(v) for v in row.values() if v is not None)
+
+    @pytest.mark.parametrize("family, D, k, n, fields", [
+        ("fgn", 0.4, 1, 4096, {"exact_var": 602248.7631446893,
+                               "asymptote": 602248.763144686,
+                               "ratio": 1.0000000000000053}),
+        ("fgn", 0.49, 2, 1000, {"exact_var": 6209.2138560378835,
+                                "asymptote": 33378.28967278176,
+                                "ratio": 0.1860255248818567}),
+        ("tweaked", 0.3, 3, 500, {"exact_var": 42078.88096428891,
+                                  "asymptote": 101361.87049956637,
+                                  "ratio": 0.4151352057425669}),
+        ("fgn", 0.51, 2, 1000, {"exact_var": 5409.667161668265,
+                                "var_over_n": 5.409667161668265,
+                                "asymptote_slope": 29.096478522250273}),
+        ("tweaked", 0.35, 3, 2000, {"exact_var": 136515.31460442184,
+                                    "var_over_n": 68.25765730221092,
+                                    "asymptote_slope": 240.97013162444486}),
+        ("fgn", 0.5, 4, 100, {"exact_var": 2598.266471371035,
+                              "var_over_n": 25.98266471371035,
+                              "asymptote_slope": 26.04650438695029}),
+    ])
+    def test_leading_term_fields_are_pinned(self, family, D, k, n, fields):
+        # the leading-term fields keep their values; the tolerance leaves
+        # room for the last bits of another BLAS
+        row = check_variance(k, LrdParams(D=D, family=family), [n])["per_n"][n]
+        assert list(row) == [*fields, "two_term_asymptote", "two_term_ratio"]
+        for name, value in fields.items():
+            assert row[name] == pytest.approx(value, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("D", [0.4, 0.005])
     def test_degree_above_170_rejected(self, D):
