@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                        type=int if floor is None else int_at_least(floor))
 
     model = parent()  # the LRD model and the seed: every command but coeffs
-    model.add_argument("--seed", type=int, default=0)
+    model.add_argument("--seed", type=int_at_least(0), default=0)
     model.add_argument("--D", type=float, required=True)
     model.add_argument("--family", default=lrd_sim.FGN,
                        choices=[lrd_sim.FGN, lrd_sim.TWEAKED_POWER_LAW])
@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=["auto", "quadrature", "montecarlo"],
                    default="auto")
     p.add_argument("--pairs", type=int, help="montecarlo only; default 10^6")
-    p.add_argument("--seed", type=int, help="montecarlo only; default 0")
+    p.add_argument("--seed", type=int_at_least(0),
+                   help="montecarlo only; default 0")
     p.set_defaults(func=cmd_coeffs)
 
     # bench/make_reference.py passes `limit --family`; the limit law does

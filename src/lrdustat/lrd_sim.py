@@ -45,17 +45,20 @@ PATH_MAGIC = b"LRDUSTAT-PATH\x00\x00\x00"
 #: results keyed on it are not served stale.
 STREAM_VERSION = 7
 
-_MASK64 = (1 << 64) - 1
-
 
 def replication_rng(seed: int, rep: int = 0) -> np.random.Generator:
     """Counter-based generator for Monte Carlo replication ``rep``.
 
     Uses the Philox bit generator keyed by (seed, rep), so replications are
     independent streams and any (seed, rep) pair is reproducible without
-    generating the preceding replications.
+    generating the preceding replications.  Both must lie in [0, 2^64),
+    the key's two halves: outside it two seeds would share a stream.
     """
-    key = ((int(seed) & _MASK64) << 64) | (int(rep) & _MASK64)
+    seed, rep = int(seed), int(rep)
+    if not (0 <= seed < 1 << 64 and 0 <= rep < 1 << 64):
+        raise ParameterError(
+            f"seed and rep must be in [0, 2^64), got seed {seed}, rep {rep}")
+    key = (seed << 64) | rep
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ParameterError
-from .hermite import (HermiteCoeffTable, c_constant, check_regime,
-                      hermite_eval, hermite_sum_std, kernel_table)
+from .hermite import (HermiteCoeffTable, check_regime, hermite_eval,
+                      hermite_sum_std, kernel_table)
 from .limit_law import limit_thm1
 from .lrd_sim import FGN, CirculantEmbedding, LrdParams, asymptotic_L, \
     build_covariance, replicate
@@ -76,11 +76,11 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
         raise ParameterError(
             f"Monte Carlo cross-check needs n >= 2 for every --n, got "
             f"{short[0]} (use reps=0 for exact-only)")
-    if params.D * k == 1.0:  # gamma(d)^k ~ L^k / d
+    s = params.D * k
+    if s == 1.0:  # gamma(d)^k ~ L^k / d
         raise ParameterError(
             f"D*k = 1 (D = {params.D}, k = {k}): the variance grows like "
             "n log n, with no asymptote of either branch")
-    s = params.D * k
     lrd = s < 1.0
     # k! sum_d gamma(d)^k, the SRD slope; it does not depend on n
     slope = math.factorial(k) * _series_constant(k, params)
@@ -93,19 +93,17 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
     for n in n_list:
         n = int(n)
         exact = hermite_sum_std(params, k, n) ** 2
+        # the LRD asymptote, and the second term of the two-term one
+        lead = c_k * n ** (2.0 - s) * asymptotic_L(params, n) ** k
         row = {"exact_var": exact}
         if lrd:
-            asym = (c_constant(params.D, k)
-                    * n ** (2.0 - params.D * k)
-                    * asymptotic_L(params, n) ** k)
-            row["asymptote"] = asym
-            row["ratio"] = exact / asym
+            row["asymptote"] = lead
+            row["ratio"] = exact / lead
         else:
             row["var_over_n"] = exact / n
             row["asymptote_slope"] = slope
         # Python floats: an overflow is inf or nan, reported as null
-        two_term = (slope * n
-                    + c_k * asymptotic_L(params, n) ** k * n ** (2.0 - s))
+        two_term = slope * n + lead
         ratio = exact / two_term if two_term else math.nan
         finite = math.isfinite(two_term) and math.isfinite(ratio)
         row["two_term_asymptote"] = two_term if finite else None
@@ -201,12 +199,11 @@ def check_weak_convergence(kernel: Kernel, params: LrdParams, n: int,
     """Two-sample KS distance between ``reps`` normalized sup-statistics at
     sample size ``n`` and ``limit_reps`` sups of the kernel's Theorem-1 limit
     law on a grid of ``grid_size`` points, drawn from ``seed + 1``."""
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
     table = kernel_table(kernel)
+    # the data first: replicate refuses reps < 1 before any limit-law draw
+    sups = normalized_sup_statistics(kernel, table, params, n, reps, seed)
     limit = limit_thm1(table.diagonal(table.rank), params.D,
                        grid_size=grid_size, reps=limit_reps, seed=seed + 1)
-    sups = normalized_sup_statistics(kernel, table, params, n, reps, seed)
     limit_sups = limit.sup_abs()
     ks = ks_statistic(sups, limit_sups)
     per_n = {n: {"ks_distance": ks,

@@ -972,6 +972,47 @@ def test_shared_option_parses_alike_in_every_command(option, tmp_path,
         assert f"argument {bad[0].split('=')[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", list(COMMAND_ARGV))
+def test_negative_seed_exits_2_at_parse_time(command, tmp_path, monkeypatch,
+                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    assert "--seed" in _leaf_options(cli.build_parser())[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(COMMAND_ARGV[command] + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+LIMIT_SMALL = ["limit", "--kernel", "wilcoxon", "--D", "0.4", "--reps", "100",
+               "--grid-size", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*LIMIT_SMALL, "--seed", str(2 ** 64)],
+    ["verify", "weak", *WEAK, "--seed", str(2 ** 64 - 1)],
+], ids=["limit-seed-2^64", "verify-weak-seed-2^64-1"])
+def test_seed_beyond_the_key_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # 2^64 would draw seed 0's stream; verify weak draws its limit law
+    # from seed + 1
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "-o", "result.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: seed and rep must be in [0, 2^64)")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_seed_runs(tmp_path):
+    out = tmp_path / "limit.json"
+    assert cli.main([*LIMIT_SMALL, "--seed", str(2 ** 64 - 1),
+                     "-o", str(out)]) == 0
+    assert np.all(np.isfinite(
+        json.loads(out.read_text())["quantiles"]["values"]))
+    sidecar = json.loads((tmp_path / "limit.json.json").read_text())
+    assert sidecar["seed"] == 2 ** 64 - 1
+
+
 class TestVerify:
     def test_variance_exact_value_printed(self, capsys):
         rc = cli.main(["verify", "variance", "--k", "1", "--D", "0.5",

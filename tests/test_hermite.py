@@ -20,9 +20,9 @@ from lrdustat.hermite import (CONVERGENT_LIKELY, DIVERGENT_LIKELY,
                               wilcoxon_coeff_closed_form)
 from lrdustat.limit_law import limit_thm1, simulate_hermite, thm1_law
 from lrdustat.lrd_sim import QUAD_ORDER, TWEAKED_POWER_LAW, Subordinator
-from lrdustat.ustat import (OddScore, builtin_kernel, changepoint_statistic,
-                            cusum_kernel, gaussian_bump_kernel,
-                            wilcoxon_kernel)
+from lrdustat.ustat import (Kernel, OddScore, builtin_kernel,
+                            changepoint_statistic, cusum_kernel,
+                            gaussian_bump_kernel, wilcoxon_kernel)
 from lrdustat.verify import check_reduction
 
 
@@ -347,6 +347,19 @@ class TestRank:
         table = closed_form_table(lambda k, l: 0.0, 3)
         assert table.rank is None
         assert rank_2d(table) is None
+
+    def test_kernel_table_without_a_rank_refused(self):
+        flat = Kernel(name="flat", eval=lambda x, y: 0.0 * (x - y),
+                      coeff_provider=lambda k, l: 0.0)
+        with pytest.raises(ParameterError,
+                           match="cannot detect rank of kernel 'flat'"):
+            kernel_table(flat)
+
+    def test_entry_beyond_total_degree_refused(self):
+        table = closed_form_table(wilcoxon_coeff_closed_form, 2)
+        assert table.get(1, 1) == 0.0
+        with pytest.raises(ParameterError, match="beyond total degree 2"):
+            table.get(2, 1)
 
     @pytest.mark.parametrize("c", [1e-6, 0.5, 3.0, 1e4])
     def test_rank_invariant_under_scaling(self, c):

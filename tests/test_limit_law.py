@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -500,6 +501,16 @@ class TestThm2:
         assert np.allclose(ens.paths, expected, atol=1e-4)
         # the CUSUM kernel is unbounded, so a TV warning must be attached
         assert ens.warnings
+
+    def test_tv_probe_above_the_declared_bound_warns(self, identity_class,
+                                                     driver):
+        # the Wilcoxon indicator varies by 1 in each argument
+        kernel = dataclasses.replace(wilcoxon_kernel(), tv_bound=0.5)
+        ens = limit_thm2(kernel, Subordinator.identity(), identity_class,
+                         driver)
+        assert ens.warnings == ["TV probe 1 exceeds declared bound 0.5"]
+        assert limit_thm2(wilcoxon_kernel(), Subordinator.identity(),
+                          identity_class, driver).warnings == []
 
     def test_zero_kernel(self, identity_class, driver):
         zero = Kernel(name="zero",

@@ -232,6 +232,24 @@ class TestReplicate:
         assert not values.flags.writeable
 
 
+class TestReplicationRng:
+    # masked to 64 bits, seed -1 drew seed 2^64 - 1's stream and seed 2^64
+    # drew seed 0's
+    @pytest.mark.parametrize("seed, rep", [(-1, 0), (2 ** 64, 0), (0, -1),
+                                           (0, 2 ** 64)],
+                             ids=["seed-minus-1", "seed-2^64", "rep-minus-1",
+                                  "rep-2^64"])
+    def test_outside_the_key_range_refused(self, seed, rep):
+        with pytest.raises(ParameterError, match=r"\[0, 2\^64\)"):
+            replication_rng(seed, rep)
+
+    def test_range_ends_are_streams_of_their_own(self):
+        top = 2 ** 64 - 1
+        draws = [replication_rng(seed, rep).standard_normal(4)
+                 for seed, rep in ((0, 0), (top, 0), (0, top), (top, top))]
+        assert len({d.tobytes() for d in draws}) == 4
+
+
 class TestEmbeddingLength:
     def test_smallest_five_smooth_size(self):
         smooth = five_smooth_up_to(20000)
@@ -316,6 +334,19 @@ class TestSimulateGaussian:
         monkeypatch.setattr(lrd_sim, "build_covariance", non_embeddable_cov)
         with pytest.raises(NonEmbeddableError):
             CirculantEmbedding(LrdParams(D=0.5, family=TWEAKED_POWER_LAW), 3)
+
+    def test_small_negative_eigenvalues_are_clipped(self, monkeypatch):
+        # gamma = (1, 0.5 + 1e-12, 0, ...) embeds with eigenvalue 1 - 2
+        # gamma(1) = -2e-12, within EMBED_TOL of the largest, 2
+        def cov(params, max_lag):
+            gamma = np.zeros(max_lag + 1)
+            gamma[:2] = 1.0, 0.5 + 1e-12
+            return gamma
+
+        monkeypatch.setattr(lrd_sim, "build_covariance", cov)
+        with pytest.warns(RuntimeWarning, match="clipped"):
+            emb = CirculantEmbedding(LrdParams(D=0.4), 8)
+        assert np.all(np.isfinite(emb.sample(replication_rng(0))))
 
     def test_n_too_small(self):
         with pytest.raises(ParameterError):

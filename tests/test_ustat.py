@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -53,6 +54,13 @@ class TestHandExamples:
 
 
 class TestOracleEquivalence:
+    def test_fast_without_a_path_is_the_recursion(self):
+        # a kernel without a path of its own runs ustat_incremental
+        kernel = dataclasses.replace(gaussian_bump_kernel(), path=None)
+        data = replication_rng(5, 0).standard_normal(40)
+        assert np.allclose(ustat_fast(data, kernel),
+                           ustat_naive(data, kernel), rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("kernel_fn", [cusum_kernel, wilcoxon_kernel,
                                            gaussian_bump_kernel,
                                            lambda: huber_kernel(1.345),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lrdustat import verify
 from lrdustat.cli import to_json
 from lrdustat.errors import ParameterError, RegimeError
 from lrdustat.hermite import (hermite_eval, hermite_sum_std, kernel_table,
@@ -162,6 +163,37 @@ class TestCheckVariance:
         for name, value in fields.items():
             assert row[name] == pytest.approx(value, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("family", ["fgn", "tweaked"])
+    @pytest.mark.parametrize("D, k", [(0.2, 1), (0.3, 2), (0.1, 4),
+                                      (0.49, 2)],
+                             ids=["Dk-0.2", "Dk-0.6", "Dk-0.4", "Dk-0.98"])
+    def test_lrd_two_term_asymptote_adds_the_slope(self, family, D, k):
+        # the LRD asymptote is the second term of the two-term one
+        params = LrdParams(D=D, family=family)
+        slope = math.factorial(k) * _series_constant(k, params)
+        for n, row in check_variance(k, params, [2, 100, 10 ** 4])[
+                "per_n"].items():
+            two_term = row["two_term_asymptote"]
+            assert abs(two_term - row["asymptote"] - slope * n) \
+                <= 1e-12 * abs(two_term)
+
+    @pytest.mark.parametrize("family", ["fgn", "tweaked"])
+    @pytest.mark.parametrize("D, k", [(0.51, 2), (0.4, 3), (0.3, 5)],
+                             ids=["Dk-1.02", "Dk-1.2", "Dk-1.5"])
+    def test_srd_two_term_asymptote_adds_the_lrd_term(self, family, D, k):
+        params = LrdParams(D=D, family=family)
+        c_k = 2.0 * math.factorial(k) / ((1.0 - D * k) * (2.0 - D * k))
+        for n, row in check_variance(k, params, [2, 100, 10 ** 4])[
+                "per_n"].items():
+            two_term = row["two_term_asymptote"]
+            lead = c_k * asymptotic_L(params, n) ** k * n ** (2.0 - D * k)
+            assert abs(two_term - row["asymptote_slope"] * n - lead) \
+                <= 1e-12 * abs(two_term)
+
+    def test_degree_0_rejected(self):
+        with pytest.raises(ParameterError, match="k must be >= 1"):
+            check_variance(0, LrdParams(D=0.4), [10])
+
     @pytest.mark.parametrize("D", [0.4, 0.005])
     def test_degree_above_170_rejected(self, D):
         # 171! overflows float64, in both the SRD and the LRD branch
@@ -293,6 +325,21 @@ class TestWeakConvergence:
         assert row["ks_distance"] == ks_statistic(sups, limit.sup_abs())
         assert row["mean_sup_limit"] == float(np.mean(limit.sup_abs()))
         assert report["params"]["limit_descriptor"] == limit.descriptor
+
+    def test_zero_reps_refused_before_the_limit_law(self, monkeypatch):
+        def no_limit_law(*args, **kwargs):
+            raise AssertionError("limit_thm1 called")
+
+        monkeypatch.setattr(verify, "limit_thm1", no_limit_law)
+        with pytest.raises(ParameterError, match="reps must be >= 1"):
+            check_weak_convergence(cusum_kernel(), LrdParams(D=0.4), 64, 0,
+                                   40, 16)
+
+    def test_largest_seed_refused(self):
+        # the limit law's seed + 1 = 2^64 would draw seed 0's stream
+        with pytest.raises(ParameterError, match=r"2\^64"):
+            check_weak_convergence(cusum_kernel(), LrdParams(D=0.4), 64, 2,
+                                   20, 8, seed=2 ** 64 - 1)
 
     def test_normalized_sups_center_defaults_to_a00(self):
         params = LrdParams(D=0.4)
