@@ -66,13 +66,12 @@ def _triangle(Q: int) -> np.ndarray:
 class HermiteCoeffTable:
     """Truncated coefficient matrix a_{kl} for total degrees k+l <= Q.
 
-    ``entries`` may be given as a full (Q+1, Q+1) matrix: entries with
+    ``entries`` is a full (Q+1, Q+1) matrix, which fixes Q: entries with
     k+l > Q are set to NaN (unset).  ``rank`` is computed by
     :func:`rank_2d`: the smallest k+l >= 1 with |a_{kl}| > tol, or None if
     undetectable at this Q.
     """
 
-    Q: int
     entries: np.ndarray
     source: str
     tol: float
@@ -82,6 +81,10 @@ class HermiteCoeffTable:
     def __post_init__(self):
         self.entries = np.where(_triangle(self.Q), self.entries, np.nan)
         self.rank = rank_2d(self)
+
+    @property
+    def Q(self) -> int:
+        return self.entries.shape[0] - 1
 
     @property
     def a00(self) -> float:
@@ -130,7 +133,7 @@ def coeffs_2d(kernel, Q: int) -> HermiteCoeffTable:
     warns = []
     if getattr(kernel, "discontinuous", False):
         warns.append("quadrature-on-discontinuous-kernel")
-    return HermiteCoeffTable(Q, design @ hv @ design.T, QUADRATURE,
+    return HermiteCoeffTable(design @ hv @ design.T, QUADRATURE,
                              1e-8 * math.sqrt(1.0 + second_moment), warns)
 
 
@@ -185,7 +188,7 @@ def coeffs_2d_montecarlo(kernel, Q: int, pairs: int, seed: int = 0):
         raise ParameterError(
             f"Monte Carlo coefficients of total degree {s} overflow float64; "
             f"use Q < {s}")
-    return HermiteCoeffTable(Q, entries, MONTE_CARLO, 1e-8), errors
+    return HermiteCoeffTable(entries, MONTE_CARLO, 1e-8), errors
 
 
 #: largest total degree k+l of the Wilcoxon closed form: Gamma(s/2)
@@ -330,7 +333,7 @@ def closed_form_table(provider, Q: int) -> HermiteCoeffTable:
     inside = _triangle(Q)
     entries = np.zeros(inside.shape)
     entries[inside] = [provider(k, l) for k, l in zip(*np.nonzero(inside))]
-    return HermiteCoeffTable(Q, entries, CLOSED_FORM, 1e-12)
+    return HermiteCoeffTable(entries, CLOSED_FORM, 1e-12)
 
 
 def kernel_table(kernel) -> HermiteCoeffTable:
@@ -372,7 +375,6 @@ class ClassCoeffs:
     grid: np.ndarray
     values: np.ndarray  # shape (k_max, len(grid)); row k-1 holds J_k
     rank: int
-    tol: float
 
     def J(self, k: int) -> np.ndarray:
         return self.values[k - 1]
@@ -410,8 +412,7 @@ def class_coeffs(g: Subordinator, k_max: int, grid) -> ClassCoeffs:
         raise ParameterError(
             f"no class coefficient J_1..J_{k_max} above {tol:g} on the grid; "
             "does it miss the range of G?")
-    return ClassCoeffs(grid=grid, values=values, rank=int(above[0]) + 1,
-                       tol=tol)
+    return ClassCoeffs(grid=grid, values=values, rank=int(above[0]) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +486,6 @@ def _classify_increments(partial, abs_tol: float = 1e-9) -> str:
 class ScalingConstants:
     """All normalization constants for a given (D, m, n) and L(n)."""
 
-    D: float
-    m: int
-    n: int
     c_m: float
     d_n: float
     d_n_prime: float
@@ -538,8 +536,8 @@ def scaling(D: float, m: int, n: int, L_at_n: float) -> ScalingConstants:
     c_m = c_constant(D, m)
     d_n_prime = math.sqrt(n ** (2.0 - m * D) * L_at_n ** m)
     d_n = math.sqrt(c_m) * d_n_prime
-    return ScalingConstants(D=D, m=m, n=n, c_m=c_m, d_n=d_n,
-                            d_n_prime=d_n_prime, H=1.0 - D * m / 2.0)
+    return ScalingConstants(c_m=c_m, d_n=d_n, d_n_prime=d_n_prime,
+                            H=1.0 - D * m / 2.0)
 
 
 def hermite_sum_std(params, m: int, n: int) -> float:

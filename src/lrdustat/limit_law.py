@@ -58,12 +58,15 @@ def default_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 
 @dataclass
 class LimitEnsemble:
-    """Monte Carlo paths of a limit process (or functional) on a lambda grid."""
+    """Monte Carlo paths of a limit process (or functional) on the grid j/G."""
 
-    grid: np.ndarray
-    paths: np.ndarray  # shape (reps, len(grid))
+    paths: np.ndarray  # shape (reps, G + 1): the grid and reps are read here
     descriptor: dict
     warnings: list = field(default_factory=list)
+
+    @property
+    def grid(self) -> np.ndarray:
+        return default_grid(self.paths.shape[1] - 1)
 
     @property
     def reps(self) -> int:
@@ -182,9 +185,8 @@ def simulate_hermite(m: int, D: float, grid_size: int, reps: int,
     draw = resolve_draw([m], D, grid_size)
     paths = _hermite_partial_paths([m], D, grid_size, reps, draw, seed,
                                    lambda z: z[m])
-    return LimitEnsemble(grid=default_grid(grid_size), paths=paths,
-                         descriptor={"process": "hermite", "m": m, "D": D,
-                                     **draw})
+    return LimitEnsemble(paths=paths, descriptor={"process": "hermite",
+                                                  "m": m, "D": D, **draw})
 
 
 def thm1_law(entries: dict, D: float, grid_size: int, N_aux=None) -> dict:
@@ -242,8 +244,7 @@ def limit_thm1(entries: dict, D: float, grid_size: int = DEFAULT_GRID_SIZE,
             f"Z_2 drawn uncorrected at N_aux = {n_aux}: skewness of Z_2(1) "
             f"{hermite2_sum_skewness(LrdParams(D=D, family=FGN), n_aux):.4f}"
             f" against the limit's {rosenblatt_skewness(D):.4f}")
-    return LimitEnsemble(grid=grid, paths=paths, descriptor=law,
-                         warnings=warns)
+    return LimitEnsemble(paths=paths, descriptor=law, warnings=warns)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def limit_thm2(kernel: Kernel, g: Subordinator, cls: ClassCoeffs,
     z = z_ensemble.paths / math.factorial(m)
     paths = (-(1.0 - lam) * z * a_int
              - lam * (z[:, -1:] - z) * b_int)
-    return LimitEnsemble(grid=lam, paths=paths,
+    return LimitEnsemble(paths=paths,
                          descriptor={"process": "thm2_functional",
                                      "kernel": kernel.name, "m": m,
                                      "A": a_int, "B": b_int,
@@ -417,5 +418,5 @@ def critical_values(ensemble: LimitEnsemble) -> CriticalValueTable:
             f"need at least {MIN_TABLE_REPS} replications for quantiles")
     return CriticalValueTable(descriptor=ensemble.descriptor,
                               sups=np.sort(ensemble.sup_abs()),
-                              grid_size=ensemble.grid.size - 1,
+                              grid_size=ensemble.paths.shape[1] - 1,
                               warnings=list(ensemble.warnings))

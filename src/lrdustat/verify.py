@@ -199,6 +199,10 @@ def check_weak_convergence(kernel: Kernel, params: LrdParams, n: int,
     """Two-sample KS distance between ``reps`` normalized sup-statistics at
     sample size ``n`` and ``limit_reps`` sups of the kernel's Theorem-1 limit
     law on a grid of ``grid_size`` points, drawn from ``seed + 1``."""
+    if seed + 1 >= 1 << 64:  # the limit law's seed must fit the key too
+        raise ParameterError(
+            f"seed and rep must be in [0, 2^64), got seed {seed}: the limit "
+            f"law draws from seed + 1 = {seed + 1}")
     table = kernel_table(kernel)
     # the data first: replicate refuses reps < 1 before any limit-law draw
     sups = normalized_sup_statistics(kernel, table, params, n, reps, seed)

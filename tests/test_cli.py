@@ -86,6 +86,18 @@ class TestSimulate:
         assert "internal error" not in err
         assert not out.exists()
 
+    def test_internal_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a user error")
+
+        monkeypatch.setattr(lrd_sim, "simulate_gaussian", broken)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["simulate", "--D", "0.4", "--n", "8", "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "internal error: not a user "
+                                           "error\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCoeffs:
     def test_cusum_closed_form(self, capsys):
@@ -416,6 +428,18 @@ class TestLimit:
     def test_no_cache_flag(self, isolated_cache, capsys):
         assert cli.main(self.ARGS + ["--no-cache"]) == 0
         assert list(isolated_cache.glob("cv_*.json")) == []
+
+    @pytest.mark.parametrize("setting", [None, ""], ids=["unset", "empty"])
+    def test_default_cache_dir_is_under_home(self, setting, tmp_path,
+                                              monkeypatch, capsys):
+        if setting is None:
+            monkeypatch.delenv(cli.CACHE_ENV)
+        else:
+            monkeypatch.setenv(cli.CACHE_ENV, setting)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert cli.main(self.ARGS) == 0
+        cache = tmp_path / "home" / ".cache" / "lrdustat"
+        assert [p.name[:3] for p in cache.iterdir()] == ["cv_"]
 
 
 class TestUnusableCache:

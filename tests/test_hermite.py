@@ -154,6 +154,50 @@ class TestCoeffs2d:
         with pytest.raises(ParameterError):
             coeffs_2d_montecarlo(wilcoxon_kernel(), 1, pairs=pairs)
 
+    @pytest.mark.parametrize("Q", [0, -2])
+    def test_montecarlo_needs_degree_one(self, Q):
+        with pytest.raises(ParameterError, match=r"^Q must be >= 1$"):
+            coeffs_2d_montecarlo(wilcoxon_kernel(), Q, pairs=10)
+
+
+#: the three table constructors, each at total degree Q
+TABLES = {
+    "closed_form": lambda Q: closed_form_table(wilcoxon_coeff_closed_form, Q),
+    "quadrature": lambda Q: coeffs_2d(wilcoxon_kernel(), Q),
+    "monte_carlo": lambda Q: coeffs_2d_montecarlo(wilcoxon_kernel(), Q,
+                                                  pairs=1000, seed=1)[0],
+}
+
+
+class TestTableDegree:
+    @pytest.mark.parametrize("Q", [1, 4, 8])
+    @pytest.mark.parametrize("source", list(TABLES))
+    def test_q_is_the_matrix_size(self, source, Q):
+        table = TABLES[source](Q)
+        assert table.Q == table.entries.shape[0] - 1 == Q
+        assert table.entries.shape == (Q + 1, Q + 1)
+        q = table.to_json_dict()["Q"]
+        assert type(q) is int and q == Q
+
+    def test_degree_zero_refused(self):
+        # a (1, 1) matrix holds a00 alone, which has no rank to look for
+        for build in (lambda: closed_form_table(wilcoxon_coeff_closed_form, 0),
+                      lambda: hermite.HermiteCoeffTable(
+                          np.zeros((1, 1)), hermite.CLOSED_FORM, 1e-12)):
+            with pytest.raises(ParameterError, match=r"^table must be "
+                               r"populated to degree Q >= 1$"):
+                build()
+
+
+@pytest.mark.parametrize("provider", [
+    wilcoxon_coeff_closed_form, gaussian_bump_coeff_closed_form,
+    builtin_kernel("huber:1.345").coeff_provider,
+], ids=["wilcoxon", "gaussian_bump", "odd_score"])
+@pytest.mark.parametrize("k, l", [(-1, 0), (0, -1), (-2, 3)])
+def test_negative_degree_refused(provider, k, l):
+    with pytest.raises(ParameterError, match=r"^degrees must be >= 0$"):
+        provider(k, l)
+
 
 class TestWilcoxonClosedForm:
     def test_a10(self):
@@ -434,6 +478,17 @@ class TestClassCoeffs:
         with pytest.raises(ParameterError):
             class_coeffs(g, 3, np.linspace(-3.0, -1.5, 5))
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_rejected(self, k_max):
+        with pytest.raises(ParameterError, match=r"^k_max must be >= 1$"):
+            class_coeffs(Subordinator.identity(), k_max,
+                         np.linspace(-1.0, 1.0, 5))
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 0.5], [1.0, -1.0], [0.0]])
+    def test_unsorted_or_single_point_grid_rejected(self, grid):
+        with pytest.raises(ParameterError, match=r"^grid must be sorted$"):
+            class_coeffs(Subordinator.identity(), 2, grid)
+
 
 class TestSummability:
     def test_cusum_constant(self):
@@ -457,6 +512,25 @@ class TestSummability:
         assert incs[-1] < 0.5 * incs[-2]
         assert rep.classification == CONVERGENT_LIKELY
 
+    @pytest.mark.parametrize("q_list", [[], [0, 2], [-1]])
+    def test_degrees_below_one_rejected(self, q_list):
+        with pytest.raises(ParameterError,
+                           match=r"^Q_list must contain integers >= 1$"):
+            summability_diagnostic(wilcoxon_coeff_closed_form, q_list)
+
+    def test_one_degree_is_inconclusive(self):
+        rep = summability_diagnostic(wilcoxon_coeff_closed_form, [3])
+        assert rep.classification == hermite.INCONCLUSIVE
+
+    @pytest.mark.parametrize("partial", [
+        [1.0],            # no increment
+        [1.0, 2.0],       # one increment, still growing
+        [1.0, 1.0, 2.0],  # growth after a flat step: no ratio
+        [0.0, 1.0, 1.7],  # ratio 0.7, between the two thresholds
+    ])
+    def test_inconclusive_increments(self, partial):
+        assert hermite._classify_increments(partial) == hermite.INCONCLUSIVE
+
 
 class TestScaling:
     def test_c1(self):
@@ -475,6 +549,16 @@ class TestScaling:
     def test_regime_violation(self):
         with pytest.raises(RegimeError):
             scaling(0.5, 2, 100, 1.0)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ParameterError, match=r"^n must be >= 1$"):
+            scaling(0.4, 1, n, 1.0)
+
+    @pytest.mark.parametrize("L", [0.0, -0.5])
+    def test_nonpositive_L_rejected(self, L):
+        with pytest.raises(ParameterError, match=r"^L\(n\) must be positive$"):
+            scaling(0.4, 1, 100, L)
 
 
 def _rank_kernel(m):

@@ -322,8 +322,7 @@ class TestRankOneGridDraw:
         normals = np.random.default_rng(62).standard_normal((reps,
                                                              inner.size))
         fbm = limit_law.LimitEnsemble(
-            grid=grid, paths=np.hstack([np.zeros((reps, 1)),
-                                        normals @ chol.T]),
+            paths=np.hstack([np.zeros((reps, 1)), normals @ chol.T]),
             descriptor={})
         bound = math.sqrt(-math.log(1e-6 / 2.0) / reps)
         assert ks_2samp(rank_one.paths[:, -1],
@@ -549,6 +548,16 @@ class TestThm2:
         assert desc["B"] == pytest.approx(b_int, rel=tol, abs=tol)
         assert limit_law.probe_tv(kernel, grid) == tv
 
+    def test_non_finite_integrals_refused(self, identity_class, driver):
+        undefined = Kernel(name="undefined",
+                           eval=lambda x, y: np.full(np.broadcast(
+                               np.asarray(x), np.asarray(y)).shape, np.nan),
+                           tv_bound=1.0)
+        with pytest.raises(ParameterError,
+                           match=r"^limit integrals are non-finite$"):
+            limit_thm2(undefined, Subordinator.identity(), identity_class,
+                       driver)
+
     def test_driver_order_mismatch(self, identity_class):
         driver2 = simulate_hermite(2, 0.3, 8, reps=5, seed=0)
         # a rank-2 functional is no Hermite process of any order
@@ -560,6 +569,34 @@ class TestThm2:
                            identity_class, driver)
 
 
+class TestEnsembleGrid:
+    # an ensemble holds its paths only: the grid is default_grid(G) of their
+    # width G + 1, bit for bit, and a table's grid size is G
+    @pytest.mark.parametrize("m, D, grid_size", [(1, 0.4, 2), (1, 0.4, 64),
+                                                 (2, 0.3, 16), (3, 0.3, 8)])
+    def test_simulate_hermite(self, m, D, grid_size):
+        ens = simulate_hermite(m, D, grid_size, reps=2, seed=0)
+        assert ens.grid.tobytes() == default_grid(grid_size).tobytes()
+
+    @pytest.mark.parametrize("entries, grid_size", [
+        ({(1, 0): -0.3, (0, 1): 0.3}, 32),
+        ({(2, 0): 0.5, (1, 1): -0.25}, 5),
+    ])
+    def test_limit_thm1(self, entries, grid_size):
+        ens = limit_thm1(entries, 0.3, grid_size, reps=2, seed=0)
+        assert ens.grid.tobytes() == default_grid(grid_size).tobytes()
+
+    def test_limit_thm2(self, identity_class, driver):
+        ens = limit_thm2(wilcoxon_kernel(), Subordinator.identity(),
+                         identity_class, driver)
+        assert ens.grid.tobytes() == default_grid(32).tobytes()
+
+    @pytest.mark.parametrize("fixture", ["cv_ensemble", "bump_ensemble"])
+    def test_critical_values_grid_size(self, fixture, request):
+        ens = request.getfixturevalue(fixture)
+        assert critical_values(ens).grid_size == ens.paths.shape[1] - 1
+
+
 class TestReducedReplications:
     def test_sup_abs_is_max_of_abs_bit_for_bit(self):
         # |x| and -x are exact, so max(max x, -min x) is max |x|, also on
@@ -569,8 +606,7 @@ class TestReducedReplications:
         paths[1::3, 1::2] = -0.0
         paths[:4] = [[0.0] * 7, [-0.0] * 7, [0.0, -0.0] * 3 + [0.0],
                      [-0.0, 0.0] * 3 + [-0.0]]
-        ens = limit_law.LimitEnsemble(grid=default_grid(6), paths=paths,
-                                      descriptor={})
+        ens = limit_law.LimitEnsemble(paths=paths, descriptor={})
         want = np.max(np.abs(paths), axis=1)
         assert ens.sup_abs().tobytes() == want.tobytes()
 
@@ -688,8 +724,7 @@ class TestCriticalValues:
         ens = simulate_hermite(1, D_ONE, 2, reps=4000, seed=91)
         covers = 0
         for paths in np.split(ens.paths[:, [0, -1]], 20):
-            part = limit_law.LimitEnsemble(grid=default_grid(1), paths=paths,
-                                           descriptor={})
+            part = limit_law.LimitEnsemble(paths=paths, descriptor={})
             table = critical_values(part)
             covers += sum(lo <= q <= hi for (lo, hi), q in
                           zip(map(table.interval_at, levels), exact))

@@ -82,6 +82,11 @@ class TestBuildCovariance:
         with pytest.raises(ParameterError):
             build_covariance(LrdParams(D=0.4), -1)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ParameterError,
+                           match=r"^unknown covariance family 'gauss'$"):
+            LrdParams(D=0.4, family="gauss")
+
     def test_cumsum_variance_is_n_pow_2h(self):
         # self-similarity proxy: Var(sum xi_i) = n^{2H} exactly for FGN,
         # checked against the quadratic form of the generated covariance
@@ -110,6 +115,12 @@ class TestAsymptoticL:
         params = LrdParams(D=0.5, family=TWEAKED_POWER_LAW)
         assert asymptotic_L(params, 1) == pytest.approx(math.sqrt(0.5))
         assert asymptotic_L(params, 10 ** 9) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("family", [FGN, TWEAKED_POWER_LAW])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, family, n):
+        with pytest.raises(ParameterError, match=r"^n must be >= 1$"):
+            asymptotic_L(LrdParams(D=0.4, family=family), n)
 
 
 def complex_fft_sample(params, n, rng):

@@ -7,8 +7,8 @@ import pytest
 from lrdustat import verify
 from lrdustat.cli import to_json
 from lrdustat.errors import ParameterError, RegimeError
-from lrdustat.hermite import (hermite_eval, hermite_sum_std, kernel_table,
-                              scaling)
+from lrdustat.hermite import (closed_form_table, hermite_eval,
+                              hermite_sum_std, kernel_table, scaling)
 from lrdustat.limit_law import limit_thm1, simulate_hermite
 from lrdustat.lrd_sim import (TWEAKED_POWER_LAW, CirculantEmbedding, LrdParams,
                               asymptotic_L, replication_rng)
@@ -219,6 +219,14 @@ class TestRankProjectionPath:
             scale = max(np.max(np.abs(ref)), 1.0)
             assert np.max(np.abs(got - ref)) / scale <= 1e-9
 
+    def test_table_without_a_rank_refused(self):
+        flat = closed_form_table(lambda k, l: 0.0, 2)
+        assert flat.rank is None
+        with pytest.raises(ParameterError,
+                           match=r"^kernel rank not detectable from its "
+                                 r"table$"):
+            rank_projection_path(np.zeros(8), flat)
+
 
 class TestCheckReduction:
     def test_cusum_projection_is_exact(self):
@@ -340,6 +348,25 @@ class TestWeakConvergence:
         with pytest.raises(ParameterError, match=r"2\^64"):
             check_weak_convergence(cusum_kernel(), LrdParams(D=0.4), 64, 2,
                                    20, 8, seed=2 ** 64 - 1)
+
+    def test_largest_seed_refused_before_the_data(self, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("normalized_sup_statistics called")
+
+        monkeypatch.setattr(verify, "normalized_sup_statistics", no_data)
+        with pytest.raises(ParameterError) as info:
+            check_weak_convergence(wilcoxon_kernel(), LrdParams(D=0.4), 2000,
+                                   300, 20, 8, seed=2 ** 64 - 1)
+        message = str(info.value)
+        assert message.startswith("seed and rep must be in [0, 2^64)")
+        assert "got seed 18446744073709551615:" in message
+        assert "limit law draws from seed + 1" in message
+
+    def test_second_largest_seed_runs(self):
+        report = check_weak_convergence(cusum_kernel(), LrdParams(D=0.4), 64,
+                                        2, 20, 8, seed=2 ** 64 - 2)
+        assert report["seed"] == 2 ** 64 - 2
+        assert math.isfinite(report["per_n"][64]["ks_distance"])
 
     def test_normalized_sups_center_defaults_to_a00(self):
         params = LrdParams(D=0.4)
