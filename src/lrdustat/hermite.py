@@ -79,6 +79,10 @@ class HermiteCoeffTable:
     rank: int | None = field(init=False)
 
     def __post_init__(self):
+        shape = np.shape(self.entries)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ParameterError(
+                f"entries must be a square matrix, got shape {shape}")
         self.entries = np.where(_triangle(self.Q), self.entries, np.nan)
         self.rank = rank_2d(self)
 

@@ -73,6 +73,28 @@ def test_tracer_sees_the_builtin_paths(tracing):
                                                     "ustat.cusum"]
 
 
+def test_tracer_times_detects_read(tracing, tmp_path, monkeypatch):
+    # detect reads its input through read_path alone; the tracer's read
+    # targets must wrap that function, or the parse is booked to cli.main
+    from lrdustat import cli, lrd_sim
+
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+    values = lrd_sim.simulate_gaussian(lrd_sim.LrdParams(D=0.4), 200, seed=1)
+    lrd_sim.write_path_csv(values, tmp_path / "path.csv")
+    lrd_sim.write_path_binary(values, tmp_path / "path.bin")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["detect", "--input", str(tmp_path / name),
+                           "--D", "0.4", "--reps", "100", "--grid-size", "8"])
+                 for name in ("path.csv", "path.bin")]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert "lrd_sim.read" in {span.name for span in tracer.spans}
+    assert tracing.layer_metrics(tracer.spans)["lrd_sim.read_s"] > 0
+
+
 @pytest.fixture(scope="module")
 def bench_checks():
     """``bench/inputs.py`` and ``bench/checks.py`` (standard library and

@@ -33,7 +33,7 @@ class TestSimulate:
         rc = cli.main(["simulate", "--family", "tweaked", "--D", "0.4",
                        "--n", "512", "--seed", "3", "-o", str(out)])
         assert rc == 0
-        values = lrd_sim.read_path_csv(out)
+        values = lrd_sim.read_path(out)
         assert values.size == 512
         sidecar = json.loads((tmp_path / "path.csv.json").read_text())
         assert sidecar == {"subcommand": "simulate", "seed": 3,
@@ -48,8 +48,8 @@ class TestSimulate:
         for out in (a, b):
             assert cli.main(["simulate", "--D", "0.4", "--n", "128",
                              "--seed", "9", "-o", str(out)]) == 0
-        assert np.array_equal(lrd_sim.read_path_csv(a),
-                              lrd_sim.read_path_csv(b))
+        assert np.array_equal(lrd_sim.read_path(a),
+                              lrd_sim.read_path(b))
 
     def test_binary_output(self, tmp_path):
         out = tmp_path / "path.bin"
@@ -58,14 +58,14 @@ class TestSimulate:
         assert rc == 0
         with open(out, "rb") as fh:
             assert fh.read(16) == lrd_sim.PATH_MAGIC
-        assert lrd_sim.read_path_binary(out).size == 64
+        assert lrd_sim.read_path(out).size == 64
 
     def test_transformed_output(self, tmp_path):
         out = tmp_path / "path.csv"
         rc = cli.main(["simulate", "--D", "0.4", "--n", "64",
                        "--transform", "exp", "-o", str(out)])
         assert rc == 0
-        values = lrd_sim.read_path_csv(out)
+        values = lrd_sim.read_path(out)
         # exponential minus its mean is bounded below by -1
         assert values.min() > -1.0
 
@@ -660,7 +660,7 @@ class TestDetect:
     def test_gaussian_bump_statistic_uses_rank_two(self, tmp_path, capsys):
         # direct formula: max_k |U(k) - k(n-k) a00| / (n d'_n) with the
         # bump's Hermite rank m = 2 and mean a00 = 0
-        data = lrd_sim.read_path_csv(self._write_data(tmp_path, 1.0))
+        data = lrd_sim.read_path(self._write_data(tmp_path, 1.0))
         rc, report = self._run(tmp_path, ["--kernel", "gaussian_bump"], capsys)
         assert rc == 0
         n = data.size
@@ -694,7 +694,7 @@ class TestDetect:
         data = tmp_path / "data.csv"
         assert cli.main(["simulate", "--D", "0.4", "--n", "300", "--seed",
                          "1", "-o", str(data)]) == 0
-        lrd_sim.write_path_csv(lrd_sim.read_path_csv(data) * 1e306, data)
+        lrd_sim.write_path_csv(lrd_sim.read_path(data) * 1e306, data)
         out = tmp_path / "report.json"
         rc = cli.main(["detect", "--input", str(data), "--D", "0.4",
                        "--kernel", "cusum", "--reps", "100", "--grid-size",
@@ -1294,7 +1294,7 @@ class TestProcessEntry:
                                      binary):
         # a pipe can be read once: the format is sniffed on the bytes read
         if binary:
-            lrd_sim.write_path_binary(lrd_sim.read_path_csv(data), data)
+            lrd_sim.write_path_binary(lrd_sim.read_path(data), data)
         proc = self._child(isolated_cache, "detect", "--input", "/dev/stdin",
                            *self.DETECT, input=data.read_bytes())
         assert proc.returncode == 0, proc.stderr
@@ -1310,7 +1310,7 @@ class TestProcessEntry:
                               str(tmp_path / "absent.csv"), *self.DETECT)
         assert missing.returncode == 2
         huge = tmp_path / "huge.csv"
-        lrd_sim.write_path_csv(lrd_sim.read_path_csv(data) * 1e306, huge)
+        lrd_sim.write_path_csv(lrd_sim.read_path(data) * 1e306, huge)
         overflow = self._child(isolated_cache, "detect", "--input", str(huge),
                                "--kernel", "cusum", *self.DETECT)
         assert (overflow.returncode, overflow.stdout) == (1, b"")

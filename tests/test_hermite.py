@@ -188,6 +188,15 @@ class TestTableDegree:
                                r"populated to degree Q >= 1$"):
                 build()
 
+    @pytest.mark.parametrize("entries", [
+        np.ones((3, 5)), np.ones((5, 3)), np.ones((2, 2, 2)),
+        np.array([0.5, 1.0, -1.0, 0.0]),
+    ], ids=["3x5", "5x3", "2x2x2", "vector"])
+    def test_entries_must_be_a_square_matrix(self, entries):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"entries must be a square matrix, got shape {entries.shape}")):
+            hermite.HermiteCoeffTable(entries, hermite.CLOSED_FORM, 1e-12)
+
 
 @pytest.mark.parametrize("provider", [
     wilcoxon_coeff_closed_form, gaussian_bump_coeff_closed_form,

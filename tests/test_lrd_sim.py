@@ -417,7 +417,7 @@ class TestSerialization:
         values = simulate_gaussian(LrdParams(D=0.4), 64, seed=2)
         out = tmp_path / "p.csv"
         lrd_sim.write_path_csv(values, out)
-        assert np.array_equal(lrd_sim.read_path_csv(out), values)
+        assert np.array_equal(lrd_sim.read_path(out), values)
 
     @pytest.mark.parametrize("body", [
         b"1.5\n-2e-3\n", b"1.5\r\n-2e-3\r\n", b"1.5\n-2e-3", b"7\n", b"",
@@ -445,7 +445,7 @@ class TestSerialization:
 
     @staticmethod
     def _check_against_csv_module(out, content):
-        """read_path_csv accepts exactly what a plain csv-module reader
+        """read_path accepts exactly what a plain csv-module reader
         accepts, with bit-identical values."""
         out.write_bytes(content)
         with open(out, newline="", encoding="utf-8") as fh:
@@ -458,9 +458,9 @@ class TestSerialization:
                 expected = None
         if expected is None:
             with pytest.raises(ParameterError):
-                lrd_sim.read_path_csv(out)
+                lrd_sim.read_path(out)
         else:
-            got = lrd_sim.read_path_csv(out)
+            got = lrd_sim.read_path(out)
             assert got.dtype == np.float64 and got.shape == expected.shape
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -474,7 +474,7 @@ class TestSerialization:
         out = tmp_path / "p.csv"
         out.write_bytes(content)
         with pytest.raises(ParameterError, match=f"line {line}:"):
-            lrd_sim.read_path_csv(out)
+            lrd_sim.read_path(out)
 
     @pytest.mark.parametrize("values", [
         [-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan], [], [1.5],
@@ -526,7 +526,7 @@ class TestSerialization:
         values = simulate_gaussian(LrdParams(D=0.4), 64, seed=2)
         out = tmp_path / "p.bin"
         lrd_sim.write_path_binary(values, out)
-        assert np.array_equal(lrd_sim.read_path_binary(out), values)
+        assert np.array_equal(lrd_sim.read_path(out), values)
         with open(out, "rb") as fh:
             assert fh.read(16) == b"LRDUSTAT-PATH\x00\x00\x00"
 
@@ -536,12 +536,15 @@ class TestSerialization:
         lrd_sim.write_path_binary(np.arange(3.0), out)
         with open(out, "ab") as fh:
             fh.write(b"\x00")
-        for read in (lrd_sim.read_path_binary, lrd_sim.read_path):
-            with pytest.raises(ParameterError, match="is 49 bytes, not the 48"):
-                read(out)
+        with pytest.raises(ParameterError, match="is 49 bytes, not the 48"):
+            lrd_sim.read_path(out)
 
     def test_binary_rejects_other_files(self, tmp_path):
         out = tmp_path / "junk.bin"
         out.write_bytes(b"not a path file at all")
-        with pytest.raises(ParameterError):
-            lrd_sim.read_path_binary(out)
+        with pytest.raises(ParameterError, match="unexpected CSV header"):
+            lrd_sim.read_path(out)
+        out.write_bytes(lrd_sim.PATH_MAGIC + b"\x00" * 4)  # 20 bytes
+        with pytest.raises(ParameterError,
+                           match="truncated binary path header"):
+            lrd_sim.read_path(out)
