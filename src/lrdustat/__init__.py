@@ -2,8 +2,10 @@
 
 Importing the package loads no numpy: the exceptions are bound here, and
 every other exported name, and each submodule, is imported on first access
-(PEP 562).  So ``lrdustat.cli`` parses a command before it pays for the
-numeric modules, and a command that never runs ``verify`` never imports it.
+(PEP 562).  So importing ``lrdustat`` or ``lrdustat.cli`` loads no numpy;
+``cli.main`` loads it when it builds its parser, whose defaults come from
+``limit_law`` and ``lrd_sim``, and a command that never runs ``verify``
+never imports it.
 """
 
 import importlib

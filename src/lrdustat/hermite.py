@@ -219,7 +219,8 @@ def _total_degree(kernel: str, k: int, l: int, max_degree: int) -> int:
 
 
 def wilcoxon_coeff_closed_form(k: int, l: int) -> float:
-    """Closed-form Hermite coefficients of the kernel 1{x <= y}.
+    """Closed-form Hermite coefficients of the kernel 1{x < y} + 1{x = y}/2,
+    which equals 1{x <= y} except on the null set x = y.
 
     a_{kl} = (-1)^((l+3k-1)/2) Gamma((l+k)/2) / (2 pi) for k+l odd,
     0 for k+l even and positive, and 1/2 for k = l = 0.  Total degrees

@@ -79,10 +79,17 @@ def cusum_kernel() -> Kernel:
 
 
 def wilcoxon_kernel() -> Kernel:
-    """h(x, y) = 1{x <= y}; ties resolved by the <= convention, exactly."""
+    """h(x, y) = 1{x < y} + 1{x = y} / 2, the mid-rank convention: a tie
+    counts as half a pair, so h(x, y) + h(y, x) = 1 and E h = 1/2 for any
+    exchangeable pair, tied or not."""
+
+    def h(x, y):
+        x = np.asarray(x, dtype=float)
+        return (x < y) + 0.5 * (x == y)
+
     return Kernel(
         name="wilcoxon",
-        eval=lambda x, y: (np.asarray(x, dtype=float) <= y).astype(float),
+        eval=h,
         path=ustat_wilcoxon,
         tv_bound=1.0,
         coeff_provider=wilcoxon_coeff_closed_form,
@@ -259,25 +266,33 @@ def ustat_cusum(data) -> np.ndarray:
 
 
 def ustat_wilcoxon(data) -> np.ndarray:
-    """Wilcoxon kernel h(x, y) = 1{x <= y} in O(n log n), exact integers.
+    """Wilcoxon kernel h(x, y) = 1{x < y} + 1{x = y} / 2 in O(n log n),
+    exact halves.
 
-    One stable sort gives every split at once:
+    One sort gives every split at once:
 
-        U(k) = sum_{i<=k} (n - pos_i) - k(k+1)/2,
+        U(k) = sum_{i<=k} (n - m_i) - k(k-1)/2,
 
-    where pos_i is X_i's position in the stable sort.  n - pos_i counts the
-    X_j >= X_i, less the equal X_j before X_i, which a stable sort places
-    before it; k(k+1)/2 plus those earlier ties over i <= k counts the
-    ordered pairs i, j <= k with X_i <= X_j.  The counts are int64 and
-    become floats only at the end.
+    where m_i is X_i's mid-rank.  n - m_i is the sum of h(X_i, X_j) over
+    all j != i: the X_j above X_i, plus half the other X_j equal to it.
+    The pairs i != j <= k sum to k(k-1)/2, since h(x, y) + h(y, x) = 1.
+    With [start, end) the bounds of X_i's run of ties in the sorted data,
+    2 m_i = start + end + 1, so 2 U(k) is an int64 count that becomes a
+    float only at the end.  On tie-free data m_i is X_i's 1-based rank.
     """
     data = _check_data(data)
     n = data.size
-    pos = np.empty(n, dtype=np.int64)
-    pos[np.argsort(data, kind="stable")] = np.arange(n)
+    order = np.argsort(data)
+    ordered = data[order]
+    first = np.empty(n, dtype=bool)  # where a run of ties starts
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], n)
+    twice_rank = np.empty(n, dtype=np.int64)
+    twice_rank[order] = (starts + ends + 1)[np.cumsum(first) - 1]
     k = np.arange(1, n, dtype=np.int64)
-    u = np.cumsum(n - pos)[:-1] - k * (k + 1) // 2
-    return u.astype(float)
+    return (np.cumsum(2 * n - twice_rank)[:-1] - k * (k - 1)) / 2
 
 
 def ustat_factored(data, factors) -> np.ndarray:

@@ -45,6 +45,17 @@ def _series_constant(k: int, params: LrdParams, cut: int = 10 ** 4) -> float:
     return 1.0 + 2.0 * (float(np.sum(gamma[1:] ** k)) + tail)
 
 
+def _sample_sizes(n_list) -> list:
+    """``n_list`` as ints.  A repeated n raises ParameterError: a report
+    keys its rows by n, so a second run of one n would be lost."""
+    sizes = [int(n) for n in n_list]
+    for i, n in enumerate(sizes):
+        if n in sizes[:i]:
+            raise ParameterError(f"n = {n} is repeated: the report has "
+                                 "one row per n")
+    return sizes
+
+
 #: largest Hermite degree of the variance check: its constants hold k!,
 #: and 170! < 1.8e308 < 171!
 MAX_VARIANCE_DEGREE = 170
@@ -61,7 +72,7 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
     second term is logarithmic, and wherever it is not finite): near
     Dk = 1 each branch's leading term alone is far from the variance.
     reps = 0 runs the exact quadratic form only; a Monte Carlo
-    cross-check needs reps >= 100 and every n >= 2.
+    cross-check needs reps >= 100 and every n >= 2.  No n may repeat.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -71,7 +82,8 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
     if reps != 0 and reps < 100:
         raise ParameterError("Monte Carlo cross-check needs reps >= 100 "
                              "(use reps=0 for exact-only)")
-    short = [int(n) for n in n_list if int(n) < 2]
+    n_list = _sample_sizes(n_list)
+    short = [n for n in n_list if n < 2]
     if reps and short:
         raise ParameterError(
             f"Monte Carlo cross-check needs n >= 2 for every --n, got "
@@ -91,7 +103,6 @@ def check_variance(k: int, params: LrdParams, n_list, reps: int = 0,
            else 2.0 * math.factorial(k) / ((1.0 - s) * (2.0 - s)))
     per_n = {}
     for n in n_list:
-        n = int(n)
         exact = hermite_sum_std(params, k, n) ** 2
         # the LRD asymptote, and the second term of the two-term one
         lead = c_k * n ** (2.0 - s) * asymptotic_L(params, n) ** k
@@ -149,16 +160,16 @@ def check_reduction(kernel: Kernel, params: LrdParams, n_list,
     across n.
 
     The theory predicts this discrepancy vanishes; the report tracks its
-    decay over n_list.
+    decay over n_list, in which no n may repeat.
     """
     if reps < 2:
         raise ParameterError("reps must be >= 2 for a standard error")
+    n_list = _sample_sizes(n_list)
     table = kernel_table(kernel)
     m = table.rank
     check_regime(params.D, m)
     per_n = {}
     for n in n_list:
-        n = int(n)
         sups = replicate(
             [CirculantEmbedding(params, n)], reps, seed,
             lambda xi: changepoint_statistic(

@@ -575,6 +575,14 @@ class TestDetect:
             assert 1 / 201 <= report["p_value"] <= 1.0
         assert report["p_value"] == 1 / 201
 
+    def test_constant_series_reads_no_change(self, tmp_path, capsys):
+        # each tie counts half a pair, so U(k) = k (n - k) / 2 is its
+        # centring k (n - k) a00 exactly
+        lrd_sim.write_path_csv(np.full(4, 1.5), tmp_path / "data.csv")
+        rc, report = self._run(tmp_path, ["--kernel", "wilcoxon"], capsys)
+        assert rc == 0
+        assert (report["statistic"], report["p_value"]) == (0.0, 1.0)
+
     def test_coarsest_grid_has_positive_critical_values(self, tmp_path,
                                                          capsys):
         # at G = 2 each sup is |path(1/2)|, the one grid point where a limit
@@ -1024,6 +1032,7 @@ def test_seed_beyond_the_key_exits_2(argv, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: seed and rep must be in [0, 2^64)")
+    assert f"got seed {argv[-1]}" in err  # the seed given, not seed + 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1113,6 +1122,23 @@ class TestVerify:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["per_n"]["1"]["ratio"] \
             == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("experiment, argv", [
+        ("variance", ["--D", "0.4", "--reps", "0"]),
+        ("reduction", ["--kernel", "cusum", "--D", "0.4", "--reps", "2"]),
+    ])
+    def test_repeated_n_exits_2(self, experiment, argv, tmp_path,
+                                monkeypatch, capsys):
+        # a second run of one n would be lost from the rows keyed by n
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["verify", experiment, *argv, "--n", "10", "--n", "10",
+                       "-o", "report.json"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: n = 10 is repeated: the report has "
+                                "one row per n\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_reduction_runs(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from lrdustat import ustat
 from lrdustat.errors import ParameterError
 from lrdustat.hermite import kernel_table, scaling
+from lrdustat.limit_law import critical_values, limit_thm1
 from lrdustat.lrd_sim import (CirculantEmbedding, LrdParams, asymptotic_L,
                               replicate, replication_rng,
                               simulate_gaussian)
@@ -26,6 +27,13 @@ finite_data = hnp.arrays(
     st.integers(min_value=2, max_value=40),
     elements=st.floats(min_value=-1e6, max_value=1e6,
                        allow_nan=False, allow_infinity=False),
+)
+
+# few distinct values, so most samples hold ties
+integer_data = hnp.arrays(
+    np.float64,
+    st.integers(min_value=2, max_value=40),
+    elements=st.integers(min_value=-3, max_value=3).map(float),
 )
 
 
@@ -47,10 +55,10 @@ class TestHandExamples:
         assert np.array_equal(ustat_wilcoxon([1.0, 2.0, 3.0, 4.0]),
                               [3.0, 4.0, 3.0])
 
-    def test_wilcoxon_ties_use_leq(self):
-        # all equal: every pair counts, U(k) = k (n - k)
+    def test_wilcoxon_ties_count_half(self):
+        # all equal: every pair counts 1/2, U(k) = k (n - k) / 2
         assert np.array_equal(ustat_wilcoxon([5.0, 5.0, 5.0, 5.0]),
-                              [3.0, 4.0, 3.0])
+                              [1.5, 2.0, 1.5])
 
 
 class TestOracleEquivalence:
@@ -333,9 +341,10 @@ class _Fenwick:
 
 
 def fenwick_wilcoxon(data):
-    """The earlier O(n log n) Wilcoxon path, kept as a reference: a
+    """An earlier O(n log n) Wilcoxon path, kept as a reference: a
     left-to-right split sweep with order-statistic trees over the prefix
-    and suffix ranks."""
+    and suffix ranks.  Each count of the X_j <= x and of the X_j < x
+    enters at half weight, so a tie counts as half a pair."""
     data = np.asarray(data, dtype=float)
     n = data.size
     ranks = np.searchsorted(np.unique(data), data) + 1
@@ -345,15 +354,16 @@ def fenwick_wilcoxon(data):
         suffix.add(int(r), 1)
     prefix.add(int(ranks[0]), 1)
     suffix_count = n - 1
-    u = suffix_count - suffix.prefix(int(ranks[0]) - 1)
+    u = suffix_count - (suffix.prefix(int(ranks[0]))
+                        + suffix.prefix(int(ranks[0]) - 1)) / 2
     out = np.empty(n - 1)
     out[0] = u
     for k in range(1, n - 1):
         r = int(ranks[k])
         suffix.add(r, -1)
         suffix_count -= 1
-        u -= prefix.prefix(r)
-        u += suffix_count - suffix.prefix(r - 1)
+        u -= (prefix.prefix(r) + prefix.prefix(r - 1)) / 2
+        u += suffix_count - (suffix.prefix(r) + suffix.prefix(r - 1)) / 2
         prefix.add(r, 1)
         out[k] = u
     return out
@@ -411,23 +421,29 @@ class TestProperties:
                + 1e-14 * n ** 3 * (1.0 + np.max(np.abs(data))))
         assert np.max(np.abs(fwd + rev[::-1])) <= tol
 
+    @given(integer_data)
+    @settings(max_examples=60, deadline=None)
+    def test_wilcoxon_path_is_the_naive_sum_on_ties(self, data):
+        # a tie counts half a pair: h(x, y) + h(y, x) = 1 on every pair
+        kernel = wilcoxon_kernel()
+        pairs = kernel.eval(data[:, None], data[None, :])
+        assert np.array_equal(pairs + pairs.T, np.ones_like(pairs))
+        # halves are exact in float64, so the sums agree bit for bit
+        assert np.array_equal(ustat_wilcoxon(data), ustat_naive(data, kernel))
+
     @given(finite_data)
     @settings(max_examples=60, deadline=None)
     def test_wilcoxon_complement_identity(self, data):
-        # counting the complementary pairs: U_{<=}(k) + U_reflected = k(n-k)
-        # where the reflection uses 1{x > y} = 1 - 1{x <= y}
+        # counting the complementary pairs: U(k) + U_reflected = k(n-k),
+        # where the reflection h(y, x) = 1 - h(x, y) counts a tie as half
+        # a pair too
         n = data.size
         u = ustat_wilcoxon(data)
-        gt = ustat_naive(data, _strict_greater_kernel())
+        kernel = wilcoxon_kernel()
+        reflected = dataclasses.replace(
+            kernel, eval=lambda x, y: kernel.eval(y, x))
         k = np.arange(1, n, dtype=float)
-        assert np.array_equal(u + gt, k * (n - k))
-
-
-def _strict_greater_kernel():
-    from lrdustat.ustat import Kernel
-    return Kernel(name="gt",
-                  eval=lambda x, y: (np.asarray(x, dtype=float) > y)
-                  .astype(float))
+        assert np.array_equal(u + ustat_naive(data, reflected), k * (n - k))
 
 
 PARAMS = LrdParams(D=0.4)
@@ -487,6 +503,18 @@ class TestChangepoint:
         k_star = int(np.argmax(absvals)) + 1
         assert changepoint_statistic(u, table, PARAMS) == (
             float(absvals[k_star - 1]), k_star)
+
+
+def test_wilcoxon_size_on_integer_rounded_fgn():
+    # a tie counts half a pair, so the centring by a00 = 1/2 holds on tied
+    # data: the size at nominal 0.05 lies within 3 binomial standard errors
+    table = kernel_table(wilcoxon_kernel())
+    cv = critical_values(limit_thm1(table.diagonal(table.rank), PARAMS.D,
+                                    reps=2000, seed=101)).value_at(0.95)
+    rejected = [changepoint_statistic(
+        ustat_wilcoxon(np.round(simulate_gaussian(PARAMS, 2000, seed))),
+        table, PARAMS)[0] > cv for seed in range(5000, 5200)]
+    assert abs(np.mean(rejected) - 0.05) <= 3 * math.sqrt(0.05 * 0.95 / 200)
 
 
 class TestNormalize:

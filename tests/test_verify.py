@@ -95,6 +95,16 @@ class TestCheckVariance:
         with pytest.raises(ParameterError):
             check_variance(1, LrdParams(D=0.4), [64], reps=10)
 
+    def test_repeated_n_refused_before_any_row(self, monkeypatch):
+        # the report keys its rows by n: a second run of one n would be lost
+        def no_work(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(verify, "hermite_sum_std", no_work)
+        monkeypatch.setattr(verify, "replicate", no_work)
+        with pytest.raises(ParameterError, match="n = 64 is repeated"):
+            check_variance(1, LrdParams(D=0.4), [64, 128, 64], reps=100)
+
     def test_report_roundtrip(self):
         report = check_variance(1, LrdParams(D=0.4), [64])
         assert list(report) == ["name", "params", "per_n", "seed"]
@@ -272,6 +282,15 @@ class TestCheckReduction:
         # a standard error needs two replications
         with pytest.raises(ParameterError, match="reps must be >= 2"):
             check_reduction(cusum_kernel(), LrdParams(D=0.4), [64], reps=1)
+
+    def test_repeated_n_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("replicate called")
+
+        monkeypatch.setattr(verify, "replicate", no_draw)
+        with pytest.raises(ParameterError, match="n = 10 is repeated"):
+            check_reduction(cusum_kernel(), LrdParams(D=0.4), [10, 10],
+                            reps=2)
 
     def test_reproducible(self):
         a = check_reduction(gaussian_bump_kernel(), LrdParams(D=0.4),
