@@ -55,14 +55,19 @@ def to_json(result) -> str:
 
 
 def levels_list(text: str) -> list:
-    """``--levels`` value: comma-separated probabilities in (0, 1).  A
-    ValueError here (a ParameterError is one) makes argparse report the bad
-    value and exit with status 2, before any simulation runs."""
+    """``--levels`` value: comma-separated distinct probabilities in (0, 1).
+    A ValueError here (a ParameterError is one) makes argparse report the
+    bad value and exit with status 2, before any simulation runs.  A
+    repeated level is refused too, compared as a float: ``detect`` keys its
+    decisions by level, so a second one would be lost."""
     from . import limit_law
 
     levels = [limit_law.check_level(x) for x in text.split(",") if x]
     if not levels:
         raise ValueError("no level given")
+    for i, level in enumerate(levels):
+        if level in levels[:i]:
+            raise argparse.ArgumentTypeError(f"level {level} is repeated")
     return levels
 
 

@@ -807,6 +807,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
     ["verify", "variance", "--k", "0", *VARIANCE],
     ["verify", "variance", "--k", "171", *VARIANCE],
     ["detect", "--input", "x.csv"],
+    ["detect", "--input", "x.csv", "--D", "0.4", "--levels", "0.95,0.95"],
+    ["limit", "--kernel", "cusum", "--D", "0.4", "--levels", "0.9,0.90"],
 ], ids=["simulate-reps", "simulate-levels", "simulate-n-1", "coeffs-reps",
         "coeffs-levels", "coeffs-quad-order", "coeffs-negative-Q",
         "coeffs-wilcoxon-Q-400", "coeffs-bump-Q-326", "coeffs-huber-Q-345",
@@ -831,7 +833,8 @@ WEAK = ["--kernel", "wilcoxon", "--D", "0.4", "--n", "200", "--reps", "5",
         "verify-weak-reps-0", "verify-variance-n-0",
         "verify-reduction-n-1", "verify-weak-n-1", "detect-bad-family",
         "verify-weak-bad-family", "verify-variance-k-0",
-        "verify-variance-k-171", "detect-missing-D"])
+        "verify-variance-k-171", "detect-missing-D", "detect-repeated-level",
+        "limit-repeated-level"])
 def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
     # argparse exits 2 through SystemExit; a ParameterError returns 2.
@@ -861,6 +864,10 @@ def test_unknown_option_or_bad_value_exits_2(argv, tmp_path, monkeypatch,
     # and so is a missing required option
     if argv[0] == "detect" and "--D" not in argv:
         assert "--D" in err
+    # and so is a repeated level, with the level it repeats
+    if argv[-1] in ("0.95,0.95", "0.9,0.90"):
+        level = argv[-1].split(",")[0]
+        assert f"argument --levels: level {level} is repeated" in err
     assert list(tmp_path.iterdir()) == []
 
 
